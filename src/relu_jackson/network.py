@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, grid_values
+from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _parse_header, grid_values
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
@@ -21,9 +21,9 @@ ORIGIN_AFFINE = "affine"
 _POINT_BLOCK = 4096
 _UNIT_BLOCK = 2048
 
-#: Ceiling on exact affine units (two for the linear part, one for the
-#: constant; the allowance leaves room for alternative realizations).
-MAX_AFFINE_UNITS = 5
+#: Ceiling on exact affine units: two for the linear part, one for the
+#: constant, as ``affine_units`` builds them.
+MAX_AFFINE_UNITS = 3
 
 
 class Unit(NamedTuple):
@@ -328,7 +328,7 @@ def loads_network(text: str) -> ShallowNetwork:
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] != "# schema=network@1":
         raise ValueError("not a network CSV")
-    header = dict(item.split("=", 1) for item in lines[1][2:].split())
+    header = _parse_header(lines[1][2:], ("d", "m", "v", "N"), "network")
     d = int(header["d"])
     meta = NetworkMeta(v=float(header["v"]), bandwidth=int(header["N"]))
     rows = []

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,14 @@ from .targets import FourierTarget
 
 _SIGNS = (-1.0, 1.0)
 
-# Stream tag separating the unstratified sampler from the per-stratum
-# substreams (seed, stratum_index); stratum indices never reach this value.
+# Stream tag of the unstratified sampler: its PCG64 stream is keyed by
+# (seed, tag), apart from the stratified sampler's Philox stream, which is
+# keyed by the seed alone and split between strata by counter offset.
 _PLAIN_STREAM_TAG = 0x9E3779B9
 
 
 def _validate_seed(seed: int):
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
 
 
@@ -205,25 +207,91 @@ class Stratum:
             arr.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingPlan:
+    """Proportionate-allocation plan as flat (CSR) arrays.
+
+    Stratum i owns pieces ``ptr[i]:ptr[i+1]``.  Per piece: the frequency
+    index ``piece_mode``, the shift sub-interval ``[piece_lo, piece_hi]``,
+    its mass, and ``cum``, the cumulative mass normalised within the stratum
+    and offset by the stratum index (so stratum i's pieces end at exactly
+    i + 1).  Per stratum: sign z, shift bin, direction cell (one row of
+    ``cell``), atom sign, mass, share of the total mass, fractional
+    allocation ``target_count`` and draw count.
+    """
+
     m: int
     m_prime: int
     epsilon: float
     delta: float
-    strata: tuple[Stratum, ...]
+    ptr: np.ndarray
+    piece_mode: np.ndarray
+    piece_lo: np.ndarray
+    piece_hi: np.ndarray
+    piece_mass: np.ndarray
+    cum: np.ndarray
+    z: np.ndarray
+    bin_index: np.ndarray
+    cell: np.ndarray
+    sign: np.ndarray
+    mass: np.ndarray
+    share: np.ndarray
+    target_count: np.ndarray
+    count: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def strata_count(self) -> int:
-        return len(self.strata)
+        return self.z.shape[0]
 
     @property
     def total_count(self) -> int:
-        return sum(s.count for s in self.strata)
+        return int(self.count.sum())
 
     @property
     def shares_total(self) -> float:
-        return math.fsum(s.share for s in self.strata)
+        return math.fsum(self.share.tolist())
+
+    @cached_property
+    def strata(self) -> tuple[Stratum, ...]:
+        """Per-stratum view of the flat arrays, built on first access."""
+        edges = _bin_edges(self.delta)
+        ptr = self.ptr.tolist()
+        return tuple(
+            Stratum(
+                z=z,
+                bin_index=b,
+                t_lo=float(edges[b]),
+                t_hi=float(edges[b + 1]),
+                cell=tuple(cell),
+                sign=sign,
+                mode_index=self.piece_mode[lo:hi],
+                piece_lo=self.piece_lo[lo:hi],
+                piece_hi=self.piece_hi[lo:hi],
+                piece_mass=self.piece_mass[lo:hi],
+                mass=mass,
+                share=share,
+                target_count=target_count,
+                count=count,
+            )
+            for z, b, cell, sign, mass, share, target_count, count, lo, hi in zip(
+                self.z.tolist(),
+                self.bin_index.tolist(),
+                self.cell.tolist(),
+                self.sign.tolist(),
+                self.mass.tolist(),
+                self.share.tolist(),
+                self.target_count.tolist(),
+                self.count.tolist(),
+                ptr[:-1],
+                ptr[1:],
+            )
+        )
 
 
 def allocation_width(m: int, d: int) -> tuple[float, float]:
@@ -233,17 +301,29 @@ def allocation_width(m: int, d: int) -> tuple[float, float]:
     return eps, eps / (d + 1)
 
 
-def _cos_zero_shifts(z: float, omega: float, b: float) -> np.ndarray:
-    """Interior zeros of cos(z*omega*t + b) for t in (0, 1), ascending."""
-    phi0, phi1 = b, z * omega + b
-    lo, hi = min(phi0, phi1), max(phi0, phi1)
-    n0 = math.ceil((lo - math.pi / 2.0) / math.pi)
-    n1 = math.floor((hi - math.pi / 2.0) / math.pi)
-    if n1 < n0:
-        return np.zeros(0)
-    ts = (math.pi / 2.0 + math.pi * np.arange(n0, n1 + 1) - b) / (z * omega)
-    ts = ts[(ts > 0.0) & (ts < 1.0)]
-    return np.sort(ts)
+def _bin_edges(delta: float) -> np.ndarray:
+    """Shift-bin edges j*delta, clipped at 1."""
+    return np.minimum(delta * np.arange(math.ceil(1.0 / delta) + 1), 1.0)
+
+
+def _cos_zero_shifts(z, omega, b):
+    """Interior zeros of cos(z*omega*t + b) for t in (0, 1), per row.
+
+    Returns (row, t) with t ascending within each row for z > 0 and
+    descending for z < 0; callers sort.
+    """
+    slope = z * omega
+    phi0, phi1 = b, slope + b
+    lo, hi = np.minimum(phi0, phi1), np.maximum(phi0, phi1)
+    n0 = np.ceil((lo - math.pi / 2.0) / math.pi)
+    n1 = np.floor((hi - math.pi / 2.0) / math.pi)
+    counts = np.maximum(n1 - n0 + 1.0, 0.0).astype(np.int64)
+    row = np.repeat(np.arange(z.shape[0]), counts)
+    starts = np.cumsum(counts) - counts
+    n = n0[row] + (np.arange(row.shape[0]) - starts[row])
+    ts = (math.pi / 2.0 + math.pi * n - b[row]) / slope[row]
+    inside = (ts > 0.0) & (ts < 1.0)
+    return row[inside], ts[inside]
 
 
 def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
@@ -254,7 +334,8 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     alpha_k to the delta grid; and the atom sign s, with every shift bin
     additionally split at the zeros of cos(z w t + b) so s is constant per
     atom.  Each nonempty stratum draws ceil(m' * share) samples, with
-    m' = ceil(m / 4).
+    m' = ceil(m / 4).  Strata are ordered by (z, bin, cell, s); the pieces
+    of a stratum by frequency, then by shift.
     """
     if density.is_degenerate:
         raise ValueError("empty density: the image has no oscillatory modes")
@@ -263,58 +344,84 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     d = density.image.d
     m_prime = math.ceil(m / 4)
     eps, delta = allocation_width(m, d)
-    n_bins = math.ceil(1.0 / delta)
-    edges = np.minimum(delta * np.arange(n_bins + 1), 1.0)
+    edges = _bin_edges(delta)
     cells = np.floor(density.alphas / delta).astype(np.int64)
 
-    bucket: dict[tuple, list[tuple[int, float, float, float]]] = {}
-    for z in _SIGNS:
-        for j in range(density.mode_count):
-            omega = float(density.omegas[j])
-            b = float(density.phases[j])
-            zero_ts = _cos_zero_shifts(z, omega, b)
-            bounds = np.unique(np.concatenate([edges, zero_ts]))
-            lo, hi = bounds[:-1], bounds[1:]
-            mid = 0.5 * (lo + hi)
-            signs = -np.sign(np.cos(z * omega * mid + b))
-            base = np.pi**2 * float(density.magnitudes[j]) * float(density.l1[j]) ** 2
-            masses = base * _interval_abs_cos_integral(z, omega, b, lo, hi)
-            bins = np.searchsorted(edges, lo, side="right") - 1
-            cell = tuple(int(x) for x in cells[j])
-            for a in range(lo.shape[0]):
-                if signs[a] == 0.0 or masses[a] <= 0.0:
-                    continue
-                key = (z, int(bins[a]), cell, float(signs[a]))
-                bucket.setdefault(key, []).append((j, float(lo[a]), float(hi[a]), float(masses[a])))
+    # One row per (sign z, frequency), z-major; each row's shift range [0, 1]
+    # is cut at the bin edges and at the zeros of cos.
+    modes = density.mode_count
+    row_mode = np.tile(np.arange(modes), len(_SIGNS))
+    row_z = np.repeat(_SIGNS, modes)
+    row_omega = density.omegas[row_mode]
+    row_b = density.phases[row_mode]
+    zero_row, zero_t = _cos_zero_shifts(row_z, row_omega, row_b)
+    row = np.concatenate([np.repeat(np.arange(row_z.shape[0]), edges.shape[0]), zero_row])
+    bound = np.concatenate([np.tile(edges, row_z.shape[0]), zero_t])
+    order = np.lexsort((bound, row))
+    row, bound = row[order], bound[order]
+    fresh = np.ones(row.shape[0], dtype=bool)
+    fresh[1:] = (row[1:] != row[:-1]) | (bound[1:] != bound[:-1])
+    row, bound = row[fresh], bound[fresh]
+    same_row = row[1:] == row[:-1]
+    row, lo, hi = row[:-1][same_row], bound[:-1][same_row], bound[1:][same_row]
 
-    strata = []
-    for key in sorted(bucket):
-        z, bin_index, cell, sign = key
-        pieces = bucket[key]
-        mass = math.fsum(p[3] for p in pieces)
-        if mass <= 0.0:
-            continue
-        share = mass / density.v
-        target_count = m_prime * share
-        strata.append(
-            Stratum(
-                z=z,
-                bin_index=bin_index,
-                t_lo=float(edges[bin_index]),
-                t_hi=float(edges[bin_index + 1]),
-                cell=cell,
-                sign=sign,
-                mode_index=np.array([p[0] for p in pieces], dtype=np.int64),
-                piece_lo=np.array([p[1] for p in pieces]),
-                piece_hi=np.array([p[2] for p in pieces]),
-                piece_mass=np.array([p[3] for p in pieces]),
-                mass=mass,
-                share=share,
-                target_count=target_count,
-                count=math.ceil(target_count),
-            )
-        )
-    plan = SamplingPlan(m=m, m_prime=m_prime, epsilon=eps, delta=delta, strata=tuple(strata))
+    z, mode = row_z[row], row_mode[row]
+    omega, b = row_omega[row], row_b[row]
+    mid = 0.5 * (lo + hi)
+    sign = -np.sign(np.cos(z * omega * mid + b))
+    base = np.pi**2 * density.magnitudes[mode] * density.l1[mode] ** 2
+    mass = base * _interval_abs_cos_integral(z, omega, b, lo, hi)
+    bins = np.searchsorted(edges, lo, side="right") - 1
+
+    # A stable sort by the stratum key (z, bin, cell, s) keeps the
+    # (frequency, shift) order of the pieces inside each stratum.
+    kept = np.flatnonzero((sign != 0.0) & (mass > 0.0))
+    key = np.column_stack([z[kept], bins[kept], cells[mode[kept]], sign[kept]])
+    perm = np.lexsort(key.T[::-1])
+    order, key = kept[perm], key[perm]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    ptr = np.append(starts, order.shape[0])
+
+    piece_mass = mass[order]
+    # Exactly rounded stratum masses (a reduceat is off by a few ulps); the
+    # loop runs once per stratum, not per piece.
+    mass_list, ptr_list = piece_mass.tolist(), ptr.tolist()
+    stratum_mass = np.array([math.fsum(mass_list[i:j]) for i, j in zip(ptr_list[:-1], ptr_list[1:])])
+    share = stratum_mass / density.v
+    target_count = m_prime * share
+    count = np.ceil(target_count).astype(np.int64)
+
+    # Cumulative masses normalised within each stratum, so a small stratum
+    # next to a large one keeps its resolution, and offset by the stratum
+    # index, so one searchsorted serves every stratum.
+    piece_stratum = np.repeat(np.arange(starts.shape[0]), np.diff(ptr))
+    running = np.cumsum(piece_mass / stratum_mass[piece_stratum])
+    before = np.concatenate([[0.0], running[ptr[1:-1] - 1]])
+    within = np.minimum(running - before[piece_stratum], 1.0)
+    within[ptr[1:] - 1] = 1.0
+
+    plan = SamplingPlan(
+        m=m,
+        m_prime=m_prime,
+        epsilon=eps,
+        delta=delta,
+        ptr=ptr,
+        piece_mode=mode[order],
+        piece_lo=lo[order],
+        piece_hi=hi[order],
+        piece_mass=piece_mass,
+        cum=piece_stratum + within,
+        z=key[starts, 0],
+        bin_index=bins[order[starts]],
+        cell=cells[mode[order[starts]]],
+        sign=key[starts, -1],
+        mass=stratum_mass,
+        share=share,
+        target_count=target_count,
+        count=count,
+    )
     # Ceiling rounding adds less than one draw per stratum.
     assert plan.total_count <= plan.m_prime + plan.strata_count
     return plan
@@ -355,41 +462,36 @@ def _invert_shift_full(z, omega, b, u):
 def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -> Units:
     """Draw every stratum's allocation and weight the units for the estimator.
 
-    Stratum i uses the substream keyed by (seed, i), so strata could be
-    sampled concurrently without changing the result.  Each atom (z, t, k)
-    becomes the unit ``beta * relu((z alpha_k) . x - t)`` with
-    ``beta = v * m_i / (m' * n_i) * s``.
+    All draws come from one counter-based Philox stream keyed by the seed:
+    unit j takes the uniform pair in row j of ``random((n, 2))``, and stratum
+    i's units are rows ``[start_i, start_i + count_i)`` with ``start_i`` the
+    draws of the strata before it.  Stratum i can therefore be reproduced on
+    its own by advancing the stream to that row's counter, without drawing
+    the strata before it.  Each atom (z, t, k) becomes the unit
+    ``beta * relu((z alpha_k) . x - t)`` with ``beta = v * m_i / (m' * n_i) * s``.
     """
     _validate_seed(seed)
-    d = density.image.d
-    blocks_alpha, blocks_beta, blocks_bias = [], [], []
-    for i, st in enumerate(plan.strata):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        u = rng.random((st.count, 2))
-        cum = np.cumsum(st.piece_mass)
-        pick = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-        pick = np.minimum(pick, st.piece_mass.shape[0] - 1)
-        mode = st.mode_index[pick]
-        t = _invert_shift(
-            st.z,
-            density.omegas[mode],
-            density.phases[mode],
-            st.piece_lo[pick],
-            st.piece_hi[pick],
-            u[:, 1],
-        )
-        beta = density.v * st.target_count / (plan.m_prime * st.count) * st.sign
-        blocks_alpha.append(st.z * density.alphas[mode])
-        blocks_beta.append(np.full(st.count, beta))
-        blocks_bias.append(t)
-    if not blocks_alpha:
-        return Units.empty(d)
-    n = sum(b.shape[0] for b in blocks_beta)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    u = rng.random((plan.total_count, 2))
+    stratum = np.repeat(np.arange(plan.strata_count), plan.count)
+    pick = np.searchsorted(plan.cum, stratum + u[:, 0], side="right")
+    pick = np.minimum(pick, plan.ptr[stratum + 1] - 1)
+    mode = plan.piece_mode[pick]
+    z = plan.z[stratum]
+    t = _invert_shift(
+        z,
+        density.omegas[mode],
+        density.phases[mode],
+        plan.piece_lo[pick],
+        plan.piece_hi[pick],
+        u[:, 1],
+    )
+    beta = density.v * plan.target_count / (plan.m_prime * plan.count) * plan.sign
     return Units(
-        alphas=np.concatenate(blocks_alpha).reshape(n, d),
-        betas=np.concatenate(blocks_beta),
-        biases=np.concatenate(blocks_bias),
-        origins=np.full(n, ORIGIN_SAMPLED, dtype="<U7"),
+        alphas=z[:, None] * density.alphas[mode],
+        betas=np.repeat(beta, plan.count),
+        biases=t,
+        origins=np.full(t.shape[0], ORIGIN_SAMPLED, dtype="<U7"),
     )
 
 

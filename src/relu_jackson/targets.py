@@ -338,11 +338,20 @@ def dumps_target(target: FourierTarget) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_header(line: str, required: tuple[str, ...], what: str) -> dict[str, str]:
+    """The ``key=value`` pairs of a header line; every required key must be present."""
+    header = dict(item.split("=", 1) for item in line.split())
+    for key in required:
+        if key not in header:
+            raise ValueError(f"{what} header lacks {key}=")
+    return header
+
+
 def loads_target(text: str) -> FourierTarget:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty target description")
-    header = dict(item.split("=", 1) for item in lines[0].split())
+    header = _parse_header(lines[0], ("d", "r"), "target")
     d = int(header["d"])
     smoothness = math.inf if header["r"] == "inf" else float(int(header["r"]))
     coeff_map = {}
@@ -351,7 +360,10 @@ def loads_target(text: str) -> FourierTarget:
         if len(parts) != d + 2:
             raise ValueError(f"bad coefficient line: {ln!r}")
         k = tuple(int(p) for p in parts[:d])
-        coeff_map[k] = complex(float(parts[d]), float(parts[d + 1]))
+        real, imag = float(parts[d]), float(parts[d + 1])
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise ValueError(f"non-finite coefficient at k={k}")
+        coeff_map[k] = complex(real, imag)
     target = _from_map(d, coeff_map, smoothness)
     scale = max(1.0, float(np.abs(target.coeffs).max()) if target.mode_count else 0.0)
     for k, c in coeff_map.items():

@@ -192,6 +192,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             loads_network("# schema=network@1\n# d=1 m=2 v=0 N=1\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
 
+    @pytest.mark.parametrize("key", ["d", "m", "v", "N"])
+    def test_missing_header_key_named(self, key):
+        fields = " ".join(f"{k}={val}" for k, val in (("d", 1), ("m", 1), ("v", 0), ("N", 1)) if k != key)
+        with pytest.raises(ValueError, match=f"{key}="):
+            loads_network(f"# schema=network@1\n# {fields}\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
+
 
 def test_units_iteration_and_build():
     rows = [(np.array([0.5]), 1.0, 0.25, "sampled"), (np.array([0.0]), 2.0, -1.0, "affine")]

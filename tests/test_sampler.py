@@ -7,8 +7,13 @@ import relu_jackson as rj
 from relu_jackson.network import ShallowNetwork, dumps_network
 from relu_jackson.network import evaluate as evaluate_network
 from relu_jackson.sampler import (
+    _PLAIN_STREAM_TAG,
+    _interval_abs_cos_integral,
+    _invert_shift,
+    _invert_shift_full,
     affine_part,
     affine_units,
+    allocation_width,
     build_density,
     build_strata,
     construct,
@@ -142,6 +147,31 @@ class TestBuildStrata:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("name,n,m", [("cos", 4, 64), ("decay1", 12, 64), ("decay2", 4, 64), ("decay2", 8, 256)])
+    def test_matches_reference_loop(self, corpus, name, n, m):
+        dens = build_density(rj.apply_jackson(dict(corpus)[name], n, 2))
+        plan = build_strata(dens, m)
+        expected = _reference_strata(dens, m)
+        assert plan.strata_count == len(expected)
+        assert plan.ptr[-1] == sum(len(ref["modes"]) for ref in expected)
+        for st, ref in zip(plan.strata, expected):
+            assert (st.z, st.bin_index, st.cell, st.sign) == ref["key"]
+            assert np.array_equal(st.mode_index, ref["modes"])
+            assert np.array_equal(st.piece_lo, ref["lo"]) and np.array_equal(st.piece_hi, ref["hi"])
+            assert np.all(np.abs(st.piece_mass - ref["mass"]) <= np.spacing(ref["mass"]))
+            assert abs(st.mass - ref["total"]) <= np.spacing(ref["total"])
+            assert st.count == math.ceil(plan.m_prime * ref["total"] / dens.v)
+
+    def test_cumulative_masses(self, corpus):
+        dens = build_density(rj.apply_jackson(dict(corpus)["decay2"], 8, 2))
+        plan = build_strata(dens, 256)
+        assert np.all(np.diff(plan.cum) >= 0.0)
+        assert np.array_equal(plan.cum[plan.ptr[1:] - 1], np.arange(1, plan.strata_count + 1))
+        for i, st in enumerate(plan.strata):
+            within = plan.cum[plan.ptr[i] : plan.ptr[i + 1]] - i
+            cum = np.cumsum(st.piece_mass)
+            assert np.abs(within - cum / cum[-1]).max() <= 1e-12
+
     def test_rejects(self, cos_image):
         dens = build_density(cos_image)
         with pytest.raises(ValueError):
@@ -151,7 +181,90 @@ class TestBuildStrata:
             build_strata(degenerate, 64)
 
 
+def _reference_strata(dens, m):
+    """Strata of a width-m plan built by a plain loop over (sign, mode),
+    bucketed in a dict and ordered by sorting its keys."""
+    _, delta = allocation_width(m, dens.image.d)
+    edges = np.minimum(delta * np.arange(math.ceil(1.0 / delta) + 1), 1.0)
+    bucket = {}
+    for z in (-1.0, 1.0):
+        for j in range(dens.mode_count):
+            omega, b = float(dens.omegas[j]), float(dens.phases[j])
+            lo_phase, hi_phase = sorted((b, z * omega + b))
+            n0 = math.ceil((lo_phase - math.pi / 2.0) / math.pi)
+            n1 = math.floor((hi_phase - math.pi / 2.0) / math.pi)
+            zeros = (math.pi / 2.0 + math.pi * np.arange(n0, n1 + 1) - b) / (z * omega)
+            bounds = np.unique(np.concatenate([edges, zeros[(zeros > 0.0) & (zeros < 1.0)]]))
+            cell = tuple(int(c) for c in np.floor(dens.alphas[j] / delta))
+            base = np.pi**2 * float(dens.magnitudes[j]) * float(dens.l1[j]) ** 2
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                sign = -float(np.sign(np.cos(z * omega * (0.5 * (lo + hi)) + b)))
+                mass = base * float(_interval_abs_cos_integral(z, omega, b, lo, hi))
+                if sign == 0.0 or mass <= 0.0:
+                    continue
+                bin_index = int(np.searchsorted(edges, lo, side="right")) - 1
+                bucket.setdefault((z, bin_index, cell, sign), []).append((j, lo, hi, mass))
+    return [
+        {
+            "key": key,
+            "modes": np.array([p[0] for p in bucket[key]]),
+            "lo": np.array([p[1] for p in bucket[key]]),
+            "hi": np.array([p[2] for p in bucket[key]]),
+            "mass": np.array([p[3] for p in bucket[key]]),
+            "total": math.fsum(p[3] for p in bucket[key]),
+        }
+        for key in sorted(bucket)
+    ]
+
+
+def _stratified_stream(seed, start, rows):
+    """Rows [start, start + rows) of the stratified sampler's uniform pairs,
+    read by advancing the Philox counter (four 64-bit words, i.e. two rows,
+    per step) instead of drawing the rows before them."""
+    bit_generator = np.random.Philox(np.random.SeedSequence(seed))
+    bit_generator.advance(start // 2)
+    rng = np.random.Generator(bit_generator)
+    if start % 2:
+        rng.random(2)
+    return rng.random((rows, 2))
+
+
 class TestStratifiedSample:
+    def test_stratum_reproducible_from_counter_offset(self, corpus):
+        dens = build_density(rj.apply_jackson(dict(corpus)["decay1"], 12, 2))
+        plan = build_strata(dens, 256)
+        seed = 11
+        units = stratified_sample(plan, dens, seed)
+        start = 0
+        for st in plan.strata:
+            u = _stratified_stream(seed, start, st.count)
+            cum = np.cumsum(st.piece_mass)
+            pick = np.minimum(np.searchsorted(cum / cum[-1], u[:, 0], side="right"), len(cum) - 1)
+            mode = st.mode_index[pick]
+            t = _invert_shift(st.z, dens.omegas[mode], dens.phases[mode], st.piece_lo[pick], st.piece_hi[pick], u[:, 1])
+            block = slice(start, start + st.count)
+            assert np.array_equal(units.biases[block], t)
+            assert np.array_equal(units.alphas[block], st.z * dens.alphas[mode])
+            start += st.count
+        assert start == len(units)
+        # strata start on both halves of a Philox block
+        assert len(set(np.cumsum(plan.count[:-1]) % 2)) == 2
+
+    def test_distinct_from_plain_stream(self, cos_image):
+        dens = build_density(cos_image)
+        plan = build_strata(dens, 64)
+        n = plan.total_count
+        for seed in range(5):
+            u_plain = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _PLAIN_STREAM_TAG))).random((n, 2))
+            flat = dens.masses.ravel()
+            cum = np.cumsum(flat)
+            zi, mode = np.divmod(np.searchsorted(cum, u_plain[:, 0] * cum[-1], side="right"), dens.mode_count)
+            z = np.where(zi == 0, -1.0, 1.0)
+            t = _invert_shift_full(z, dens.omegas[mode], dens.phases[mode], u_plain[:, 1])
+            assert np.array_equal(plain_sample(dens, n, seed).biases, t)
+            u_strat = _stratified_stream(seed, 0, n)
+            assert not np.isin(u_strat, u_plain).any()
+
     def test_deterministic(self, cos_image):
         dens = build_density(cos_image)
         plan = build_strata(dens, 64)
@@ -323,6 +436,10 @@ class TestConstruct:
             construct(cos_target, 2, 64, seed=-1)
         with pytest.raises(ValueError):
             construct(cos_target, 2, 64, seed=0, method="bogus")
+
+    def test_rejects_bool_seed(self, cos_target):
+        with pytest.raises(ValueError, match="seed"):
+            construct(cos_target, 2, 64, seed=True)
 
 
 def test_unbiasedness_moderate(cos_target):

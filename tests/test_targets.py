@@ -226,6 +226,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="Hermitian"):
             loads_target("d=1 r=inf\n1 0.5 0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coefficient(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            loads_target(f"d=1 r=inf\n-1 0.5 0\n0 1 0\n1 0.5 0\n".replace("0 1 0", f"0 {value} 0"))
+        with pytest.raises(ValueError, match="non-finite"):
+            loads_target(f"d=1 r=inf\n0 1 {value}\n")
+
+    @pytest.mark.parametrize("header,key", [("r=2", "d="), ("d=1", "r=")])
+    def test_missing_header_key_named(self, header, key):
+        with pytest.raises(ValueError, match=key):
+            loads_target(f"{header}\n0 1 0\n")
+
 
 def test_difference():
     a = rj.make_trig_poly(1, {1: 0.5, -1: 0.5})
