@@ -2,9 +2,17 @@
 
 Subcommands: kernel, spectral, construct, jackson-rate, network-rate,
 paired-mc, verify-identity.  Every emitter writes CSV with a
-``# schema=<name>@1`` first line; ``--out`` writes to a file, otherwise the
-CSV goes to stdout.  ``--config <path>`` loads defaults for any flag not
-given explicitly (key = value lines, same names as the long flags).
+``# schema=<name>@<version>`` first line; ``--out`` writes to a file,
+otherwise the CSV goes to stdout.
+
+``--config <path>`` names a file of ``key = value`` lines, and a config line
+is the flag it names: each line becomes ``--key=value`` right after the
+subcommand name, before the flags typed on the command line, and then one
+argparse pass parses everything.  argparse therefore converts the types,
+applies the defaults, enforces the required flags and rejects unknown keys,
+and since argparse keeps the last occurrence of a flag, explicit flags win.
+Keys name a long flag exactly (``-`` or ``_`` inside a name), because flags
+are never abbreviated.
 """
 
 from __future__ import annotations
@@ -34,27 +42,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _apply_config(args: argparse.Namespace, converters: dict[str, object]) -> None:
-    if not getattr(args, "config", None):
-        return
-    cfg = load_config(args.config)
-    for key, value in cfg.items():
-        name = key.replace("-", "_")
-        if name not in converters:
-            raise SystemExit(f"config key {key!r} is not a flag of this subcommand")
-        if getattr(args, name, None) is None:
-            setattr(args, name, converters[name](value))
-
-
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise SystemExit(f"missing required option(s): {', '.join('--' + n for n in missing)}")
-
-
 def _cmd_kernel(args) -> int:
-    _apply_config(args, {"N": int, "r": int, "dump": str})
-    _require(args, ["N", "r"])
     kernel = build_kernel(args.N, args.r)
     mult = multiplier_from_kernel(kernel)
     lines = ["# schema=kernel@1", "k,a_tilde,a_multiplier"]
@@ -65,8 +53,6 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    _apply_config(args, {"target": str, "r": int, "L": int, "grid": int, "out": str})
-    _require(args, ["target", "r", "L"])
     target = load_target(args.target)
     grid = default_grid(target.d, TORUS, args.grid)
     decomp = build_levels(target, args.r, args.L, grid)
@@ -84,11 +70,6 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    _apply_config(
-        args,
-        {"target": str, "r": int, "m": int, "seed": int, "N": int, "out": str},
-    )
-    _require(args, ["target", "r", "m", "seed", "out"])
     target = load_target(args.target)
     method = "plain" if args.plain else "stratified"
     net = construct(target, args.r, args.m, args.seed, bandwidth=args.N, method=method)
@@ -112,48 +93,22 @@ def _rate_experiment(args, mode: str) -> RateExperiment:
 
 
 def _cmd_jackson_rate(args) -> int:
-    _apply_config(args, {"target": str, "r": int, "sweep": _int_list, "grid": int, "out": str})
-    _require(args, ["target", "r", "sweep"])
     _emit(run_jackson_rate(_rate_experiment(args, "jackson-rate")), args.out)
     return 0
 
 
 def _cmd_network_rate(args) -> int:
-    _apply_config(
-        args,
-        {
-            "target": str,
-            "r": int,
-            "sweep": _int_list,
-            "seed": _int_list,
-            "grid": int,
-            "N": int,
-            "N_exponent": float,
-            "out": str,
-        },
-    )
-    _require(args, ["target", "r", "sweep", "seed"])
     _emit(run_network_rate(_rate_experiment(args, "network-rate")), args.out)
     return 0
 
 
 def _cmd_paired_mc(args) -> int:
-    _apply_config(
-        args,
-        {"target": str, "r": int, "m": int, "seed": _int_list, "grid": int, "N": int, "out": str},
-    )
-    _require(args, ["target", "r", "m", "seed"])
     _emit(run_paired_mc(_rate_experiment(args, "paired-mc")), args.out)
     return 0
 
 
 def _cmd_verify_identity(args) -> int:
-    _apply_config(
-        args,
-        {"samples": int, "cmax": float, "panels": int, "seed": int, "out": str},
-    )
-    _require(args, ["samples", "cmax"])
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     lines = ["# schema=identity@1", "sample,z,c,residual"]
     worst = 0.0
     for i in range(args.samples):
@@ -168,49 +123,49 @@ def _cmd_verify_identity(args) -> int:
 
 
 def main(argv=None) -> int:
+    config = argparse.ArgumentParser(prog="relu-jackson", add_help=False, allow_abbrev=False)
+    config.add_argument("--config", help="key = value file; each line is the flag it names, typed flags win")
     parser = argparse.ArgumentParser(
         prog="relu-jackson",
         description="Constructive shallow-ReLU approximation of periodic targets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed_list=False):
-        p.add_argument("--config", help="key = value file supplying defaults for missing flags")
-        p.add_argument("--target", help="path to a target description file")
-        p.add_argument("--r", type=int, help="smoothing / weight order")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, parents=[config], allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    def common(p, *, out_required=False):
+        p.add_argument("--target", required=True, help="path to a target description file")
+        p.add_argument("--r", type=int, required=True, help="smoothing / weight order")
         p.add_argument("--grid", type=int, help="grid points per axis")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        if seed_list:
-            p.add_argument("--seed", type=_int_list, help="comma-separated seeds")
+        p.add_argument("--out", required=out_required, help="output CSV path (default: stdout)")
 
-    p = sub.add_parser("kernel", help="emit kernel and multiplier coefficients")
-    p.add_argument("--config")
-    p.add_argument("--N", type=int)
-    p.add_argument("--r", type=int)
+    p = command("kernel", _cmd_kernel, "emit kernel and multiplier coefficients")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
     p.add_argument("--dump", help="output CSV path (default: stdout)")
-    p.set_defaults(func=_cmd_kernel)
 
-    p = sub.add_parser("spectral", help="per-level norms, shell sums, bound sides")
+    p = command("spectral", _cmd_spectral, "per-level norms, shell sums, bound sides")
     common(p)
-    p.add_argument("--L", type=int, help="highest dyadic level")
-    p.set_defaults(func=_cmd_spectral)
+    p.add_argument("--L", type=int, required=True, help="highest dyadic level")
 
-    p = sub.add_parser("construct", help="build one network and write it as CSV")
-    common(p)
-    p.add_argument("--m", type=int, help="requested width")
-    p.add_argument("--seed", type=int)
+    p = command("construct", _cmd_construct, "build one network and write it as CSV")
+    common(p, out_required=True)
+    p.add_argument("--m", type=int, required=True, help="requested width")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--N", type=int, help="bandwidth override")
     p.add_argument("--plain", action="store_true", help="plain Monte Carlo instead of stratified")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("jackson-rate", help="smoothing error sweep over bandwidths")
+    p = command("jackson-rate", _cmd_jackson_rate, "smoothing error sweep over bandwidths")
     common(p)
-    p.add_argument("--sweep", type=_int_list, help="comma-separated bandwidths")
-    p.set_defaults(func=_cmd_jackson_rate)
+    p.add_argument("--sweep", type=_int_list, required=True, help="comma-separated bandwidths")
 
-    p = sub.add_parser("network-rate", help="network error sweep over widths")
-    common(p, seed_list=True)
-    p.add_argument("--sweep", type=_int_list, help="comma-separated widths")
+    p = command("network-rate", _cmd_network_rate, "network error sweep over widths")
+    common(p)
+    p.add_argument("--sweep", type=_int_list, required=True, help="comma-separated widths")
+    p.add_argument("--seed", type=_int_list, required=True, help="comma-separated seeds")
     p.add_argument("--N", type=int, help="bandwidth override")
     p.add_argument(
         "--N-exponent",
@@ -218,23 +173,25 @@ def main(argv=None) -> int:
         type=float,
         help="bandwidth schedule N = floor(m**exponent) instead of the selection rule",
     )
-    p.set_defaults(func=_cmd_network_rate)
 
-    p = sub.add_parser("paired-mc", help="stratified vs plain at one width, per seed")
-    common(p, seed_list=True)
-    p.add_argument("--m", type=int, help="unit budget for both arms")
+    p = command("paired-mc", _cmd_paired_mc, "stratified vs plain at one width, per seed")
+    common(p)
+    p.add_argument("--m", type=int, required=True, help="unit budget for both arms")
+    p.add_argument("--seed", type=_int_list, required=True, help="comma-separated seeds")
     p.add_argument("--N", type=int, help="bandwidth override")
-    p.set_defaults(func=_cmd_paired_mc)
 
-    p = sub.add_parser("verify-identity", help="quadrature sweep of the ridge identity")
-    p.add_argument("--config")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--cmax", type=float)
+    p = command("verify-identity", _cmd_verify_identity, "quadrature sweep of the ridge identity")
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--cmax", type=float, required=True)
     p.add_argument("--panels", type=int, default=2**14)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_identity)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = config.parse_known_args(argv)[0].config
+    if path:
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in load_config(path).items()]
+        argv = argv[:1] + flags + argv[1:]
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -12,7 +12,6 @@ import numpy as np
 from .targets import (
     EvaluationGrid,
     FourierTarget,
-    _from_map,
     _require_resolved,
     difference,
     sup_norm,
@@ -140,15 +139,12 @@ def apply_jackson(target: FourierTarget, N: int, r: int) -> FourierTarget:
     the (2*pi)^d factor.
     """
     mult = multiplier_from_kernel(build_kernel(N, r))
-    if target.mode_count == 0:
-        return FourierTarget(target.d, target.modes, target.coeffs, target.smoothness)
     keep = np.abs(target.modes).max(axis=1) <= N
     modes = target.modes[keep]
     factors = mult.axis[modes + N].prod(axis=1) * TWO_PI**target.d
     coeffs = target.coeffs[keep] * factors
     nz = coeffs != 0
-    out_map = {tuple(int(x) for x in k): complex(c) for k, c in zip(modes[nz], coeffs[nz])}
-    return _from_map(target.d, out_map, target.smoothness)
+    return FourierTarget(target.d, modes[nz], coeffs[nz], target.smoothness)
 
 
 def jackson_sup_error(target: FourierTarget, N: int, r: int, grid: EvaluationGrid) -> float:

@@ -309,13 +309,31 @@ def audit(net: ShallowNetwork) -> AuditReport:
 # CSV serialization (17 significant digits; byte-exact round trips)
 # ---------------------------------------------------------------------------
 
+#: ``NetworkMeta`` fields that the network@2 header carries when they are
+#: set, with their parsers; d, m, v and N are always present.
+_META_FIELDS = {
+    "v2": float,
+    "r": int,
+    "seed": int,
+    "m_requested": int,
+    "m_prime": int,
+    "strata_count": int,
+    "sampled_count": int,
+}
+
+
 def dumps_network(net: ShallowNetwork) -> str:
     meta = net.meta
     if meta is None:
         raise ValueError("serialization requires metadata (v and bandwidth)")
+    header = [f"d={net.d}", f"m={net.unit_count}", f"v={_fmt(meta.v)}", f"N={meta.bandwidth}"]
+    for name, parse in _META_FIELDS.items():
+        value = getattr(meta, name)
+        if value is not None:
+            header.append(f"{name}={_fmt(value) if parse is float else value}")
     lines = [
-        "# schema=network@1",
-        f"# d={net.d} m={net.unit_count} v={_fmt(meta.v)} N={meta.bandwidth}",
+        "# schema=network@2",
+        "# " + " ".join(header),
         ",".join([f"alpha_{j+1}" for j in range(net.d)] + ["beta", "bias", "origin"]),
     ]
     for unit in net.units:
@@ -325,12 +343,17 @@ def dumps_network(net: ShallowNetwork) -> str:
 
 
 def loads_network(text: str) -> ShallowNetwork:
+    """Parse a network@2 CSV, or a network@1 CSV, whose header has only d, m, v and N."""
     lines = text.splitlines()
-    if len(lines) < 3 or lines[0] != "# schema=network@1":
+    if len(lines) < 3 or lines[0] not in ("# schema=network@1", "# schema=network@2"):
         raise ValueError("not a network CSV")
     header = _parse_header(lines[1][2:], ("d", "m", "v", "N"), "network")
     d = int(header["d"])
-    meta = NetworkMeta(v=float(header["v"]), bandwidth=int(header["N"]))
+    meta = NetworkMeta(
+        v=float(header["v"]),
+        bandwidth=int(header["N"]),
+        **{name: parse(header[name]) for name, parse in _META_FIELDS.items() if name in header},
+    )
     rows = []
     for ln in lines[3:]:
         if not ln:

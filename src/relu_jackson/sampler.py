@@ -434,29 +434,17 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
 def _invert_shift(z, omega, b, lo, hi, u):
     """Inverse-CDF draw of t with density |cos(z*omega*t + b)| on [lo, hi].
 
-    Valid when cos keeps one sign on the interval, so the phase stays inside
-    a single half-period and the antiderivative inverts through arcsin.
+    The antiderivative F rises by 2 per half-period of the phase, so the
+    half-period holding the drawn level y is floor((y + 1) / 2), and arcsin
+    inverts F inside it.  The interval may span any number of half-periods.
     """
     slope = z * omega
-    phi_lo = slope * lo + b
-    phi_hi = slope * hi + b
-    f_lo = _abs_cos_primitive(phi_lo)
-    f_hi = _abs_cos_primitive(phi_hi)
-    y = f_lo + u * (f_hi - f_lo)
-    branch = np.floor((0.5 * (phi_lo + phi_hi) + np.pi / 2.0) / np.pi)
-    phi = branch * np.pi + np.arcsin(np.clip(y - 2.0 * branch, -1.0, 1.0))
-    return np.clip((phi - b) / slope, lo, hi)
-
-
-def _invert_shift_full(z, omega, b, u):
-    """Inverse-CDF draw of t with density |cos(z*omega*t + b)| on [0, 1]."""
-    slope = z * omega
-    f_lo = _abs_cos_primitive(b)
-    f_hi = _abs_cos_primitive(slope + b)
+    f_lo = _abs_cos_primitive(slope * lo + b)
+    f_hi = _abs_cos_primitive(slope * hi + b)
     y = f_lo + u * (f_hi - f_lo)
     branch = np.floor((y + 1.0) / 2.0)
     phi = branch * np.pi + np.arcsin(np.clip(y - 2.0 * branch, -1.0, 1.0))
-    return np.clip((phi - b) / slope, 0.0, 1.0)
+    return np.clip((phi - b) / slope, lo, hi)
 
 
 def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -> Units:
@@ -512,7 +500,7 @@ def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
     z = np.where(zi == 0, _SIGNS[0], _SIGNS[1])
     omega = density.omegas[mode]
     b = density.phases[mode]
-    t = _invert_shift_full(z, omega, b, u[:, 1])
+    t = _invert_shift(z, omega, b, 0.0, 1.0, u[:, 1])
     s = -np.sign(np.cos(z * omega * t + b))
     return Units(
         alphas=z[:, None] * density.alphas[mode],

@@ -18,7 +18,6 @@ import numpy as np
 from .targets import (
     EvaluationGrid,
     FourierTarget,
-    _from_map,
     _require_resolved,
     grid_values,
     holder_norm,
@@ -36,14 +35,11 @@ def level_series(target: FourierTarget, level: int, r: int) -> FourierTarget:
         raise ValueError("level must be >= 0")
     if r < 0:
         raise ValueError("weight order must be >= 0")
-    cutoff = 2**level
-    out = {}
-    for k, c in zip(target.modes, target.coeffs):
-        l1 = int(np.abs(k).sum())
-        if l1 == 0 or np.abs(k).max() > cutoff:
-            continue
-        out[tuple(int(x) for x in k)] = complex(c) * float(l1) ** r
-    return _from_map(target.d, out, target.smoothness)
+    l1 = np.abs(target.modes).sum(axis=1)
+    keep = (l1 > 0) & (np.abs(target.modes).max(axis=1) <= 2**level)
+    coeffs = target.coeffs[keep] * l1[keep].astype(float) ** r
+    nz = coeffs != 0
+    return FourierTarget(target.d, target.modes[keep][nz], coeffs[nz], target.smoothness)
 
 
 def parseval_residual(series: FourierTarget, grid: EvaluationGrid) -> float:

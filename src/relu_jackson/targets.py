@@ -204,10 +204,15 @@ def difference(a: FourierTarget, b: FourierTarget) -> FourierTarget:
     """Coefficient-wise a - b."""
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    out = a.as_dict()
-    for k, c in b.as_dict().items():
-        out[k] = out.get(k, 0j) - c
-    return _from_map(a.d, out, min(a.smoothness, b.smoothness))
+    modes, where = np.unique(np.concatenate([a.modes, b.modes]), axis=0, return_inverse=True)
+    where = where.ravel()
+    coeffs = np.zeros(modes.shape[0], dtype=np.complex128)
+    # Assign a, then subtract b: each side's modes are distinct, and an
+    # assignment keeps the sign of a zero part where adding to 0 would not.
+    coeffs[where[: a.mode_count]] = a.coeffs
+    coeffs[where[a.mode_count :]] -= b.coeffs
+    nz = coeffs != 0
+    return FourierTarget(a.d, modes[nz], coeffs[nz], min(a.smoothness, b.smoothness))
 
 
 def evaluate(target: FourierTarget, x) -> float | np.ndarray:
@@ -360,6 +365,8 @@ def loads_target(text: str) -> FourierTarget:
         if len(parts) != d + 2:
             raise ValueError(f"bad coefficient line: {ln!r}")
         k = tuple(int(p) for p in parts[:d])
+        if k in coeff_map:
+            raise ValueError(f"repeated frequency line for k={k}")
         real, imag = float(parts[d]), float(parts[d + 1])
         if not (math.isfinite(real) and math.isfinite(imag)):
             raise ValueError(f"non-finite coefficient at k={k}")

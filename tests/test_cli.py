@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import relu_jackson as rj
 from relu_jackson.cli import main
 from relu_jackson.jackson import build_kernel, multiplier_from_kernel
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rj.__file__)))
 
 
 @pytest.fixture()
@@ -137,3 +143,80 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("bogus = 1\n")
     with pytest.raises(SystemExit):
         main(["kernel", "--config", str(cfg), "--N", "1", "--r", "1"])
+
+
+def test_config_line_is_the_flag_it_names(tmp_path):
+    """Config values for flags with an argparse default (verify-identity's
+    panels and seed) used to be dropped in favour of the default."""
+    cfg = tmp_path / "vi.cfg"
+    cfg.write_text("samples = 5\ncmax = 4\npanels = 4\nseed = 5\n")
+    by_config, by_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+    assert main(["verify-identity", "--config", str(cfg), "--out", str(by_config)]) == 0
+    flags = ["--samples", "5", "--cmax", "4", "--panels", "4", "--seed", "5"]
+    assert main(["verify-identity", *flags, "--out", str(by_flags)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    assert main(["verify-identity", "--samples", "5", "--cmax", "4", "--out", str(by_flags)]) == 0
+    assert by_config.read_bytes() != by_flags.read_bytes()
+
+
+def test_explicit_flag_beats_config(target_file, tmp_path):
+    """Typed flags override config values, before and after ``--config``."""
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(f"target = {target_file}\nr = 2\nm = 64\nseed = 9\nout = {tmp_path / 'cfg.csv'}\n")
+    flags = ["--target", target_file, "--r", "2", "--m", "64"]
+    assert main(["construct", *flags, "--seed", "5", "--out", str(tmp_path / "flags.csv")]) == 0
+    assert main(["construct", "--seed", "5", "--config", str(cfg), "--out", str(tmp_path / "mixed.csv")]) == 0
+    assert (tmp_path / "mixed.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+    assert not (tmp_path / "cfg.csv").exists()
+
+
+def test_config_keys_accept_dash_or_underscore(target_file, tmp_path):
+    """``N_exponent`` and ``N-exponent`` both name ``--N-exponent``."""
+    base = f"target = {target_file}\nr = 2\nsweep = 16,32,64,128\nseed = 1\ngrid = 65\n"
+    outputs = []
+    for key in ("N_exponent", "N-exponent"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(base + f"{key} = 0.5\nout = {tmp_path / key}.csv\n")
+        assert main(["network-rate", "--config", str(cfg)]) == 0
+        outputs.append((tmp_path / f"{key}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("line", ["pan = 4", "sample = 5", "plain = true"])
+def test_config_key_must_name_a_flag_exactly(tmp_path, line):
+    """A prefix of a flag, or a value for a switch, is rejected as before."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit):
+        main(["verify-identity", "--samples", "2", "--cmax", "1", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--r", "2", "--m", "64", "--seed", "5", "--out", "net.csv"],  # no --target
+        ["construct", "--target", "t.txt", "--r", "2", "--m", "64", "--seed", "5"],  # no --out
+        ["kernel", "--N", "4"],  # no --r
+        ["verify-identity", "--samples", "2"],  # no --cmax
+    ],
+)
+def test_required_flags_enforced_by_argparse(tmp_path, monkeypatch, argv):
+    """Each required flag was checked before any file was read, and still is."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert not (tmp_path / "net.csv").exists()
+
+
+def test_module_entry_point_reads_config(tmp_path):
+    """``python -m relu_jackson.cli`` parses ``sys.argv`` (``argv=None``)."""
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text("N = 8\nr = 2\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "relu_jackson.cli", "kernel", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# schema=kernel@1"
+    assert len(lines) == 2 + 17

@@ -6,6 +6,8 @@ import pytest
 
 import relu_jackson as rj
 from relu_jackson.jackson import build_kernel, multiplier_from_kernel
+from relu_jackson.spectral import level_series
+from relu_jackson.targets import _from_map
 
 from conftest import torus_grid
 
@@ -259,3 +261,65 @@ class TestJacksonSupError:
         grid = torus_grid(t)
         pts = [(n, rj.jackson_sup_error(t, n, r, grid)) for n in (8, 16, 32, 64, 128)]
         assert rj.fit_slope(pts).slope <= -r + 0.5
+
+
+class TestTransformsMatchDictReference:
+    """``apply_jackson``, ``level_series`` and ``difference`` mask or merge
+    the sorted mode arrays.  These references go through a frequency ->
+    coefficient dict and ``_from_map`` instead; modes and coefficient bytes
+    (signed zeros included) must agree."""
+
+    @staticmethod
+    def apply_jackson_ref(target, N, r):
+        mult = multiplier_from_kernel(build_kernel(N, r))
+        out = {}
+        for k, c in zip(target.modes, target.coeffs):
+            if np.abs(k).max() <= N:
+                factor = np.prod(mult.axis[k + N]) * (2 * math.pi) ** target.d
+                out[tuple(int(x) for x in k)] = complex(c * factor)
+        return _from_map(target.d, out, target.smoothness)
+
+    @staticmethod
+    def level_series_ref(target, level, r):
+        out = {}
+        for k, c in zip(target.modes, target.coeffs):
+            l1 = int(np.abs(k).sum())
+            if l1 and np.abs(k).max() <= 2**level:
+                out[tuple(int(x) for x in k)] = complex(c) * float(l1) ** r
+        return _from_map(target.d, out, target.smoothness)
+
+    @staticmethod
+    def difference_ref(a, b):
+        out = a.as_dict()
+        for k, c in b.as_dict().items():
+            out[k] = out.get(k, 0j) - c
+        return _from_map(a.d, out, min(a.smoothness, b.smoothness))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert np.array_equal(got.modes, want.modes)
+        assert got.modes.dtype == want.modes.dtype and got.coeffs.dtype == want.coeffs.dtype
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.smoothness == want.smoothness
+
+    def targets(self):
+        out = [
+            rj.make_trig_poly(2, {(1, 1): 1 - 1j, (0, 2): -0.5}, auto_symmetrize=True),
+            # -0.25j has real part -0.0; k = +-4 lies outside bandwidths 1 and 3,
+            # so only one side of the difference holds that signed zero
+            rj.make_trig_poly(1, {1: 0.5, -1: 0.5, 4: -0.25j, -4: 0.25j}),
+        ]
+        for d, s, k_max, seeds in ((1, 3.2, 16, 12), (2, 4.2, 8, 12), (3, 5.2, 3, 8)):
+            out += [rj.make_decay_target(d, s, k_max, seed) for seed in range(seeds)]
+        return out
+
+    def test_matches(self):
+        for t in self.targets():
+            for N in (1, 3, 8):
+                img = rj.apply_jackson(t, N, 2)
+                self.assert_same(img, self.apply_jackson_ref(t, N, 2))
+                self.assert_same(rj.difference(t, img), self.difference_ref(t, img))
+                self.assert_same(rj.difference(img, t), self.difference_ref(img, t))
+            for level in (0, 2):
+                for r in (0, 2, 3):
+                    self.assert_same(level_series(t, level, r), self.level_series_ref(t, level, r))

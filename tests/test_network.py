@@ -175,9 +175,27 @@ class TestSerialization:
     def test_header(self, cos_target):
         net = rj.construct(cos_target, 2, 64, seed=0)
         lines = dumps_network(net).splitlines()
-        assert lines[0] == "# schema=network@1"
-        assert lines[1].startswith(f"# d=1 m={net.unit_count} v=")
+        meta = net.meta
+        assert lines[0] == "# schema=network@2"
+        assert lines[1] == (
+            f"# d=1 m={net.unit_count} v={meta.v:.17g} N={meta.bandwidth} v2={meta.v2:.17g} r=2 seed=0"
+            f" m_requested=64 m_prime=16 strata_count={meta.strata_count} sampled_count={meta.sampled_count}"
+        )
         assert lines[2] == "alpha_1,beta,bias,origin"
+
+    def test_reloaded_network_audits(self, corpus):
+        """network@1 kept only d, m, v and N, so auditing a reloaded network raised."""
+        for name, target in corpus:
+            net = rj.construct(target, 2, 128, seed=4)
+            back = loads_network(dumps_network(net))
+            assert back.meta == net.meta, name
+            assert audit(back) == audit(net), name
+            assert audit(back).passed, name
+
+    def test_reads_network_v1(self):
+        net = loads_network("# schema=network@1\n# d=1 m=1 v=2 N=3\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
+        assert net.meta == NetworkMeta(v=2.0, bandwidth=3)
+        assert dumps_network(net).splitlines()[:2] == ["# schema=network@2", "# d=1 m=1 v=2 N=3"]
 
     def test_file_roundtrip(self, tmp_path, cos_target):
         net = rj.construct(cos_target, 2, 64, seed=1)

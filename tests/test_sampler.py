@@ -10,7 +10,6 @@ from relu_jackson.sampler import (
     _PLAIN_STREAM_TAG,
     _interval_abs_cos_integral,
     _invert_shift,
-    _invert_shift_full,
     affine_part,
     affine_units,
     allocation_width,
@@ -260,7 +259,7 @@ class TestStratifiedSample:
             cum = np.cumsum(flat)
             zi, mode = np.divmod(np.searchsorted(cum, u_plain[:, 0] * cum[-1], side="right"), dens.mode_count)
             z = np.where(zi == 0, -1.0, 1.0)
-            t = _invert_shift_full(z, dens.omegas[mode], dens.phases[mode], u_plain[:, 1])
+            t = _invert_shift(z, dens.omegas[mode], dens.phases[mode], 0.0, 1.0, u_plain[:, 1])
             assert np.array_equal(plain_sample(dens, n, seed).biases, t)
             u_strat = _stratified_stream(seed, 0, n)
             assert not np.isin(u_strat, u_plain).any()

@@ -233,6 +233,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite"):
             loads_target(f"d=1 r=inf\n0 1 {value}\n")
 
+    def test_rejects_repeated_frequency(self):
+        """A repeated line used to overwrite the earlier one silently."""
+        with pytest.raises(ValueError, match=r"k=\(1,\)"):
+            loads_target("d=1 r=inf\n-1 0.5 0\n1 0.5 0\n0 1 0\n1 0.25 0\n")
+
     @pytest.mark.parametrize("header,key", [("r=2", "d="), ("d=1", "r=")])
     def test_missing_header_key_named(self, header, key):
         with pytest.raises(ValueError, match=key):
