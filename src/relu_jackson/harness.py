@@ -8,6 +8,7 @@ bytes regardless of how the cells were computed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,16 +202,27 @@ def run_paired_mc(exp: RateExperiment) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config(path) -> dict[str, str]:
-    """Key-value experiment file: one `key = value` per line, # comments."""
+    """Key-value experiment file: one `key = value` per line, each key once.
+
+    A `#` that begins a line or follows whitespace starts a comment, so
+    `out = a#b.csv` keeps its `#`.
+    """
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeated (first on line {first_line[key]})")
+            first_line[key] = lineno
+            out[key] = value
     return out

@@ -120,16 +120,58 @@ class ShallowNetwork:
 def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     """Sum of beta * relu(alpha . x - bias) at one point (d,) or a batch (n, d).
 
-    Units are reduced in storage order through fixed-size blocks, so results
-    do not depend on the evaluation backend's threading.
+    Two exact paths, chosen from the input sizes alone.  The points are
+    grouped into lines that share their first d - 1 coordinates; with P
+    points, L lines and U units the line path costs about
+    ``(L*U + P) * log2(U)`` against ``P*U`` for the dense path, and the
+    cheaper one runs.  Cube grids take the line path, a handful of points or
+    scattered points in d >= 2 the dense one.
+
+    - Dense: units are reduced in storage order through fixed-size blocks.
+    - Lines: along a line the network is piecewise linear in the last
+      coordinate t.  Per line, ``c = a_rest . x_rest - bias`` is summed
+      coordinate by coordinate in index order; units split by the sign of
+      their last weight are sorted stably by breakpoint, and each point adds
+      the prefix sums of ``beta * a_last`` and ``beta * c`` over its active
+      units, so its value is ``S_a * t + S_c``.  Units with a zero last
+      weight add the constant ``beta * max(c, 0)``.
+
+    Both orders are fixed, so results do not depend on the evaluation
+    backend's threading; the two paths agree up to rounding.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != net.d:
         raise ValueError(f"points must have dimension {net.d}")
+    out = None
+    if _line_path_pays(net.unit_count, pts.shape[0], 1):  # one line is its cheapest case
+        order, starts = _line_groups(pts)
+        if _line_path_pays(net.unit_count, pts.shape[0], len(starts)):
+            out = _evaluate_lines(net.units, pts, order, starts)
+    if out is None:
+        out = _evaluate_dense(net.units, pts)
+    return float(out[0]) if single else out
+
+
+def _line_path_pays(units: int, points: int, lines: int) -> bool:
+    """Whether the line path's work, about (L*U + P) * log2(U), is below the dense P*U."""
+    return units > 0 and (lines * units + points) * math.log2(max(units, 2)) < points * units
+
+
+def _line_groups(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point order that groups equal first d - 1 coordinates, and each line's start in it."""
+    if pts.shape[1] == 1:
+        return np.arange(pts.shape[0]), np.zeros(min(pts.shape[0], 1), dtype=np.intp)
+    rest = pts[:, :-1]
+    order = np.lexsort(rest.T[::-1])
+    rest = rest[order]
+    new_line = np.any(rest[1:] != rest[:-1], axis=1)
+    return order, np.flatnonzero(np.concatenate(([True], new_line)))
+
+
+def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:
     out = np.zeros(pts.shape[0])
-    units = net.units
     for p0 in range(0, pts.shape[0], _POINT_BLOCK):
         block = pts[p0 : p0 + _POINT_BLOCK]
         acc = np.zeros(block.shape[0])
@@ -139,7 +181,40 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
             np.maximum(pre, 0.0, out=pre)
             acc += np.einsum("pu,u->p", pre, units.betas[u0 : u0 + _UNIT_BLOCK])
         out[p0 : p0 + _POINT_BLOCK] = acc
-    return float(out[0]) if single else out
+    return out
+
+
+def _evaluate_lines(units: Units, pts: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    d = pts.shape[1]
+    a_last = units.alphas[:, -1]
+    flat = a_last == 0.0
+    # active iff sign * t > kappa = -c / |a_last|, per sign group
+    groups = []
+    for sign, member in ((1.0, a_last > 0.0), (-1.0, a_last < 0.0)):
+        idx = np.flatnonzero(member)
+        groups.append((sign, idx, np.abs(a_last[idx]), units.betas[idx] * a_last[idx], units.betas[idx]))
+    out = np.zeros(pts.shape[0])
+    ends = np.append(starts[1:], pts.shape[0])
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        rows = order[s:e]
+        x_rest = pts[rows[0], :-1]
+        c = np.zeros(len(units))
+        for j in range(d - 1):
+            c += units.alphas[:, j] * x_rest[j]
+        c -= units.biases
+        t = pts[rows, -1]
+        slope = np.zeros(t.shape[0])
+        offset = np.zeros(t.shape[0])
+        for sign, idx, abs_a, beta_a, beta in groups:
+            c_g = c[idx]
+            kappa = -c_g / abs_a
+            perm = np.argsort(kappa, kind="stable")
+            k = np.searchsorted(kappa[perm], sign * t, side="left")
+            slope += np.concatenate(([0.0], np.cumsum(beta_a[perm])))[k]
+            offset += np.concatenate(([0.0], np.cumsum((beta * c_g)[perm])))[k]
+        constant = float(np.sum(units.betas[flat] * np.maximum(c[flat], 0.0)))
+        out[rows] = slope * t + (offset + constant)
+    return out
 
 
 def lipschitz_bound(net: ShallowNetwork) -> float:

@@ -186,3 +186,14 @@ class TestLoadConfig:
         path.write_text("just words\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    def test_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed = 1\nr = 2\nseed = 2\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:3: key 'seed' repeated \(first on line 1\)"):
+            load_config(path)
+
+    def test_comment_needs_line_start_or_whitespace(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("out = a#b.csv\nr = 2\t# tab comment\n  # indented comment\n")
+        assert load_config(path) == {"out": "a#b.csv", "r": "2"}

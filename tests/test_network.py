@@ -4,9 +4,13 @@ import pytest
 import relu_jackson as rj
 from relu_jackson.network import (
     MAX_AFFINE_UNITS,
+    ORIGIN_AFFINE,
+    ORIGIN_SAMPLED,
     NetworkMeta,
     ShallowNetwork,
     Units,
+    _evaluate_dense,
+    _line_path_pays,
     audit,
     certified_sup_error,
     dumps_network,
@@ -74,6 +78,76 @@ class TestEvaluate:
             scaled = simple_net([(alpha / c, 1.7 * c, 0.3 / c, "sampled")], d=2)
             for x in rng.uniform(-1, 1, size=(20, 2)):
                 assert evaluate(net, x) == pytest.approx(evaluate(scaled, x), abs=1e-12)
+
+
+def line_test_net(d, rng, count=120):
+    """Random sampled units plus every special case of the line path.
+
+    Weights and biases are multiples of 1/8 where it matters, so on a grid of
+    17 points per axis (spacing 1/8) the breakpoint of the last unit falls
+    exactly on a grid point.
+    """
+    rows = []
+    for i in range(count):
+        alpha = rng.normal(size=d)
+        if i % 5 == 0:
+            alpha[-1] = 0.0  # constant along every line
+        alpha /= max(1.0, np.abs(alpha).sum())
+        rows.append((alpha, rng.normal(), rng.random(), ORIGIN_SAMPLED))
+    for j in range(d):
+        rows.append((np.eye(d)[j], rng.normal(), 0.0, ORIGIN_AFFINE))
+    rows.append((np.zeros(d), rng.normal(), -1.0, ORIGIN_AFFINE))
+    on_grid = np.full(d, 0.125)
+    on_grid[-1] = -0.5
+    rows.append((on_grid, 1.5, float(on_grid @ np.linspace(-1.0, 1.0, 17)[np.arange(d) + 5]), ORIGIN_SAMPLED))
+    return simple_net(rows, d=d)
+
+
+def rounding_scale(net):
+    """sum |beta| (|alpha|_1 + |bias|): the size of the terms both paths add."""
+    u = net.units
+    return float(np.sum(np.abs(u.betas) * (np.abs(u.alphas).sum(axis=1) + np.abs(u.biases))))
+
+
+class TestLinePath:
+    @pytest.mark.parametrize("d, per_axis", [(1, 257), (2, 17), (3, 17)])
+    def test_matches_dense_on_shuffled_grid(self, d, per_axis):
+        rng = np.random.default_rng(40 + d)
+        net = line_test_net(d, rng)
+        pts = rj.EvaluationGrid(d, per_axis, rj.CUBE).points()
+        pts = pts[rng.permutation(pts.shape[0])]
+        lines = per_axis ** (d - 1)
+        assert _line_path_pays(net.unit_count, pts.shape[0], lines)
+        got = evaluate(net, pts)
+        ref = _evaluate_dense(net.units, pts)
+        assert np.abs(got - ref).max() <= 1e-14 * rounding_scale(net)
+        assert got.tobytes() == evaluate(net, pts).tobytes()
+
+    def test_breakpoint_on_grid_point(self):
+        # 2 relu(0.5 t) - 2 relu(-0.5 t) = t, both kinks on the grid point t = 0
+        net = simple_net([(np.array([0.5]), 2.0, 0.0, ORIGIN_SAMPLED), (np.array([-0.5]), -2.0, 0.0, ORIGIN_SAMPLED)])
+        pts = rj.EvaluationGrid(1, 17, rj.CUBE).points()
+        assert _line_path_pays(net.unit_count, pts.shape[0], 1)
+        assert evaluate(net, pts).tolist() == pts[:, 0].tolist()
+
+    def test_empty_network_gives_zeros(self):
+        net = ShallowNetwork(2, Units.empty(2))
+        pts = rj.EvaluationGrid(2, 17, rj.CUBE).points()
+        assert not _line_path_pays(0, pts.shape[0], 17)
+        assert evaluate(net, pts).tolist() == [0.0] * pts.shape[0]
+
+    @pytest.mark.parametrize(
+        "units, points, lines, expected",
+        [
+            (4099, 4096, 1, True),  # d = 1 sweep grid
+            (6500, 129 * 129, 129, True),  # d = 2 sweep grid
+            (64, 129 * 129, 129, True),
+            (131, 5, 1, False),  # a few points in d = 1
+            (2000, 500, 500, False),  # scattered points in d >= 2
+        ],
+    )
+    def test_path_choice(self, units, points, lines, expected):
+        assert _line_path_pays(units, points, lines) is expected
 
 
 class TestSupError:
