@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jackson import jackson_sup_error
-from .network import sup_error
+from .network import _max_error
 from .sampler import construct, select_bandwidth
-from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid
+from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid, grid_values
 
 #: Errors at or below this level are treated as exactly reproduced and are
 #: excluded from slope fits (they are rounding noise, not signal).
@@ -150,6 +150,7 @@ def run_network_rate(exp: RateExperiment) -> str:
     if exp.mode != "network-rate":
         raise ValueError("experiment mode must be network-rate")
     grid = default_grid(exp.target.d, CUBE, exp.grid_points)
+    tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
     header = ["m", "N_selected", "v", "median_error"] + [f"error_seed{s}" for s in exp.seeds]
     lines = ["# schema=network_rate@1", ",".join(header)]
     points = []
@@ -160,7 +161,7 @@ def run_network_rate(exp: RateExperiment) -> str:
         for seed in exp.seeds:
             net = construct(exp.target, exp.r, m, seed, bandwidth=n_sel)
             v = net.meta.v
-            errs.append(sup_error(net, exp.target, grid))
+            errs.append(_max_error(net, tvals, pts))
         median = float(np.median(errs))
         points.append((m, median))
         fields = [str(m), str(n_sel), _fmt(v), _fmt(median)] + [_fmt(e) for e in errs]
@@ -184,14 +185,15 @@ def run_paired_mc(exp: RateExperiment) -> str:
     if exp.mode != "paired-mc":
         raise ValueError("experiment mode must be paired-mc")
     grid = default_grid(exp.target.d, CUBE, exp.grid_points)
+    tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
     lines = ["# schema=paired_mc@1", "seed,stratified_error,plain_error"]
     strat_errs, plain_errs = [], []
     n_sel = _selected_bandwidth(exp, exp.m)
     for seed in exp.seeds:
         net_s = construct(exp.target, exp.r, exp.m, seed, bandwidth=n_sel, method="stratified")
         net_p = construct(exp.target, exp.r, exp.m, seed, bandwidth=n_sel, method="plain")
-        es = sup_error(net_s, exp.target, grid)
-        ep = sup_error(net_p, exp.target, grid)
+        es = _max_error(net_s, tvals, pts)
+        ep = _max_error(net_p, tvals, pts)
         strat_errs.append(es)
         plain_errs.append(ep)
         lines.append(f"{seed},{_fmt(es)},{_fmt(ep)}")
@@ -208,7 +210,9 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def load_config(path) -> dict[str, str]:
     """Key-value experiment file: one `key = value` per line, each key once.
 
-    A `#` that begins a line or follows whitespace starts a comment, so
+    `_` and `-` spell the same key, as they name the same flag, so
+    `N_exponent` and `N-exponent` in one file are a repeated key.  A `#`
+    that begins a line or follows whitespace starts a comment, so
     `out = a#b.csv` keeps its `#`.
     """
     out: dict[str, str] = {}
@@ -221,8 +225,9 @@ def load_config(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: key {key!r} repeated (first on line {first_line[key]})")
-            first_line[key] = lineno
+            flag = key.replace("_", "-")
+            if flag in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeated (first on line {first_line[flag]})")
+            first_line[flag] = lineno
             out[key] = value
     return out

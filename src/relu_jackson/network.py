@@ -20,6 +20,7 @@ ORIGIN_AFFINE = "affine"
 
 _POINT_BLOCK = 4096
 _UNIT_BLOCK = 2048
+_CELL_BLOCK = 32768  # lines x units per block of the line path
 
 #: Ceiling on exact affine units: two for the linear part, one for the
 #: constant, as ``affine_units`` builds them.
@@ -120,21 +121,27 @@ class ShallowNetwork:
 def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     """Sum of beta * relu(alpha . x - bias) at one point (d,) or a batch (n, d).
 
-    Two exact paths, chosen from the input sizes alone.  The points are
-    grouped into lines that share their first d - 1 coordinates; with P
-    points, L lines and U units the line path costs about
-    ``(L*U + P) * log2(U)`` against ``P*U`` for the dense path, and the
-    cheaper one runs.  Cube grids take the line path, a handful of points or
-    scattered points in d >= 2 the dense one.
+    Two exact paths, chosen from the input alone.  The points are grouped
+    into lines that share their first d - 1 coordinates; with P points, L
+    lines and U units the line path costs about ``(L*U + P) * log2(U)``
+    against ``P*U`` for the dense path.  The line path runs when it is the
+    cheaper one and the points form a tensor set: every line holds the same
+    sorted values t of the last coordinate.  Cube grids, shuffled or not,
+    take the line path; a handful of points, scattered points in d >= 2 and
+    any other point set take the dense one.
 
     - Dense: units are reduced in storage order through fixed-size blocks.
     - Lines: along a line the network is piecewise linear in the last
-      coordinate t.  Per line, ``c = a_rest . x_rest - bias`` is summed
-      coordinate by coordinate in index order; units split by the sign of
-      their last weight are sorted stably by breakpoint, and each point adds
-      the prefix sums of ``beta * a_last`` and ``beta * c`` over its active
-      units, so its value is ``S_a * t + S_c``.  Units with a zero last
-      weight add the constant ``beta * max(c, 0)``.
+      coordinate t.  All lines are evaluated together, in blocks of lines,
+      with no sort: ``c = a_rest . x_rest - bias`` is summed coordinate by
+      coordinate in index order, each unit's breakpoint is placed in its
+      bin among the shared t by one ``searchsorted``, and ``beta * a_last``
+      and ``beta * c`` are summed into the bins by ``bincount``, in unit
+      storage order.  A cumulative sum along t (forward for a positive last
+      weight, from the end for a negative one) then gives each point the
+      sums ``S_a`` and ``S_c`` over its active units, and its value is
+      ``S_a * t + S_c``.  Units with a zero last weight add the constant
+      ``beta * max(c, 0)``.
 
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
@@ -148,7 +155,10 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     if _line_path_pays(net.unit_count, pts.shape[0], 1):  # one line is its cheapest case
         order, starts = _line_groups(pts)
         if _line_path_pays(net.unit_count, pts.shape[0], len(starts)):
-            out = _evaluate_lines(net.units, pts, order, starts)
+            t = _shared_line_axis(pts, order, starts)
+            if t is not None:
+                out = np.empty(pts.shape[0])
+                out[order] = _evaluate_lines(net.units, pts[order[starts], :-1], t).ravel()
     if out is None:
         out = _evaluate_dense(net.units, pts)
     return float(out[0]) if single else out
@@ -160,14 +170,21 @@ def _line_path_pays(units: int, points: int, lines: int) -> bool:
 
 
 def _line_groups(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point order that groups equal first d - 1 coordinates, and each line's start in it."""
-    if pts.shape[1] == 1:
-        return np.arange(pts.shape[0]), np.zeros(min(pts.shape[0], 1), dtype=np.intp)
-    rest = pts[:, :-1]
-    order = np.lexsort(rest.T[::-1])
-    rest = rest[order]
+    """Point order by all coordinates, last fastest, and each line's start in it."""
+    order = np.lexsort(pts.T[::-1])
+    rest = pts[order, :-1]
     new_line = np.any(rest[1:] != rest[:-1], axis=1)
     return order, np.flatnonzero(np.concatenate(([True], new_line)))
+
+
+def _shared_line_axis(pts: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
+    """The sorted t every line holds, or None when the points are not a tensor set."""
+    lines = len(starts)
+    length = pts.shape[0] // lines
+    if length * lines != pts.shape[0] or np.any(np.diff(starts) != length):
+        return None
+    t = pts[order, -1].reshape(lines, length)
+    return t[0] if np.all(t == t[0]) else None
 
 
 def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:
@@ -184,36 +201,43 @@ def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_lines(units: Units, pts: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    d = pts.shape[1]
+def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Values (lines, len(t)) on the lines through x_rest (lines, d - 1), at the sorted t."""
     a_last = units.alphas[:, -1]
-    flat = a_last == 0.0
-    # active iff sign * t > kappa = -c / |a_last|, per sign group
-    groups = []
-    for sign, member in ((1.0, a_last > 0.0), (-1.0, a_last < 0.0)):
-        idx = np.flatnonzero(member)
-        groups.append((sign, idx, np.abs(a_last[idx]), units.betas[idx] * a_last[idx], units.betas[idx]))
-    out = np.zeros(pts.shape[0])
-    ends = np.append(starts[1:], pts.shape[0])
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        rows = order[s:e]
-        x_rest = pts[rows[0], :-1]
-        c = np.zeros(len(units))
-        for j in range(d - 1):
-            c += units.alphas[:, j] * x_rest[j]
-        c -= units.biases
-        t = pts[rows, -1]
-        slope = np.zeros(t.shape[0])
-        offset = np.zeros(t.shape[0])
-        for sign, idx, abs_a, beta_a, beta in groups:
-            c_g = c[idx]
-            kappa = -c_g / abs_a
-            perm = np.argsort(kappa, kind="stable")
-            k = np.searchsorted(kappa[perm], sign * t, side="left")
-            slope += np.concatenate(([0.0], np.cumsum(beta_a[perm])))[k]
-            offset += np.concatenate(([0.0], np.cumsum((beta * c_g)[perm])))[k]
-        constant = float(np.sum(units.betas[flat] * np.maximum(c[flat], 0.0)))
-        out[rows] = slope * t + (offset + constant)
+    pos, neg, flat = (np.flatnonzero(m) for m in (a_last > 0.0, a_last < 0.0, a_last == 0.0))
+    # storage order within each group, so bincount adds units in that order
+    perm = np.concatenate((pos, neg, flat))
+    alphas, betas, biases = units.alphas[perm], units.betas[perm], units.biases[perm]
+    a, beta_a = alphas[:, -1], betas * alphas[:, -1]
+    n_pos, n_neg = len(pos), len(neg)
+    size = len(t)
+    bins = size + 1
+    out = np.empty((x_rest.shape[0], size))
+    step = max(1, _CELL_BLOCK // len(perm))
+    for l0 in range(0, x_rest.shape[0], step):
+        xr = x_rest[l0 : l0 + step]
+        n = xr.shape[0]
+        c = np.zeros((n, len(perm)))
+        for j in range(xr.shape[1]):
+            c += xr[:, j : j + 1] * alphas[:, j]
+        c -= biases
+        base = (np.arange(n) * bins)[:, None]
+        sums = []
+        # a_last > 0: active for t > tau; bin k = #(t <= tau), active at points k..
+        # a_last < 0: active for t < tau; bin k = #(t < tau), active at points ..k-1
+        for lo, hi, side in ((0, n_pos, "right"), (n_pos, n_pos + n_neg, "left")):
+            c_g = c[:, lo:hi]
+            k = np.searchsorted(t, -c_g / a[lo:hi], side=side)
+            k += base
+            k = k.ravel()
+            s_a = np.bincount(k, np.broadcast_to(beta_a[lo:hi], c_g.shape).ravel(), n * bins)
+            s_c = np.bincount(k, (betas[lo:hi] * c_g).ravel(), n * bins)
+            sums.append((s_a.reshape(n, bins), s_c.reshape(n, bins)))
+        (pa, pc), (na, nc) = sums
+        slope = np.cumsum(pa, axis=1)[:, :size] + np.cumsum(na[:, ::-1], axis=1)[:, -2::-1]
+        offset = np.cumsum(pc, axis=1)[:, :size] + np.cumsum(nc[:, ::-1], axis=1)[:, -2::-1]
+        constant = np.sum(betas[n_pos + n_neg :] * np.maximum(c[:, n_pos + n_neg :], 0.0), axis=1)
+        out[l0 : l0 + n] = slope * t + (offset + constant[:, None])
     return out
 
 
@@ -239,9 +263,12 @@ def sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) 
         raise ValueError("network error is measured on a cube grid")
     if grid.d != net.d or target.d != net.d:
         raise ValueError("dimension mismatch")
-    tvals = grid_values(target, grid).ravel()
-    nvals = evaluate(net, grid.points())
-    return float(np.abs(tvals - nvals).max())
+    return _max_error(net, grid_values(target, grid).ravel(), grid.points())
+
+
+def _max_error(net: ShallowNetwork, tvals: np.ndarray, pts: np.ndarray) -> float:
+    """max |tvals - net(pts)|; callers that reuse one grid compute its target values once."""
+    return float(np.abs(tvals - evaluate(net, pts)).max())
 
 
 @dataclass(frozen=True)

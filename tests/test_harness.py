@@ -193,6 +193,12 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=r"bad\.cfg:3: key 'seed' repeated \(first on line 1\)"):
             load_config(path)
 
+    def test_rejects_key_repeated_in_other_spelling(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("N_exponent = 0.5\nr = 2\nN-exponent = 0.75\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:3: key 'N-exponent' repeated \(first on line 1\)"):
+            load_config(path)
+
     def test_comment_needs_line_start_or_whitespace(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("out = a#b.csv\nr = 2\t# tab comment\n  # indented comment\n")

@@ -9,8 +9,11 @@ from relu_jackson.network import (
     NetworkMeta,
     ShallowNetwork,
     Units,
+    _CELL_BLOCK,
     _evaluate_dense,
+    _line_groups,
     _line_path_pays,
+    _shared_line_axis,
     audit,
     certified_sup_error,
     dumps_network,
@@ -129,6 +132,57 @@ class TestLinePath:
         pts = rj.EvaluationGrid(1, 17, rj.CUBE).points()
         assert _line_path_pays(net.unit_count, pts.shape[0], 1)
         assert evaluate(net, pts).tolist() == pts[:, 0].tolist()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_dense_across_blocks(self, d):
+        rng = np.random.default_rng(60 + d)
+        net = line_test_net(d, rng, count=3000)
+        pts = rj.EvaluationGrid(d, 17, rj.CUBE).points()
+        pts = pts[rng.permutation(pts.shape[0])]
+        lines = 17 ** (d - 1)
+        step = _CELL_BLOCK // net.unit_count
+        assert 1 < step < lines and lines % step  # several blocks, the last one partial
+        assert _line_path_pays(net.unit_count, pts.shape[0], lines)
+        assert _shared_line_axis(pts, *_line_groups(pts)).tolist() == np.linspace(-1.0, 1.0, 17).tolist()
+        got = evaluate(net, pts)
+        ref = _evaluate_dense(net.units, pts)
+        assert np.abs(got - ref).max() <= 1e-14 * rounding_scale(net)
+        assert got.tobytes() == evaluate(net, pts).tobytes()
+
+    def test_breakpoint_on_grid_point_both_signs(self):
+        # kinks at t = -x_1 / 2 and t = x_1 / 2: on a grid point of every other line
+        rows = [
+            (np.array([0.25, 0.5]), 2.0, 0.0, ORIGIN_SAMPLED),
+            (np.array([0.25, -0.5]), -3.0, 0.0, ORIGIN_SAMPLED),
+            (np.array([0.5, 0.0]), 1.5, 0.25, ORIGIN_SAMPLED),
+        ]
+        net = simple_net(rows, d=2)
+        pts = rj.EvaluationGrid(2, 17, rj.CUBE).points()
+        assert _line_path_pays(net.unit_count, pts.shape[0], 17)
+        x, t = pts[:, 0], pts[:, 1]
+        exact = (
+            2.0 * np.maximum(0.25 * x + 0.5 * t, 0.0)
+            - 3.0 * np.maximum(0.25 * x - 0.5 * t, 0.0)
+            + 1.5 * np.maximum(0.5 * x - 0.25, 0.0)
+        )
+        got = evaluate(net, pts)
+        assert got.tolist() == exact.tolist()
+        assert got.tobytes() == evaluate(net, pts).tobytes()
+
+    @pytest.mark.parametrize("case", ["point_removed", "lines_differ"])
+    def test_non_tensor_points_take_dense_path(self, case):
+        rng = np.random.default_rng(70)
+        net = line_test_net(2, rng)
+        pts = rj.EvaluationGrid(2, 17, rj.CUBE).points()
+        if case == "point_removed":
+            pts = np.delete(pts, 40, axis=0)
+        else:
+            pts[pts[:, 0] == 0.5, 1] += 1e-3  # one line holds other t values
+        pts = pts[rng.permutation(pts.shape[0])]
+        assert _line_path_pays(net.unit_count, pts.shape[0], 17)
+        got = evaluate(net, pts)
+        assert got.tobytes() == _evaluate_dense(net.units, pts).tobytes()
+        assert got.tobytes() == evaluate(net, pts).tobytes()
 
     def test_empty_network_gives_zeros(self):
         net = ShallowNetwork(2, Units.empty(2))
