@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _parse_header, g
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
+_ORIGINS = (ORIGIN_SAMPLED, ORIGIN_AFFINE)
 
 _POINT_BLOCK = 4096
 _UNIT_BLOCK = 2048
@@ -27,16 +27,9 @@ _CELL_BLOCK = 32768  # lines x units per block of the line path
 MAX_AFFINE_UNITS = 3
 
 
-class Unit(NamedTuple):
-    alpha: np.ndarray
-    beta: float
-    bias: float
-    origin: str
-
-
 @dataclass(frozen=True)
 class Units:
-    """Structure-of-arrays unit list; iteration yields ``Unit`` rows."""
+    """Structure-of-arrays unit list: row i of each array is unit i."""
 
     alphas: np.ndarray
     betas: np.ndarray
@@ -49,10 +42,6 @@ class Units:
 
     def __len__(self) -> int:
         return self.betas.shape[0]
-
-    def __iter__(self) -> Iterator[Unit]:
-        for i in range(len(self)):
-            yield Unit(self.alphas[i], float(self.betas[i]), float(self.biases[i]), str(self.origins[i]))
 
     @classmethod
     def empty(cls, d: int) -> "Units":
@@ -112,10 +101,6 @@ class ShallowNetwork:
     @property
     def unit_count(self) -> int:
         return len(self.units)
-
-    @classmethod
-    def from_units(cls, d: int, rows, meta: NetworkMeta | None = None) -> "ShallowNetwork":
-        return cls(d=d, units=Units.build(d, rows), meta=meta)
 
 
 def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
@@ -438,37 +423,47 @@ def dumps_network(net: ShallowNetwork) -> str:
         "# " + " ".join(header),
         ",".join([f"alpha_{j+1}" for j in range(net.d)] + ["beta", "bias", "origin"]),
     ]
-    for unit in net.units:
-        fields = [_fmt(a) for a in unit.alpha] + [_fmt(unit.beta), _fmt(unit.bias), unit.origin]
-        lines.append(",".join(fields))
+    u = net.units
+    columns = [[_fmt(x) for x in col] for col in (*u.alphas.T.tolist(), u.betas.tolist(), u.biases.tolist())]
+    lines += [",".join(row) for row in zip(*columns, u.origins.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def loads_network(text: str) -> ShallowNetwork:
-    """Parse a network@2 CSV, or a network@1 CSV, whose header has only d, m, v and N."""
+    """Parse a network@2 CSV, or a network@1 CSV, whose header has only d, m, v and N.
+
+    Every number must be finite and every origin ``sampled`` or ``affine``:
+    the audit checks only units with those tags.
+    """
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] not in ("# schema=network@1", "# schema=network@2"):
         raise ValueError("not a network CSV")
     header = _parse_header(lines[1][2:], ("d", "m", "v", "N"), "network")
     d = int(header["d"])
+    for key in ("v", "v2"):
+        if key in header and not math.isfinite(float(header[key])):
+            raise ValueError(f"network header has non-finite {key}={header[key]}")
     meta = NetworkMeta(
         v=float(header["v"]),
         bandwidth=int(header["N"]),
         **{name: parse(header[name]) for name, parse in _META_FIELDS.items() if name in header},
     )
-    rows = []
-    for ln in lines[3:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
+    rows = [ln for ln in lines[3:] if ln]
+    fields = [ln.split(",") for ln in rows]
+    for ln, parts in zip(rows, fields):
         if len(parts) != d + 3:
             raise ValueError(f"bad unit row: {ln!r}")
-        alpha = np.array([float(p) for p in parts[:d]])
-        rows.append((alpha, float(parts[d]), float(parts[d + 1]), parts[d + 2]))
-    net = ShallowNetwork.from_units(d, rows, meta=meta)
-    if net.unit_count != int(header["m"]):
+        if parts[d + 2] not in _ORIGINS:
+            raise ValueError(f"unknown origin {parts[d + 2]!r} in unit row: {ln!r}")
+    values = np.array([[float(p) for p in parts[: d + 2]] for parts in fields]).reshape(len(rows), d + 2)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite value in unit row: {rows[np.argmin(finite)]!r}")
+    origins = np.array([parts[d + 2] for parts in fields], dtype="<U7")
+    units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), origins)
+    if len(units) != int(header["m"]):
         raise ValueError("unit count does not match header")
-    return net
+    return ShallowNetwork(d, units, meta)
 
 
 def save_network(net: ShallowNetwork, path) -> None:

@@ -1,8 +1,8 @@
 """Periodic test functions with exact Fourier data.
 
 Every target is a real-valued trigonometric polynomial on the torus
-``[-pi, pi]^d``, stored as a finitely supported map from integer frequency
-vectors to complex coefficients.  Working from exact coefficients makes
+``[-pi, pi]^d``, stored as parallel arrays of integer frequency vectors and
+complex coefficients.  Working from exact coefficients makes
 Parseval identities, Hoelder norms and all downstream error measurements
 checkable up to grid resolution.
 """
@@ -115,25 +115,45 @@ class FourierTarget:
         return {tuple(int(x) for x in k): complex(c) for k, c in zip(self.modes, self.coeffs)}
 
 
-def _as_key(k, d: int) -> tuple[int, ...]:
-    if np.isscalar(k):
-        key = (int(k),)
-    else:
-        key = tuple(int(x) for x in k)
-    if len(key) != d:
-        raise ValueError(f"frequency {key} does not have dimension {d}")
-    return key
+def _key(k) -> tuple[int, ...]:
+    return tuple(int(x) for x in k)
 
 
-def _from_map(d: int, coeff_map: dict[tuple[int, ...], complex], smoothness: float) -> FourierTarget:
-    items = sorted((k, complex(c)) for k, c in coeff_map.items() if c != 0)
-    if items:
-        modes = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), d)
-        coeffs = np.array([c for _, c in items], dtype=np.complex128)
-    else:
-        modes = np.zeros((0, d), dtype=np.int64)
-        coeffs = np.zeros(0, dtype=np.complex128)
-    return FourierTarget(d=d, modes=modes, coeffs=coeffs, smoothness=smoothness)
+def _target(d: int, modes: np.ndarray, coeffs: np.ndarray, smoothness: float) -> FourierTarget:
+    """The target with these rows, sorted lexicographically, exact zeros dropped.
+
+    A non-finite coefficient or a frequency given twice raises a ``ValueError``
+    naming the first such frequency.
+    """
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        raise ValueError(f"non-finite coefficient at k={_key(modes[np.argmin(finite)])}")
+    order = np.lexsort(modes.T[::-1])
+    modes, coeffs = modes[order], coeffs[order]
+    repeated = np.flatnonzero(np.all(modes[1:] == modes[:-1], axis=1))
+    if repeated.size:
+        raise ValueError(f"repeated frequency k={_key(modes[repeated[0]])}")
+    keep = coeffs != 0
+    return FourierTarget(d=d, modes=modes[keep], coeffs=coeffs[keep], smoothness=smoothness)
+
+
+def _on_union(modes: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of the k and the -k (so ``-union[i]`` is ``union[-1 - i]``),
+    the coefficients on it (0 where absent) and each row's place in it."""
+    union, where = np.unique(np.concatenate([modes, -modes]), axis=0, return_inverse=True)
+    where = where.ravel()[: modes.shape[0]]
+    full = np.zeros(union.shape[0], dtype=np.complex128)
+    full[where] = coeffs
+    return union, full, where
+
+
+def _require_hermitian(modes: np.ndarray, coeffs: np.ndarray, subject: str) -> None:
+    """Raise naming the first row k (of distinct ones) with ``|c(k) - conj(c(-k))|`` above the tolerance."""
+    _, full, where = _on_union(modes, coeffs)
+    tol = _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
+    bad = np.flatnonzero(np.abs(coeffs - full[::-1][where].conj()) > tol)
+    if bad.size:
+        raise ValueError(f"{subject} not Hermitian-symmetric at k={_key(modes[bad[0]])}")
 
 
 def make_trig_poly(d: int, coeffs, auto_symmetrize: bool = False) -> FourierTarget:
@@ -141,26 +161,22 @@ def make_trig_poly(d: int, coeffs, auto_symmetrize: bool = False) -> FourierTarg
 
     The map must be Hermitian-symmetric (real-valued function).  With
     ``auto_symmetrize`` the map is replaced by its Hermitian part instead of
-    being rejected.
+    being rejected.  In d = 1 a frequency may be a bare integer.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    raw = {_as_key(k, d): complex(c) for k, c in coeffs.items()}
-    if auto_symmetrize:
-        keys = set(raw) | {tuple(-x for x in k) for k in raw}
-        sym = {}
-        for k in keys:
-            neg = tuple(-x for x in k)
-            sym[k] = 0.5 * (raw.get(k, 0j) + raw.get(neg, 0j).conjugate())
-        raw = sym
-    else:
-        scale = max((abs(c) for c in raw.values()), default=0.0)
-        tol = _HERMITIAN_TOL * max(1.0, scale)
-        for k, c in raw.items():
-            neg = tuple(-x for x in k)
-            if abs(c - raw.get(neg, 0j).conjugate()) > tol:
-                raise ValueError(f"coefficient map is not Hermitian-symmetric at k={k}")
-    return _from_map(d, raw, SMOOTHNESS_UNLIMITED)
+    keys = [_key((k,) if np.isscalar(k) else k) for k in coeffs]
+    if any(len(key) != d for key in keys):
+        raise ValueError(f"frequency {next(k for k in keys if len(k) != d)} does not have dimension {d}")
+    modes = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+    values = np.array([complex(c) for c in coeffs.values()], dtype=np.complex128)
+    target = _target(d, modes, values, SMOOTHNESS_UNLIMITED)  # also rejects bad rows
+    if not auto_symmetrize:
+        _require_hermitian(modes, values, "coefficient map is")
+        return target
+    # from the rows as given: an explicit zero still adds its signed zeros
+    union, full, _ = _on_union(modes, values)
+    return _target(d, union, 0.5 * (full + full[::-1].conj()), SMOOTHNESS_UNLIMITED)
 
 
 def make_decay_target(d: int, s: float, k_max: int, seed: int) -> FourierTarget:
@@ -182,22 +198,20 @@ def make_decay_target(d: int, s: float, k_max: int, seed: int) -> FourierTarget:
         raise ValueError("decay exponent must exceed the dimension")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    rng = np.random.default_rng(seed)
-    coeff_map: dict[tuple[int, ...], complex] = {(0,) * d: 1.0 + 0j}
-    # Iterate one representative per conjugate pair, in lexicographic order,
-    # so the phase stream is consumed deterministically.
-    for k in product(range(-k_max, k_max + 1), repeat=d):
-        first_nonzero = next((x for x in k if x != 0), 0)
-        if first_nonzero <= 0:
-            continue
-        theta = rng.uniform(-math.pi, math.pi)
-        modulus = (1.0 + sum(abs(x) for x in k)) ** (-s)
-        c = modulus * complex(math.cos(theta), math.sin(theta))
-        coeff_map[k] = c
-        coeff_map[tuple(-x for x in k)] = c.conjugate()
+    axis = np.arange(-k_max, k_max + 1, dtype=np.int64)
+    box = np.stack([a.ravel() for a in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1)
+    # The box is in lexicographic order with 0 at its centre; the rows after
+    # it are the half space (first nonzero entry > 0), one per conjugate
+    # pair, and take one phase each in that order.
+    half = box[box.shape[0] // 2 + 1 :]
+    theta = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=half.shape[0]).tolist()
+    moduli = [(1.0 + l1) ** (-s) for l1 in range(d * k_max + 1)]
+    l1 = np.abs(half).sum(axis=1).tolist()
+    c = np.array([moduli[n] * complex(math.cos(t), math.sin(t)) for n, t in zip(l1, theta)])
+    # negation reverses lexicographic order, so the box's first half is -half[::-1]
+    coeffs = np.concatenate([c[::-1].conj(), [1.0 + 0j], c])
     declared = max(0, math.ceil(s - d) - 1)
-    target = _from_map(d, coeff_map, float(declared))
-    return target
+    return _target(d, box, coeffs, float(declared))
 
 
 def difference(a: FourierTarget, b: FourierTarget) -> FourierTarget:
@@ -332,23 +346,22 @@ def _fmt(x: float) -> str:
 
 
 def dumps_target(target: FourierTarget) -> str:
-    if math.isinf(target.smoothness):
-        r_str = "inf"
-    else:
-        r_str = str(int(target.smoothness))
+    r_str = "inf" if math.isinf(target.smoothness) else str(int(target.smoothness))
     lines = [f"d={target.d} r={r_str}"]
-    for k, c in zip(target.modes, target.coeffs):
-        head = " ".join(str(int(x)) for x in k)
-        lines.append(f"{head} {_fmt(c.real)} {_fmt(c.imag)}")
+    rows = zip(target.modes.tolist(), target.coeffs.tolist())
+    lines += [f"{' '.join(map(str, k))} {_fmt(c.real)} {_fmt(c.imag)}" for k, c in rows]
     return "\n".join(lines) + "\n"
 
 
 def _parse_header(line: str, required: tuple[str, ...], what: str) -> dict[str, str]:
-    """The ``key=value`` pairs of a header line; every required key must be present."""
+    """The ``key=value`` pairs of a header line; every required key must be
+    present, and the dimension d, which both readers require, must be >= 1."""
     header = dict(item.split("=", 1) for item in line.split())
     for key in required:
         if key not in header:
             raise ValueError(f"{what} header lacks {key}=")
+    if int(header["d"]) < 1:
+        raise ValueError(f"{what} header has d={header['d']}; the dimension must be >= 1")
     return header
 
 
@@ -359,24 +372,15 @@ def loads_target(text: str) -> FourierTarget:
     header = _parse_header(lines[0], ("d", "r"), "target")
     d = int(header["d"])
     smoothness = math.inf if header["r"] == "inf" else float(int(header["r"]))
-    coeff_map = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    rows = [ln.split() for ln in lines[1:]]
+    for ln, parts in zip(lines[1:], rows):
         if len(parts) != d + 2:
             raise ValueError(f"bad coefficient line: {ln!r}")
-        k = tuple(int(p) for p in parts[:d])
-        if k in coeff_map:
-            raise ValueError(f"repeated frequency line for k={k}")
-        real, imag = float(parts[d]), float(parts[d + 1])
-        if not (math.isfinite(real) and math.isfinite(imag)):
-            raise ValueError(f"non-finite coefficient at k={k}")
-        coeff_map[k] = complex(real, imag)
-    target = _from_map(d, coeff_map, smoothness)
-    scale = max(1.0, float(np.abs(target.coeffs).max()) if target.mode_count else 0.0)
-    for k, c in coeff_map.items():
-        neg = tuple(-x for x in k)
-        if abs(c - coeff_map.get(neg, 0j).conjugate()) > _HERMITIAN_TOL * scale:
-            raise ValueError(f"stored coefficients are not Hermitian-symmetric at k={k}")
+    modes = np.array([[int(p) for p in parts[:d]] for parts in rows], dtype=np.int64).reshape(len(rows), d)
+    values = np.array([[float(p) for p in parts[d:]] for parts in rows]).reshape(len(rows), 2)
+    coeffs = values.view(np.complex128).ravel()
+    target = _target(d, modes, coeffs, smoothness)
+    _require_hermitian(modes, coeffs, "stored coefficients are")
     return target
 
 

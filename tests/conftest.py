@@ -1,8 +1,10 @@
 """Shared fixtures: the target corpus and standard grids."""
 
+import numpy as np
 import pytest
 
 import relu_jackson as rj
+from relu_jackson.targets import FourierTarget
 
 
 def build_corpus():
@@ -40,3 +42,12 @@ def torus_grid(target, points=None):
 
 def cube_grid(target, points=None):
     return rj.default_grid(target.d, rj.CUBE, points)
+
+
+def target_from_dict(d, coeff_map, smoothness):
+    """Reference construction: a target from a frequency -> coefficient dict,
+    nonzero entries only, rows in sorted key order."""
+    items = sorted((k, complex(c)) for k, c in coeff_map.items() if c != 0)
+    modes = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), d)
+    coeffs = np.array([c for _, c in items], dtype=np.complex128)
+    return FourierTarget(d=d, modes=modes, coeffs=coeffs, smoothness=smoothness)

@@ -7,9 +7,8 @@ import pytest
 import relu_jackson as rj
 from relu_jackson.jackson import build_kernel, multiplier_from_kernel
 from relu_jackson.spectral import level_series
-from relu_jackson.targets import _from_map
 
-from conftest import torus_grid
+from conftest import target_from_dict, torus_grid
 
 
 def kernel_coefficients_by_quadrature(N, r, points=1 << 15):
@@ -266,7 +265,7 @@ class TestJacksonSupError:
 class TestTransformsMatchDictReference:
     """``apply_jackson``, ``level_series`` and ``difference`` mask or merge
     the sorted mode arrays.  These references go through a frequency ->
-    coefficient dict and ``_from_map`` instead; modes and coefficient bytes
+    coefficient dict and ``target_from_dict`` instead; modes and coefficient bytes
     (signed zeros included) must agree."""
 
     @staticmethod
@@ -277,7 +276,7 @@ class TestTransformsMatchDictReference:
             if np.abs(k).max() <= N:
                 factor = np.prod(mult.axis[k + N]) * (2 * math.pi) ** target.d
                 out[tuple(int(x) for x in k)] = complex(c * factor)
-        return _from_map(target.d, out, target.smoothness)
+        return target_from_dict(target.d, out, target.smoothness)
 
     @staticmethod
     def level_series_ref(target, level, r):
@@ -286,14 +285,14 @@ class TestTransformsMatchDictReference:
             l1 = int(np.abs(k).sum())
             if l1 and np.abs(k).max() <= 2**level:
                 out[tuple(int(x) for x in k)] = complex(c) * float(l1) ** r
-        return _from_map(target.d, out, target.smoothness)
+        return target_from_dict(target.d, out, target.smoothness)
 
     @staticmethod
     def difference_ref(a, b):
         out = a.as_dict()
         for k, c in b.as_dict().items():
             out[k] = out.get(k, 0j) - c
-        return _from_map(a.d, out, min(a.smoothness, b.smoothness))
+        return target_from_dict(a.d, out, min(a.smoothness, b.smoothness))
 
     @staticmethod
     def assert_same(got, want):

@@ -26,7 +26,7 @@ from relu_jackson.network import (
 
 
 def simple_net(rows, d=1, meta=None):
-    return ShallowNetwork.from_units(d, rows, meta=meta)
+    return ShallowNetwork(d, Units.build(d, rows), meta)
 
 
 class TestEvaluate:
@@ -300,6 +300,23 @@ class TestSerialization:
         assert np.array_equal(back.units.biases, net.units.biases)
         assert np.array_equal(back.units.origins, net.units.origins)
 
+    def test_rows_follow_the_columns(self):
+        """Each row lists alpha_1..alpha_d, beta, bias and origin, and reads back to the same arrays."""
+        rows = [
+            (np.array([0.25, -0.5, 0.125]), 2.0, 0.5, "sampled"),
+            (np.array([0.0, 1.0, 0.0]), -3.0, -1.0, "affine"),
+        ]
+        net = simple_net(rows, d=3, meta=NetworkMeta(v=1.0, bandwidth=1))
+        text = dumps_network(net)
+        assert text.splitlines()[2:] == [
+            "alpha_1,alpha_2,alpha_3,beta,bias,origin",
+            "0.25,-0.5,0.125,2,0.5,sampled",
+            "0,1,0,-3,-1,affine",
+        ]
+        back = loads_network(text)
+        for field in ("alphas", "betas", "biases", "origins"):
+            assert np.array_equal(getattr(back.units, field), getattr(net.units, field)), field
+
     def test_header(self, cos_target):
         net = rj.construct(cos_target, 2, 64, seed=0)
         lines = dumps_network(net).splitlines()
@@ -337,6 +354,35 @@ class TestSerialization:
             loads_network("not,a,network\n")
         with pytest.raises(ValueError):
             loads_network("# schema=network@1\n# d=1 m=2 v=0 N=1\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
+        for d in (0, -1):
+            with pytest.raises(ValueError, match=f"d={d}"):
+                loads_network(f"# schema=network@2\n# d={d} m=0 v=0 N=1\nbeta,bias,origin\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", ["alpha", "beta", "bias", "v"])
+    def test_rejects_non_finite(self, position, value):
+        """A NaN weight used to load; the line and dense evaluation paths then disagreed."""
+        fields = {"alpha": "0.25", "beta": "1", "bias": "0.5", "v": "1"}
+        fields[position] = value
+        row = f"0.5,{fields['alpha']},{fields['beta']},{fields['bias']},sampled"
+        text = f"# schema=network@2\n# d=2 m=1 v={fields['v']} N=1\nalpha_1,alpha_2,beta,bias,origin\n{row}\n"
+        named = "v=" if position == "v" else f"non-finite value in unit row: '{row}'"
+        with pytest.raises(ValueError, match=named):
+            loads_network(text)
+
+    @pytest.mark.parametrize(
+        "origin", ["bogus", "sampledX", "affine ", ""], ids=["bogus", "sampledX", "trailing_space", "empty"]
+    )
+    def test_rejects_unknown_origin(self, cos_target, origin):
+        """The audit checks only sampled and affine units, so a unit tagged
+        otherwise used to load and pass it whatever its weight; the 7-character
+        origin column also cut ``sampledX`` to ``sampled``."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        lines = dumps_network(net).splitlines()
+        lines[1] = lines[1].replace(f"m={net.unit_count}", f"m={net.unit_count + 1}")
+        row = f"1,1e6,0.5,{origin}"
+        with pytest.raises(ValueError, match=f"unit row: '{row}'"):
+            loads_network("\n".join(lines + [row]) + "\n")
 
     @pytest.mark.parametrize("key", ["d", "m", "v", "N"])
     def test_missing_header_key_named(self, key):
@@ -348,8 +394,7 @@ class TestSerialization:
 def test_units_iteration_and_build():
     rows = [(np.array([0.5]), 1.0, 0.25, "sampled"), (np.array([0.0]), 2.0, -1.0, "affine")]
     units = Units.build(1, rows)
-    got = list(units)
-    assert len(got) == 2
-    assert got[0].beta == 1.0 and got[1].origin == "affine"
+    assert len(units) == 2
+    assert units.betas[0] == 1.0 and units.origins[1] == "affine"
     both = Units.concat([units, Units.empty(1)])
     assert len(both) == 2

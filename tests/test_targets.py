@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from relu_jackson.targets import (
     multi_indices,
 )
 
-from conftest import torus_grid
+from conftest import target_from_dict, torus_grid
 
 
 class TestMakeTrigPoly:
@@ -52,8 +53,81 @@ class TestMakeTrigPoly:
         t = rj.make_trig_poly(1, {0: 1.0, 5: 0.0, -5: 0.0})
         assert t.k_max == 0
 
+    def test_names_first_asymmetric_frequency(self):
+        """The check names the first offending frequency in the order given."""
+        with pytest.raises(ValueError, match=r"Hermitian-symmetric at k=\(1,\)"):
+            rj.make_trig_poly(1, {0: 1.0, 1: 0.5, -1: 0.4})
+        with pytest.raises(ValueError, match=r"Hermitian-symmetric at k=\(-1,\)"):
+            rj.make_trig_poly(1, {0: 1.0, -1: 0.4, 1: 0.5})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_rejects_non_finite_coefficient(self, value):
+        """A NaN coefficient used to pass the Hermitian check and evaluate to NaN everywhere."""
+        for auto in (False, True):
+            with pytest.raises(ValueError, match=r"non-finite coefficient at k=\(-1,\)"):
+                rj.make_trig_poly(1, {0: 1.0, -1: value, 1: 0.5}, auto_symmetrize=auto)
+
+    def test_hermitian_tolerance_scales_with_size(self):
+        rj.make_trig_poly(1, {1: 1e6, -1: 1e6 + 1e-7})
+        with pytest.raises(ValueError, match="Hermitian"):
+            rj.make_trig_poly(1, {1: 1e6, -1: 1e6 + 1e-5})
+
+    def test_rejects_repeated_frequency(self):
+        """A bare integer and a 1-tuple name the same frequency."""
+        with pytest.raises(ValueError, match=r"repeated frequency k=\(1,\)"):
+            rj.make_trig_poly(1, {1: 0.5, -1: 0.5, (1,): 0.25}, auto_symmetrize=True)
+
+    def test_auto_symmetrize_matches_dict_reference(self):
+        """The Hermitian part, taken on arrays, has the bytes of the per-key
+        dict computation, signed zeros included (``-0.25j`` has real part -0.0;
+        an explicit ``-0.0`` at -k adds its sign)."""
+        maps = [
+            (1, {1: -0.25j}),
+            (1, {1: -0.25j, -1: -0.0}),
+            (1, {1: 0.5, -1: 0.5, 4: -0.25j, -4: 0.25j, 0: -1.0}),
+            (2, {(1, 1): 1 - 1j, (0, 2): -0.5, (0, -2): 0.25j, (-1, 0): complex(-0.0, 0.0)}),
+            (3, {(1, -2, 3): 0.3 + 0.1j, (0, 0, 1): 2.0, (0, 0, 0): 0.0}),
+        ]
+        for d, cmap in maps:
+            keys = {tuple(k) if isinstance(k, tuple) else (k,): complex(c) for k, c in cmap.items()}
+            sym = {}
+            for k in set(keys) | {tuple(-x for x in k) for k in keys}:
+                sym[k] = 0.5 * (keys.get(k, 0j) + keys.get(tuple(-x for x in k), 0j).conjugate())
+            got = rj.make_trig_poly(d, cmap, auto_symmetrize=True)
+            want = target_from_dict(d, sym, math.inf)
+            assert np.array_equal(got.modes, want.modes)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def decay_target_by_dict(d, s, k_max, seed):
+    """Reference generator: one scalar phase draw per half-space mode in
+    ``product`` order, collected in a frequency -> coefficient dict."""
+    rng = np.random.default_rng(seed)
+    coeff_map = {(0,) * d: 1.0 + 0j}
+    for k in product(range(-k_max, k_max + 1), repeat=d):
+        if next((x for x in k if x != 0), 0) <= 0:
+            continue
+        theta = rng.uniform(-math.pi, math.pi)
+        c = (1.0 + sum(abs(x) for x in k)) ** (-s) * complex(math.cos(theta), math.sin(theta))
+        coeff_map[k] = c
+        coeff_map[tuple(-x for x in k)] = c.conjugate()
+    return target_from_dict(d, coeff_map, float(max(0, math.ceil(s - d) - 1)))
+
 
 class TestMakeDecayTarget:
+    @pytest.mark.parametrize(
+        "d,s,k_max",
+        [(1, 3.2, 16), (1, 1.5, 300), (1, 40.0, 5), (2, 4.2, 8), (2, 2.5, 3), (3, 5.2, 3), (3, 3.2, 6)],
+    )
+    def test_matches_dict_reference(self, d, s, k_max):
+        """The array build keeps the generator's modes and coefficient bytes."""
+        for seed in (0, 1, 7, 11):
+            got = rj.make_decay_target(d, s, k_max, seed)
+            want = decay_target_by_dict(d, s, k_max, seed)
+            assert got.modes.dtype == want.modes.dtype and np.array_equal(got.modes, want.modes)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.smoothness == want.smoothness
+
     def test_zero_mode_modulus_one(self):
         for seed in (0, 7, 123):
             t = rj.make_decay_target(1, 3.0, 4, seed=seed)
@@ -225,6 +299,9 @@ class TestSerialization:
         # breaking symmetry by hand must be caught on load
         with pytest.raises(ValueError, match="Hermitian"):
             loads_target("d=1 r=inf\n1 0.5 0\n")
+        for d in (0, -1):
+            with pytest.raises(ValueError, match=f"d={d}"):
+                loads_target(f"d={d} r=inf\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coefficient(self, value):
