@@ -12,6 +12,7 @@ import numpy as np
 from .targets import (
     EvaluationGrid,
     FourierTarget,
+    _grid_values_raw,
     _require_resolved,
     difference,
     sup_norm,
@@ -55,12 +56,9 @@ class JacksonKernel1D:
         return float(self.a_tilde[k + self.degree])
 
     def grid_values(self, points: int) -> np.ndarray:
-        """Kernel values on the uniform torus grid starting at -pi."""
-        spectrum = np.zeros(points, dtype=np.complex128)
+        """Kernel values on the uniform torus grid of ``points >= 2`` points starting at -pi."""
         ks = np.arange(-self.degree, self.degree + 1)
-        twist = np.where(ks % 2 == 0, 1.0, -1.0)
-        np.add.at(spectrum, ks % points, self.a_tilde * twist)
-        return (np.fft.ifft(spectrum) * points).real
+        return _grid_values_raw(1, ks[:, None], self.a_tilde, EvaluationGrid(1, points)).real
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,25 +108,16 @@ class JacksonMultiplier:
             return 0.0
         return float(self.axis[k + self.N])
 
-    def weight(self, k) -> float:
-        """Product of per-axis coefficients for a frequency vector."""
-        out = 1.0
-        for kj in k:
-            out *= self.axis_coefficient(int(kj))
-        return out
-
 
 def multiplier_from_kernel(kernel: JacksonKernel1D) -> JacksonMultiplier:
     """Alternating-binomial combination of kernel coefficients at dilated indices."""
     n, r = kernel.N, kernel.r
-    axis = np.zeros(2 * n + 1)
-    for k in range(n + 1):
-        val = 0.0
-        for ell in range(1, r + 1):
-            val += (-1.0) ** (ell - 1) * math.comb(r, ell) * kernel.coefficient(k * ell)
-        axis[n + k] = val
-        axis[n - k] = val
-    return JacksonMultiplier(N=n, r=r, axis=axis)
+    # kernel coefficients at k = 0 .. n * r (the largest dilated index), zero past the degree
+    coef = np.pad(kernel.a_tilde[kernel.degree :], (0, n * r - kernel.degree))
+    val = np.zeros(n + 1)
+    for ell in range(1, r + 1):  # for every k at once, ell increasing, from 0.0
+        val += (-1.0) ** (ell - 1) * math.comb(r, ell) * coef[: n * ell + 1 : ell]
+    return JacksonMultiplier(N=n, r=r, axis=np.concatenate((val[::-1], val[1:])))
 
 
 def apply_jackson(target: FourierTarget, N: int, r: int) -> FourierTarget:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import variation
 from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _parse_header, grid_values
 
 ORIGIN_SAMPLED = "sampled"
@@ -227,18 +228,8 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
 
 
 def lipschitz_bound(net: ShallowNetwork) -> float:
-    """Upper bound on the sup-norm gradient: sum |beta| * |alpha|_1."""
-    if net.unit_count == 0:
-        return 0.0
+    """Upper bound on the sup-norm gradient: sum |beta| * |alpha|_1 (0.0 with no units)."""
     terms = np.abs(net.units.betas) * np.abs(net.units.alphas).sum(axis=1)
-    return math.fsum(float(t) for t in terms)
-
-
-def target_lipschitz_bound(target: FourierTarget) -> float:
-    """Upper bound on the target's gradient sup-norm: sum |c(k)| * |k|_1."""
-    if target.mode_count == 0:
-        return 0.0
-    terms = np.abs(target.coeffs) * np.abs(target.modes).sum(axis=1)
     return math.fsum(float(t) for t in terms)
 
 
@@ -268,7 +259,7 @@ class ErrorCertificate:
 
 def certified_sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> ErrorCertificate:
     grid_max = sup_error(net, target, grid)
-    lt = target_lipschitz_bound(target)
+    lt = variation(target, 1)  # sum |c(k)| * |k|_1 bounds the target's gradient sup-norm
     ln = lipschitz_bound(net)
     bound = grid_max + (lt + ln) * grid.spacing * net.d / 2.0
     return ErrorCertificate(grid_max=grid_max, lipschitz_target=lt, lipschitz_network=ln, bound=bound)
@@ -321,7 +312,7 @@ def audit(net: ShallowNetwork) -> AuditReport:
         raise ValueError("audit requires construction metadata")
     sampled = net.units.origins == ORIGIN_SAMPLED
     affine = net.units.origins == ORIGIN_AFFINE
-    checks = []
+    n_sampled = int(sampled.sum())
 
     def _max_or(x, default=0.0):
         return float(x.max()) if x.size else default
@@ -330,19 +321,19 @@ def audit(net: ShallowNetwork) -> AuditReport:
         return float(x.min()) if x.size else default
 
     alpha_norms = np.abs(net.units.alphas).sum(axis=1)
+
+    def _geometry(origin, mask, floor):
+        """|alpha|_1 <= 1 and bias in [floor, 1] on the units of one origin."""
+        norm_max = _max_or(alpha_norms[mask])
+        lo, hi = _min_or(net.units.biases[mask]), _max_or(net.units.biases[mask])
+        return [
+            AuditCheck(f"{origin}_alpha_l1", norm_max, 1.0, norm_max <= 1.0 + _ALPHA_TOL),
+            AuditCheck(f"{origin}_bias_low", lo, floor, lo >= floor - _BIAS_TOL),
+            AuditCheck(f"{origin}_bias_high", hi, 1.0, hi <= 1.0 + _BIAS_TOL),
+        ]
+
+    checks = _geometry(ORIGIN_SAMPLED, sampled, 0.0)
     beta_bound = 8.0 * math.pi**2 * meta.v2 / meta.m_requested
-    checks.append(
-        AuditCheck(
-            "sampled_alpha_l1",
-            _max_or(alpha_norms[sampled]),
-            1.0,
-            _max_or(alpha_norms[sampled]) <= 1.0 + _ALPHA_TOL,
-        )
-    )
-    bias_lo = _min_or(net.units.biases[sampled])
-    bias_hi = _max_or(net.units.biases[sampled])
-    checks.append(AuditCheck("sampled_bias_low", bias_lo, 0.0, bias_lo >= -_BIAS_TOL))
-    checks.append(AuditCheck("sampled_bias_high", bias_hi, 1.0, bias_hi <= 1.0 + _BIAS_TOL))
     beta_max = _max_or(np.abs(net.units.betas[sampled]))
     checks.append(
         AuditCheck(
@@ -362,32 +353,19 @@ def audit(net: ShallowNetwork) -> AuditReport:
     )
     if meta.m_prime is not None and meta.strata_count is not None:
         count_limit = meta.m_prime + meta.strata_count
-        n_sampled = int(sampled.sum())
         checks.append(
             AuditCheck("sampled_count", float(n_sampled), float(count_limit), n_sampled <= count_limit)
         )
-    checks.append(
-        AuditCheck(
-            "affine_alpha_l1",
-            _max_or(alpha_norms[affine]),
-            1.0,
-            _max_or(alpha_norms[affine]) <= 1.0 + _ALPHA_TOL,
-        )
-    )
-    ab_lo = _min_or(net.units.biases[affine])
-    ab_hi = _max_or(net.units.biases[affine])
-    checks.append(AuditCheck("affine_bias_low", ab_lo, -1.0, ab_lo >= -1.0 - _BIAS_TOL))
-    checks.append(AuditCheck("affine_bias_high", ab_hi, 1.0, ab_hi <= 1.0 + _BIAS_TOL))
+    checks += _geometry(ORIGIN_AFFINE, affine, -1.0)
     n_affine = int(affine.sum())
     checks.append(
         AuditCheck("affine_count", float(n_affine), float(MAX_AFFINE_UNITS), n_affine <= MAX_AFFINE_UNITS)
     )
-    within_budget = net.unit_count <= meta.m_requested
     return AuditReport(
         checks=tuple(checks),
-        sampled_count=int(sampled.sum()),
+        sampled_count=n_sampled,
         affine_count=n_affine,
-        within_budget=within_budget,
+        within_budget=net.unit_count <= meta.m_requested,
         passed=all(c.passed for c in checks),
     )
 
@@ -407,6 +385,9 @@ _META_FIELDS = {
     "strata_count": int,
     "sampled_count": int,
 }
+
+#: The smallest value ``construct`` writes for each integer header field.
+_INT_FLOORS = {"N": 1, "r": 1, "m_requested": 8, "seed": 0, "m_prime": 0, "strata_count": 0, "sampled_count": 0}
 
 
 def dumps_network(net: ShallowNetwork) -> str:
@@ -433,7 +414,9 @@ def loads_network(text: str) -> ShallowNetwork:
     """Parse a network@2 CSV, or a network@1 CSV, whose header has only d, m, v and N.
 
     Every number must be finite and every origin ``sampled`` or ``affine``:
-    the audit checks only units with those tags.
+    the audit checks only units with those tags.  Integer header fields must
+    lie in the range ``construct`` writes, and ``sampled_count`` must match
+    the sampled rows.
     """
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] not in ("# schema=network@1", "# schema=network@2"):
@@ -443,6 +426,9 @@ def loads_network(text: str) -> ShallowNetwork:
     for key in ("v", "v2"):
         if key in header and not math.isfinite(float(header[key])):
             raise ValueError(f"network header has non-finite {key}={header[key]}")
+    for key, floor in _INT_FLOORS.items():
+        if key in header and int(header[key]) < floor:
+            raise ValueError(f"network header has {key}={header[key]}; it must be >= {floor}")
     meta = NetworkMeta(
         v=float(header["v"]),
         bandwidth=int(header["N"]),
@@ -463,6 +449,8 @@ def loads_network(text: str) -> ShallowNetwork:
     units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), origins)
     if len(units) != int(header["m"]):
         raise ValueError("unit count does not match header")
+    if meta.sampled_count not in (None, int(np.sum(origins == ORIGIN_SAMPLED))):
+        raise ValueError(f"network header has sampled_count={meta.sampled_count}, not the sampled row count")
     return ShallowNetwork(d, units, meta)
 
 

@@ -157,10 +157,3 @@ def build_levels(target: FourierTarget, r: int, levels: int, grid: EvaluationGri
         shells=shell_sums(target, r, levels),
         parseval_residuals=residuals,
     )
-
-
-def level_count(N: int) -> int:
-    """Number of dyadic levels needed to cover bandwidth N: ceil(log2 N)."""
-    if N < 1:
-        raise ValueError("bandwidth must be >= 1")
-    return max(0, math.ceil(math.log2(N)))

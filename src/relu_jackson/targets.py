@@ -176,7 +176,10 @@ def make_trig_poly(d: int, coeffs, auto_symmetrize: bool = False) -> FourierTarg
         return target
     # from the rows as given: an explicit zero still adds its signed zeros
     union, full, _ = _on_union(modes, values)
-    return _target(d, union, 0.5 * (full + full[::-1].conj()), SMOOTHNESS_UNLIMITED)
+    # 0.5 * (c(k) + conj(c(-k))), halving the real and imaginary parts before the sum: no
+    # overflow, exact for normal numbers; the complex product with 1.0 signs zeros as 0.5 * did
+    parts = 0.5 * full.view(np.float64) + 0.5 * full[::-1].conj().view(np.float64)
+    return _target(d, union, 1.0 * parts.view(np.complex128), SMOOTHNESS_UNLIMITED)
 
 
 def make_decay_target(d: int, s: float, k_max: int, seed: int) -> FourierTarget:
@@ -372,6 +375,8 @@ def loads_target(text: str) -> FourierTarget:
     header = _parse_header(lines[0], ("d", "r"), "target")
     d = int(header["d"])
     smoothness = math.inf if header["r"] == "inf" else float(int(header["r"]))
+    if smoothness < 0:
+        raise ValueError(f"target header has r={header['r']}; the order must be >= 0")
     rows = [ln.split() for ln in lines[1:]]
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d + 2:

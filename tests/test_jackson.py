@@ -147,11 +147,53 @@ class TestMultiplier:
             assert abs(mult.axis_coefficient(k)) <= loose + 1e-15
             assert loose <= cap + 1e-15
 
-    def test_weight_is_axis_product(self):
-        mult = multiplier_from_kernel(build_kernel(8, 2))
-        w = mult.weight((2, -3))
-        assert w == pytest.approx(mult.axis_coefficient(2) * mult.axis_coefficient(3))
-        assert mult.weight((9, 0)) == 0.0
+
+def multiplier_axis_by_loop(kernel):
+    """Reference: the multiplier's axis weights, one frequency and one dilation at a time."""
+    n, r = kernel.N, kernel.r
+    axis = np.zeros(2 * n + 1)
+    for k in range(n + 1):
+        val = 0.0
+        for ell in range(1, r + 1):
+            val += (-1.0) ** (ell - 1) * math.comb(r, ell) * kernel.coefficient(k * ell)
+        axis[n + k] = val
+        axis[n - k] = val
+    return axis
+
+
+def kernel_grid_values_by_ifft(kernel, points):
+    """Reference: the kernel's (-1)^k-twisted spectrum folded onto the grid and inverted by a 1-D FFT."""
+    spectrum = np.zeros(points, dtype=np.complex128)
+    ks = np.arange(-kernel.degree, kernel.degree + 1)
+    twist = np.where(ks % 2 == 0, 1.0, -1.0)
+    np.add.at(spectrum, ks % points, kernel.a_tilde * twist)
+    return (np.fft.ifft(spectrum) * points).real
+
+
+class TestMatchesScalarReference:
+    """The multiplier is gathered on arrays and the kernel's grid values go
+    through the targets' torus transform; both keep the bytes of the direct
+    computations above."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 512])
+    def test_multiplier_axis(self, N, r):
+        kernel = build_kernel(N, r)
+        axis = multiplier_from_kernel(kernel).axis
+        assert axis.tobytes() == multiplier_axis_by_loop(kernel).tobytes()
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 512])
+    def test_kernel_grid_values(self, N, r):
+        kernel = build_kernel(N, r)
+        # 2 * degree + 1 points resolve the kernel exactly; 64 points alias it for N > 31
+        for points in (64, 4096, max(2, 2 * kernel.degree + 1)):
+            got = kernel.grid_values(points)
+            assert got.tobytes() == kernel_grid_values_by_ifft(kernel, points).tobytes(), points
+
+    def test_kernel_grid_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            build_kernel(1, 2).grid_values(1)
 
 
 def jackson_by_quadrature(target, N, r, x, points=1 << 14):

@@ -21,8 +21,8 @@ from relu_jackson.network import (
     lipschitz_bound,
     loads_network,
     sup_error,
-    target_lipschitz_bound,
 )
+from relu_jackson.spectral import variation
 
 
 def simple_net(rows, d=1, meta=None):
@@ -240,7 +240,7 @@ class TestLipschitz:
 
     def test_target_bound_formula(self):
         t = rj.make_trig_poly(1, {1: 0.5, -1: 0.5, 2: 0.25j, -2: -0.25j})
-        assert target_lipschitz_bound(t) == pytest.approx(0.5 + 0.5 + 2 * 0.25 + 2 * 0.25)
+        assert variation(t, 1) == pytest.approx(0.5 + 0.5 + 2 * 0.25 + 2 * 0.25)
 
     def test_certificate_dominates_grid_max(self, cos_target):
         net = rj.construct(cos_target, 2, 256, seed=1)
@@ -286,6 +286,22 @@ class TestAudit:
         net = simple_net([(np.array([0.1]), 1.0, 0.5, "sampled")], d=1)
         with pytest.raises(ValueError):
             audit(net)
+
+    def test_check_names_and_order(self, cos_target):
+        rep = audit(rj.construct(cos_target, 2, 128, seed=2))
+        assert [c.name for c in rep.checks] == [
+            "sampled_alpha_l1",
+            "sampled_bias_low",
+            "sampled_bias_high",
+            "sampled_beta",
+            "normalization_vs_variation",
+            "sampled_count",
+            "affine_alpha_l1",
+            "affine_bias_low",
+            "affine_bias_high",
+            "affine_count",
+        ]
+        assert [c.limit for c in rep.checks if c.name.endswith("_bias_low")] == [0.0, -1.0]
 
 
 class TestSerialization:
@@ -383,6 +399,32 @@ class TestSerialization:
         row = f"1,1e6,0.5,{origin}"
         with pytest.raises(ValueError, match=f"unit row: '{row}'"):
             loads_network("\n".join(lines + [row]) + "\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("N", "0"),
+            ("N", "-2"),
+            ("r", "0"),
+            ("m_requested", "0"),
+            ("m_requested", "7"),
+            ("seed", "-1"),
+            ("m_prime", "-1"),
+            ("strata_count", "-1"),
+            ("sampled_count", "-1"),
+            ("sampled_count", "+1"),
+        ],
+    )
+    def test_rejects_integer_header_out_of_range(self, cos_target, key, value):
+        """Values construct never writes used to load: m_requested=0 then made
+        the audit divide by zero, and the others passed it."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        old = getattr(net.meta, "bandwidth" if key == "N" else key)
+        new = str(old + 1) if value == "+1" else value
+        text = dumps_network(net).replace(f" {key}={old}", f" {key}={new}", 1)
+        assert text != dumps_network(net)
+        with pytest.raises(ValueError, match=f"{key}={new}"):
+            loads_network(text)
 
     @pytest.mark.parametrize("key", ["d", "m", "v", "N"])
     def test_missing_header_key_named(self, key):

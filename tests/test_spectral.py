@@ -7,7 +7,6 @@ import relu_jackson as rj
 from relu_jackson.spectral import (
     build_levels,
     coefficient_sum_bound_check,
-    level_count,
     level_series,
     level_sup_bound_check,
     level_sup_constant,
@@ -169,12 +168,3 @@ def test_build_levels_consistency():
     assert decomp.sup_norms[0] == pytest.approx(rj.sup_norm(level_series(t, 0, 2), grid))
     assert np.all(decomp.parseval_residuals < 1e-10)
     assert decomp.shells == pytest.approx(shell_sums(t, 2, 4))
-
-
-def test_level_count():
-    assert level_count(1) == 0
-    assert level_count(2) == 1
-    assert level_count(5) == 3
-    assert level_count(64) == 6
-    with pytest.raises(ValueError):
-        level_count(0)

@@ -77,6 +77,11 @@ class TestMakeTrigPoly:
         with pytest.raises(ValueError, match=r"repeated frequency k=\(1,\)"):
             rj.make_trig_poly(1, {1: 0.5, -1: 0.5, (1,): 0.25}, auto_symmetrize=True)
 
+    def test_auto_symmetrize_near_float_max(self):
+        """Adding c(k) and conj(c(-k)) before halving overflowed to inf."""
+        t = rj.make_trig_poly(1, {1: 1e308, -1: 1e308}, auto_symmetrize=True)
+        assert t.as_dict() == {(-1,): 1e308, (1,): 1e308}
+
     def test_auto_symmetrize_matches_dict_reference(self):
         """The Hermitian part, taken on arrays, has the bytes of the per-key
         dict computation, signed zeros included (``-0.25j`` has real part -0.0;
@@ -84,6 +89,7 @@ class TestMakeTrigPoly:
         maps = [
             (1, {1: -0.25j}),
             (1, {1: -0.25j, -1: -0.0}),
+            (1, {1: complex(2.0, -0.0), -1: -1.0}),  # the product with 0.5 gives imaginary part +0.0
             (1, {1: 0.5, -1: 0.5, 4: -0.25j, -4: 0.25j, 0: -1.0}),
             (2, {(1, 1): 1 - 1j, (0, 2): -0.5, (0, -2): 0.25j, (-1, 0): complex(-0.0, 0.0)}),
             (3, {(1, -2, 3): 0.3 + 0.1j, (0, 0, 1): 2.0, (0, 0, 0): 0.0}),
@@ -302,6 +308,9 @@ class TestSerialization:
         for d in (0, -1):
             with pytest.raises(ValueError, match=f"d={d}"):
                 loads_target(f"d={d} r=inf\n")
+        # a declared smoothness order is never negative
+        with pytest.raises(ValueError, match="r=-3"):
+            loads_target("d=1 r=-3\n0 1 0\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_coefficient(self, value):
