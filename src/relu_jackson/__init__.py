@@ -38,6 +38,7 @@ from .spectral import (
     variation,
 )
 from .sampler import (
+    Preparation,
     SamplingDensity,
     SamplingPlan,
     affine_units,
@@ -46,6 +47,8 @@ from .sampler import (
     construct,
     identity_residual,
     plain_sample,
+    prepare,
+    realize,
     select_bandwidth,
     stratified_sample,
 )

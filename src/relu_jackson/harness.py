@@ -15,7 +15,7 @@ import numpy as np
 
 from .jackson import jackson_sup_error
 from .network import _max_error
-from .sampler import construct, select_bandwidth
+from .sampler import prepare, realize, select_bandwidth
 from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid, grid_values
 
 #: Errors at or below this level are treated as exactly reproduced and are
@@ -145,7 +145,8 @@ def run_network_rate(exp: RateExperiment) -> str:
 
     The bandwidth per width comes from the selection rule unless the
     experiment fixes one (``bandwidth``) or supplies an exponent schedule
-    ``N = floor(m**bandwidth_exponent)``.
+    ``N = floor(m**bandwidth_exponent)``.  Each width is prepared once and
+    realized at every seed.
     """
     if exp.mode != "network-rate":
         raise ValueError("experiment mode must be network-rate")
@@ -155,16 +156,11 @@ def run_network_rate(exp: RateExperiment) -> str:
     lines = ["# schema=network_rate@1", ",".join(header)]
     points = []
     for m in exp.sweep:
-        n_sel = _selected_bandwidth(exp, m)
-        errs = []
-        v = 0.0
-        for seed in exp.seeds:
-            net = construct(exp.target, exp.r, m, seed, bandwidth=n_sel)
-            v = net.meta.v
-            errs.append(_max_error(net, tvals, pts))
+        prep = prepare(exp.target, exp.r, m, bandwidth=_selected_bandwidth(exp, m))
+        errs = [_max_error(realize(prep, seed), tvals, pts) for seed in exp.seeds]
         median = float(np.median(errs))
         points.append((m, median))
-        fields = [str(m), str(n_sel), _fmt(v), _fmt(median)] + [_fmt(e) for e in errs]
+        fields = [str(m), str(prep.bandwidth), _fmt(prep.density.v), _fmt(median)] + [_fmt(e) for e in errs]
         lines.append(",".join(fields))
     fit = _fit_or_none(points)
     lines.append(f"# slope={_fmt(fit.slope) if fit is not None else 'undefined'}")
@@ -179,8 +175,9 @@ def run_network_rate(exp: RateExperiment) -> str:
 def run_paired_mc(exp: RateExperiment) -> str:
     """CSV rows (seed, stratified_error, plain_error) with median trailer.
 
-    Both arms share the target, bandwidth, and the unit budget implied by the
-    stratified plan, so rows are directly comparable per seed.
+    Both arms share one preparation: the target, bandwidth, and the unit
+    budget implied by the stratified plan, so rows are directly comparable
+    per seed.
     """
     if exp.mode != "paired-mc":
         raise ValueError("experiment mode must be paired-mc")
@@ -188,12 +185,10 @@ def run_paired_mc(exp: RateExperiment) -> str:
     tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
     lines = ["# schema=paired_mc@1", "seed,stratified_error,plain_error"]
     strat_errs, plain_errs = [], []
-    n_sel = _selected_bandwidth(exp, exp.m)
+    prep = prepare(exp.target, exp.r, exp.m, bandwidth=_selected_bandwidth(exp, exp.m))
     for seed in exp.seeds:
-        net_s = construct(exp.target, exp.r, exp.m, seed, bandwidth=n_sel, method="stratified")
-        net_p = construct(exp.target, exp.r, exp.m, seed, bandwidth=n_sel, method="plain")
-        es = _max_error(net_s, tvals, pts)
-        ep = _max_error(net_p, tvals, pts)
+        es = _max_error(realize(prep, seed, "stratified"), tvals, pts)
+        ep = _max_error(realize(prep, seed, "plain"), tvals, pts)
         strat_errs.append(es)
         plain_errs.append(ep)
         lines.append(f"{seed},{_fmt(es)},{_fmt(ep)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import variation
-from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _parse_header, grid_values
+from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _header_number, _parse_header, grid_values
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
@@ -386,6 +386,9 @@ _META_FIELDS = {
     "sampled_count": int,
 }
 
+#: Every numeric header field with its parser.
+_HEADER_FIELDS = {"d": int, "m": int, "v": float, "N": int, **_META_FIELDS}
+
 #: The smallest value ``construct`` writes for each integer header field.
 _INT_FLOORS = {"N": 1, "r": 1, "m_requested": 8, "seed": 0, "m_prime": 0, "strata_count": 0, "sampled_count": 0}
 
@@ -422,17 +425,22 @@ def loads_network(text: str) -> ShallowNetwork:
     if len(lines) < 3 or lines[0] not in ("# schema=network@1", "# schema=network@2"):
         raise ValueError("not a network CSV")
     header = _parse_header(lines[1][2:], ("d", "m", "v", "N"), "network")
-    d = int(header["d"])
+    nums = {
+        key: _header_number(header, key, parse, "network")
+        for key, parse in _HEADER_FIELDS.items()
+        if key in header
+    }
+    d = nums["d"]
     for key in ("v", "v2"):
-        if key in header and not math.isfinite(float(header[key])):
+        if key in nums and not math.isfinite(nums[key]):
             raise ValueError(f"network header has non-finite {key}={header[key]}")
     for key, floor in _INT_FLOORS.items():
-        if key in header and int(header[key]) < floor:
+        if key in nums and nums[key] < floor:
             raise ValueError(f"network header has {key}={header[key]}; it must be >= {floor}")
     meta = NetworkMeta(
-        v=float(header["v"]),
-        bandwidth=int(header["N"]),
-        **{name: parse(header[name]) for name, parse in _META_FIELDS.items() if name in header},
+        v=nums["v"],
+        bandwidth=nums["N"],
+        **{name: nums[name] for name in _META_FIELDS if name in nums},
     )
     rows = [ln for ln in lines[3:] if ln]
     fields = [ln.split(",") for ln in rows]
@@ -447,7 +455,7 @@ def loads_network(text: str) -> ShallowNetwork:
         raise ValueError(f"non-finite value in unit row: {rows[np.argmin(finite)]!r}")
     origins = np.array([parts[d + 2] for parts in fields], dtype="<U7")
     units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), origins)
-    if len(units) != int(header["m"]):
+    if len(units) != nums["m"]:
         raise ValueError("unit count does not match header")
     if meta.sampled_count not in (None, int(np.sum(origins == ORIGIN_SAMPLED))):
         raise ValueError(f"network header has sampled_count={meta.sampled_count}, not the sampled row count")

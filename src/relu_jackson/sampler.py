@@ -558,6 +558,78 @@ def select_bandwidth(m: int, d: int, r: int) -> int:
     return max(1, math.floor(m**expo))
 
 
+@dataclass(frozen=True, eq=False)
+class Preparation:
+    """The seed-independent stages of a construction, shared by every seed.
+
+    ``plan`` is ``None`` when the density is degenerate (no oscillatory
+    modes); the network is then the exact affine part.  Every array is
+    read-only, so one preparation can be realized at any number of seeds.
+    """
+
+    d: int
+    r: int
+    m: int
+    bandwidth: int
+    v2: float
+    density: SamplingDensity
+    plan: SamplingPlan | None
+    affine: Units
+
+
+def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None) -> Preparation:
+    """Smooth the target, then build its density, plan and affine units."""
+    if r < 1:
+        raise ValueError("order must be >= 1")
+    if m < 8:
+        raise ValueError("width must be >= 8")
+    n = bandwidth if bandwidth is not None else select_bandwidth(m, target.d, r)
+    if n < 1:
+        raise ValueError("bandwidth must be >= 1")
+    image = apply_jackson(target, n, r)
+    density = build_density(image)
+    return Preparation(
+        d=target.d,
+        r=r,
+        m=m,
+        bandwidth=n,
+        v2=variation(image, 2),
+        density=density,
+        plan=None if density.is_degenerate else build_strata(density, m),
+        affine=affine_units(image),
+    )
+
+
+def realize(prep: Preparation, seed: int, method: str = "stratified") -> ShallowNetwork:
+    """Draw the sampled units at ``seed`` and assemble the network.
+
+    ``method`` selects stratified sampling (default) or the plain Monte Carlo
+    baseline with the same unit budget.
+    """
+    if method not in ("stratified", "plain"):
+        raise ValueError(f"unknown sampling method {method!r}")
+    _validate_seed(seed)
+    plan = prep.plan
+    if plan is None:
+        sampled = Units.empty(prep.d)
+    elif method == "stratified":
+        sampled = stratified_sample(plan, prep.density, seed)
+    else:
+        sampled = plain_sample(prep.density, plan.total_count, seed)
+    meta = NetworkMeta(
+        v=prep.density.v,
+        bandwidth=prep.bandwidth,
+        v2=prep.v2,
+        r=prep.r,
+        seed=seed,
+        m_requested=prep.m,
+        m_prime=math.ceil(prep.m / 4),
+        strata_count=0 if plan is None else plan.strata_count,
+        sampled_count=len(sampled),
+    )
+    return ShallowNetwork(d=prep.d, units=Units.concat([sampled, prep.affine]), meta=meta)
+
+
 def construct(
     target: FourierTarget,
     r: int,
@@ -566,48 +638,9 @@ def construct(
     bandwidth: int | None = None,
     method: str = "stratified",
 ) -> ShallowNetwork:
-    """End-to-end pipeline: smooth, build density and plan, sample, assemble.
+    """End-to-end pipeline: ``realize(prepare(target, r, m, bandwidth), seed, method)``.
 
-    ``method`` selects stratified sampling (default) or the plain Monte Carlo
-    baseline with the same unit budget.  A degenerate density (no oscillatory
-    modes) produces the exact affine network.  The result is bit-reproducible
-    given (target, r, m, seed).
+    A degenerate density (no oscillatory modes) produces the exact affine
+    network.  The result is bit-reproducible given (target, r, m, seed).
     """
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    if m < 8:
-        raise ValueError("width must be >= 8")
-    if method not in ("stratified", "plain"):
-        raise ValueError(f"unknown sampling method {method!r}")
-    _validate_seed(seed)
-    n = bandwidth if bandwidth is not None else select_bandwidth(m, target.d, r)
-    if n < 1:
-        raise ValueError("bandwidth must be >= 1")
-    image = apply_jackson(target, n, r)
-    v2 = variation(image, 2)
-    density = build_density(image)
-    if density.is_degenerate:
-        sampled = Units.empty(target.d)
-        m_prime = math.ceil(m / 4)
-        strata_count = 0
-    else:
-        plan = build_strata(density, m)
-        m_prime = plan.m_prime
-        strata_count = plan.strata_count
-        if method == "stratified":
-            sampled = stratified_sample(plan, density, seed)
-        else:
-            sampled = plain_sample(density, plan.total_count, seed)
-    units = Units.concat([sampled, affine_units(image)])
-    meta = NetworkMeta(
-        v=density.v,
-        bandwidth=n,
-        v2=v2,
-        r=r,
-        seed=seed,
-        m_requested=m,
-        m_prime=m_prime,
-        strata_count=strata_count,
-        sampled_count=len(sampled),
-    )
-    return ShallowNetwork(d=target.d, units=units, meta=meta)
+    return realize(prepare(target, r, m, bandwidth), seed, method)

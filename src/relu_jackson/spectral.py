@@ -45,7 +45,11 @@ def level_series(target: FourierTarget, level: int, r: int) -> FourierTarget:
 def parseval_residual(series: FourierTarget, grid: EvaluationGrid) -> float:
     """|grid mean of |series|^2  -  sum of squared coefficient moduli|."""
     _require_resolved(series, grid)
-    vals = grid_values(series, grid)
+    return _parseval_gap(series, grid_values(series, grid))
+
+
+def _parseval_gap(series: FourierTarget, vals: np.ndarray) -> float:
+    """The Parseval residual from the series' values on a resolved grid."""
     grid_mean = float(np.sum(vals * vals)) / vals.size
     coeff_side = math.fsum(float(x) for x in np.abs(series.coeffs) ** 2)
     return abs(grid_mean - coeff_side)
@@ -146,14 +150,20 @@ class SpectralLevels:
 
 
 def build_levels(target: FourierTarget, r: int, levels: int, grid: EvaluationGrid) -> SpectralLevels:
+    """Level series 0..levels with their grid sup-norms and Parseval
+    residuals, both read from one evaluation of each series on the grid."""
     series = tuple(level_series(target, level, r) for level in range(levels + 1))
-    sup_norms = np.array([sup_norm(s, grid) for s in series])
-    residuals = np.array([parseval_residual(s, grid) for s in series])
+    sup_norms, residuals = [], []
+    for s in series:
+        _require_resolved(s, grid)
+        vals = grid_values(s, grid)
+        sup_norms.append(float(np.abs(vals).max()))
+        residuals.append(_parseval_gap(s, vals))
     return SpectralLevels(
         r=r,
         levels=levels,
         series=series,
-        sup_norms=sup_norms,
+        sup_norms=np.array(sup_norms),
         shells=shell_sums(target, r, levels),
-        parseval_residuals=residuals,
+        parseval_residuals=np.array(residuals),
     )

@@ -363,9 +363,19 @@ def _parse_header(line: str, required: tuple[str, ...], what: str) -> dict[str, 
     for key in required:
         if key not in header:
             raise ValueError(f"{what} header lacks {key}=")
-    if int(header["d"]) < 1:
+    if _header_number(header, "d", int, what) < 1:
         raise ValueError(f"{what} header has d={header['d']}; the dimension must be >= 1")
     return header
+
+
+def _header_number(header: dict[str, str], key: str, parse, what: str):
+    """``parse(header[key])`` for ``parse`` in (int, float); a value that is
+    not such a number raises a ``ValueError`` naming the key and the value."""
+    try:
+        return parse(header[key])
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ValueError(f"{what} header has {key}={header[key]}; it must be {kind}") from None
 
 
 def loads_target(text: str) -> FourierTarget:
@@ -373,8 +383,8 @@ def loads_target(text: str) -> FourierTarget:
     if not lines:
         raise ValueError("empty target description")
     header = _parse_header(lines[0], ("d", "r"), "target")
-    d = int(header["d"])
-    smoothness = math.inf if header["r"] == "inf" else float(int(header["r"]))
+    d = _header_number(header, "d", int, "target")
+    smoothness = math.inf if header["r"] == "inf" else float(_header_number(header, "r", int, "target"))
     if smoothness < 0:
         raise ValueError(f"target header has r={header['r']}; the order must be >= 0")
     rows = [ln.split() for ln in lines[1:]]

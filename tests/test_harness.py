@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
+from relu_jackson import sampler
 from relu_jackson.harness import (
     RateExperiment,
     fit_slope,
@@ -172,6 +173,35 @@ class TestRunPairedMc:
             assert float(strat) > 0 and float(plain) > 0
         assert lines[-1].startswith("# stratified_median=")
         assert run_paired_mc(exp) == csv
+
+
+@pytest.fixture
+def strata_calls(monkeypatch):
+    """A list that gains one entry per ``build_strata`` call."""
+    calls = []
+    build = sampler.build_strata
+
+    def counting(density, m):
+        calls.append(m)
+        return build(density, m)
+
+    monkeypatch.setattr(sampler, "build_strata", counting)
+    return calls
+
+
+class TestPlanReuse:
+    """Each width's plan is built once, whatever the number of seeds."""
+
+    def test_network_rate_builds_one_plan_per_width(self, cos_target, strata_calls):
+        sweep = (16, 32, 64, 128)
+        exp = RateExperiment("network-rate", cos_target, 2, sweep=sweep, seeds=(1, 2, 3), grid_points=65)
+        run_network_rate(exp)
+        assert strata_calls == list(sweep)
+
+    def test_paired_mc_builds_one_plan(self, cos_target, strata_calls):
+        exp = RateExperiment("paired-mc", cos_target, 2, seeds=(0, 1, 2), m=64, grid_points=65)
+        run_paired_mc(exp)
+        assert strata_calls == [64]
 
 
 class TestLoadConfig:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,20 @@ class TestSerialization:
         text = dumps_network(net).replace(f" {key}={old}", f" {key}={new}", 1)
         assert text != dumps_network(net)
         with pytest.raises(ValueError, match=f"{key}={new}"):
+            loads_network(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N", "1.5"), ("d", "x"), ("m", "2e2"), ("seed", "abc"), ("r", "two"), ("v", "abc"), ("v2", "1,5")],
+    )
+    def test_non_numeric_header_value_named(self, cos_target, key, value):
+        """Such values used to raise int()'s or float()'s own message, which
+        does not say which header key holds them."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        text = dumps_network(net)
+        old = re.search(f" {key}=([^ ]*)", text.splitlines()[1]).group(0)
+        text = text.replace(old, f" {key}={value}", 1)
+        with pytest.raises(ValueError, match=re.escape(f"network header has {key}={value}; it must be")):
             loads_network(text)
 
     @pytest.mark.parametrize("key", ["d", "m", "v", "N"])

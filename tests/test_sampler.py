@@ -18,6 +18,8 @@ from relu_jackson.sampler import (
     construct,
     identity_residual,
     plain_sample,
+    prepare,
+    realize,
     select_bandwidth,
     stratified_sample,
 )
@@ -439,6 +441,60 @@ class TestConstruct:
     def test_rejects_bool_seed(self, cos_target):
         with pytest.raises(ValueError, match="seed"):
             construct(cos_target, 2, 64, seed=True)
+
+
+def _assert_same_network(a, b):
+    for name in ("alphas", "betas", "biases", "origins"):
+        x, y = getattr(a.units, name), getattr(b.units, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert a.d == b.d and a.meta == b.meta
+
+
+class TestPrepareRealize:
+    @pytest.mark.parametrize(
+        "coeffs, method",
+        [
+            ({1: 0.5, -1: 0.5}, "stratified"),
+            ({1: 0.5, -1: 0.5}, "plain"),
+            ({0: 1.0}, "stratified"),
+            ({0: 1.0}, "plain"),
+        ],
+        ids=["stratified", "plain", "degenerate-stratified", "degenerate-plain"],
+    )
+    def test_construct_is_realize_of_prepare(self, coeffs, method):
+        t = rj.make_trig_poly(1, coeffs)
+        prep = prepare(t, 2, 64)
+        assert (prep.plan is None) == prep.density.is_degenerate
+        _assert_same_network(construct(t, 2, 64, 5, method=method), realize(prep, 5, method))
+
+    def test_one_preparation_at_two_seeds(self, corpus):
+        t = dict(corpus)["decay2"]
+        prep = prepare(t, 2, 256, bandwidth=3)
+        for seed in (0, 9):
+            _assert_same_network(construct(t, 2, 256, seed, bandwidth=3), realize(prep, seed))
+        assert dumps_network(realize(prep, 0)) != dumps_network(realize(prep, 9))
+
+    def test_preparation_fields(self):
+        t = rj.make_decay_target(1, 3.2, 16, seed=11)
+        prep = prepare(t, 2, 128)
+        assert (prep.d, prep.r, prep.m) == (1, 2, 128)
+        assert prep.bandwidth == select_bandwidth(128, 1, 2)
+        assert prep.plan.m == 128 and len(prep.affine) == 3
+        assert prep.v2 == rj.variation(prep.density.image, 2)
+
+    def test_rejects(self, cos_target):
+        with pytest.raises(ValueError, match="order"):
+            prepare(cos_target, 0, 64)
+        with pytest.raises(ValueError, match="width"):
+            prepare(cos_target, 2, 4)
+        with pytest.raises(ValueError, match="bandwidth"):
+            prepare(cos_target, 2, 64, bandwidth=0)
+        prep = prepare(cos_target, 2, 64)
+        with pytest.raises(ValueError, match="seed"):
+            realize(prep, -1)
+        with pytest.raises(ValueError, match="bogus"):
+            realize(prep, 0, "bogus")
 
 
 def test_unbiasedness_moderate(cos_target):

@@ -168,3 +168,30 @@ def test_build_levels_consistency():
     assert decomp.sup_norms[0] == pytest.approx(rj.sup_norm(level_series(t, 0, 2), grid))
     assert np.all(decomp.parseval_residuals < 1e-10)
     assert decomp.shells == pytest.approx(shell_sums(t, 2, 4))
+
+
+def test_build_levels_evaluates_each_series_once(monkeypatch):
+    """Sup-norms and Parseval residuals come from one grid evaluation per
+    level, and equal the values of the separate functions bit for bit."""
+    t = rj.make_decay_target(2, 4.2, 8, seed=7)
+    grid = rj.default_grid(2, rj.TORUS, 64)
+    sups = [rj.sup_norm(level_series(t, level, 2), grid) for level in range(4)]
+    gaps = [parseval_residual(level_series(t, level, 2), grid) for level in range(4)]
+    calls = []
+    raw = rj.targets._grid_values_raw
+
+    def counting(*args):
+        calls.append(1)
+        return raw(*args)
+
+    monkeypatch.setattr(rj.targets, "_grid_values_raw", counting)
+    decomp = build_levels(t, 2, 3, grid)
+    assert len(calls) == 4
+    assert decomp.sup_norms.tolist() == sups
+    assert decomp.parseval_residuals.tolist() == gaps
+
+
+def test_build_levels_requires_resolving_grid():
+    t = rj.make_decay_target(1, 3.2, 8, seed=11)
+    with pytest.raises(ValueError, match="does not resolve"):
+        build_levels(t, 2, 3, rj.default_grid(1, rj.TORUS, 16))

@@ -324,6 +324,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"k=\(1,\)"):
             loads_target("d=1 r=inf\n-1 0.5 0\n1 0.5 0\n0 1 0\n1 0.25 0\n")
 
+    @pytest.mark.parametrize("header", ["d=1 r=2.5", "d=x r=2", "d=1.0 r=inf", "d=1 r=infinity"])
+    def test_non_numeric_header_value_named(self, header):
+        """Such values used to raise int()'s own message, which does not say
+        which header key holds them."""
+        bad = next(item for item in header.split() if item not in ("d=1", "r=2", "r=inf"))
+        with pytest.raises(ValueError, match=f"target header has {bad}; it must be an integer"):
+            loads_target(f"{header}\n0 1 0\n")
+
     @pytest.mark.parametrize("header,key", [("r=2", "d="), ("d=1", "r=")])
     def test_missing_header_key_named(self, header, key):
         with pytest.raises(ValueError, match=key):
