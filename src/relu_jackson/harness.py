@@ -98,6 +98,9 @@ class RateExperiment:
                 raise ValueError("sweep values must be strictly increasing")
         if self.mode in ("network-rate", "paired-mc") and not self.seeds:
             raise ValueError("stochastic modes need at least one seed")
+        repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"seed {repeated[0]} is given more than once")
         if self.mode == "paired-mc" and self.m is None:
             raise ValueError("paired-mc needs a width m")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import variation
-from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _header_number, _parse_header, grid_values
+from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _read_header, grid_values
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
@@ -374,34 +374,27 @@ def audit(net: ShallowNetwork) -> AuditReport:
 # CSV serialization (17 significant digits; byte-exact round trips)
 # ---------------------------------------------------------------------------
 
-#: ``NetworkMeta`` fields that the network@2 header carries when they are
-#: set, with their parsers; d, m, v and N are always present.
-_META_FIELDS = {
-    "v2": float,
-    "r": int,
-    "seed": int,
-    "m_requested": int,
-    "m_prime": int,
-    "strata_count": int,
-    "sampled_count": int,
+#: The network@2 header keys in writing order, as ``(parse, floor, required)``
+#: for ``_read_header``; network@1 has only the required d, m, v and N.  No
+#: value below a floor comes from ``construct``.  Past d and m, each key is
+#: the ``NetworkMeta`` field of that name (N is ``bandwidth``).
+_NETWORK_HEADER = {
+    "d": (int, 1, True), "m": (int, 0, True), "v": (float, 0.0, True), "N": (int, 1, True),
+    "v2": (float, 0.0, False), "r": (int, 1, False), "seed": (int, 0, False), "m_requested": (int, 8, False),
+    "m_prime": (int, 0, False), "strata_count": (int, 0, False), "sampled_count": (int, 0, False),
 }
-
-#: Every numeric header field with its parser.
-_HEADER_FIELDS = {"d": int, "m": int, "v": float, "N": int, **_META_FIELDS}
-
-#: The smallest value ``construct`` writes for each integer header field.
-_INT_FLOORS = {"N": 1, "r": 1, "m_requested": 8, "seed": 0, "m_prime": 0, "strata_count": 0, "sampled_count": 0}
 
 
 def dumps_network(net: ShallowNetwork) -> str:
     meta = net.meta
     if meta is None:
         raise ValueError("serialization requires metadata (v and bandwidth)")
-    header = [f"d={net.d}", f"m={net.unit_count}", f"v={_fmt(meta.v)}", f"N={meta.bandwidth}"]
-    for name, parse in _META_FIELDS.items():
-        value = getattr(meta, name)
+    values = {"d": net.d, "m": net.unit_count, "N": meta.bandwidth}
+    header = []
+    for key, (parse, _, _) in _NETWORK_HEADER.items():
+        value = values[key] if key in values else getattr(meta, key)
         if value is not None:
-            header.append(f"{name}={_fmt(value) if parse is float else value}")
+            header.append(f"{key}={_fmt(value) if parse is float else value}")
     lines = [
         "# schema=network@2",
         "# " + " ".join(header),
@@ -417,31 +410,18 @@ def loads_network(text: str) -> ShallowNetwork:
     """Parse a network@2 CSV, or a network@1 CSV, whose header has only d, m, v and N.
 
     Every number must be finite and every origin ``sampled`` or ``affine``:
-    the audit checks only units with those tags.  Integer header fields must
-    lie in the range ``construct`` writes, and ``sampled_count`` must match
-    the sampled rows.
+    the audit checks only units with those tags.  Header items follow
+    ``_NETWORK_HEADER``, and ``sampled_count`` must match the sampled rows.
     """
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] not in ("# schema=network@1", "# schema=network@2"):
         raise ValueError("not a network CSV")
-    header = _parse_header(lines[1][2:], ("d", "m", "v", "N"), "network")
-    nums = {
-        key: _header_number(header, key, parse, "network")
-        for key, parse in _HEADER_FIELDS.items()
-        if key in header
-    }
-    d = nums["d"]
-    for key in ("v", "v2"):
-        if key in nums and not math.isfinite(nums[key]):
-            raise ValueError(f"network header has non-finite {key}={header[key]}")
-    for key, floor in _INT_FLOORS.items():
-        if key in nums and nums[key] < floor:
-            raise ValueError(f"network header has {key}={header[key]}; it must be >= {floor}")
-    meta = NetworkMeta(
-        v=nums["v"],
-        bandwidth=nums["N"],
-        **{name: nums[name] for name in _META_FIELDS if name in nums},
-    )
+    if not lines[1].startswith("# "):
+        raise ValueError(f"network header line {lines[1]!r} does not start with '# '")
+    header = _read_header(lines[1][2:], _NETWORK_HEADER, "network")
+    d = header.pop("d")
+    m = header.pop("m")
+    meta = NetworkMeta(bandwidth=header.pop("N"), **header)
     rows = [ln for ln in lines[3:] if ln]
     fields = [ln.split(",") for ln in rows]
     for ln, parts in zip(rows, fields):
@@ -455,7 +435,7 @@ def loads_network(text: str) -> ShallowNetwork:
         raise ValueError(f"non-finite value in unit row: {rows[np.argmin(finite)]!r}")
     origins = np.array([parts[d + 2] for parts in fields], dtype="<U7")
     units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), origins)
-    if len(units) != nums["m"]:
+    if len(units) != m:
         raise ValueError("unit count does not match header")
     if meta.sampled_count not in (None, int(np.sum(origins == ORIGIN_SAMPLED))):
         raise ValueError(f"network header has sampled_count={meta.sampled_count}, not the sampled row count")

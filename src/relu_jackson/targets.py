@@ -137,31 +137,24 @@ def _target(d: int, modes: np.ndarray, coeffs: np.ndarray, smoothness: float) ->
     return FourierTarget(d=d, modes=modes[keep], coeffs=coeffs[keep], smoothness=smoothness)
 
 
-def _on_union(modes: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted union of the k and the -k (so ``-union[i]`` is ``union[-1 - i]``),
-    the coefficients on it (0 where absent) and each row's place in it."""
+def _require_hermitian(modes: np.ndarray, coeffs: np.ndarray, subject: str) -> None:
+    """Raise naming the first row k (of distinct ones) with ``|c(k) - conj(c(-k))|`` above the tolerance."""
+    # the sorted union of the k and the -k, so -union[i] is union[-1 - i]
     union, where = np.unique(np.concatenate([modes, -modes]), axis=0, return_inverse=True)
     where = where.ravel()[: modes.shape[0]]
     full = np.zeros(union.shape[0], dtype=np.complex128)
     full[where] = coeffs
-    return union, full, where
-
-
-def _require_hermitian(modes: np.ndarray, coeffs: np.ndarray, subject: str) -> None:
-    """Raise naming the first row k (of distinct ones) with ``|c(k) - conj(c(-k))|`` above the tolerance."""
-    _, full, where = _on_union(modes, coeffs)
     tol = _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
     bad = np.flatnonzero(np.abs(coeffs - full[::-1][where].conj()) > tol)
     if bad.size:
         raise ValueError(f"{subject} not Hermitian-symmetric at k={_key(modes[bad[0]])}")
 
 
-def make_trig_poly(d: int, coeffs, auto_symmetrize: bool = False) -> FourierTarget:
+def make_trig_poly(d: int, coeffs) -> FourierTarget:
     """Build a target from an explicit frequency -> coefficient map.
 
-    The map must be Hermitian-symmetric (real-valued function).  With
-    ``auto_symmetrize`` the map is replaced by its Hermitian part instead of
-    being rejected.  In d = 1 a frequency may be a bare integer.
+    The map must be Hermitian-symmetric (real-valued function).  In d = 1 a
+    frequency may be a bare integer.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -171,15 +164,8 @@ def make_trig_poly(d: int, coeffs, auto_symmetrize: bool = False) -> FourierTarg
     modes = np.array(keys, dtype=np.int64).reshape(len(keys), d)
     values = np.array([complex(c) for c in coeffs.values()], dtype=np.complex128)
     target = _target(d, modes, values, SMOOTHNESS_UNLIMITED)  # also rejects bad rows
-    if not auto_symmetrize:
-        _require_hermitian(modes, values, "coefficient map is")
-        return target
-    # from the rows as given: an explicit zero still adds its signed zeros
-    union, full, _ = _on_union(modes, values)
-    # 0.5 * (c(k) + conj(c(-k))), halving the real and imaginary parts before the sum: no
-    # overflow, exact for normal numbers; the complex product with 1.0 signs zeros as 0.5 * did
-    parts = 0.5 * full.view(np.float64) + 0.5 * full[::-1].conj().view(np.float64)
-    return _target(d, union, 1.0 * parts.view(np.complex128), SMOOTHNESS_UNLIMITED)
+    _require_hermitian(modes, values, "coefficient map is")
+    return target
 
 
 def make_decay_target(d: int, s: float, k_max: int, seed: int) -> FourierTarget:
@@ -356,37 +342,55 @@ def dumps_target(target: FourierTarget) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(line: str, required: tuple[str, ...], what: str) -> dict[str, str]:
-    """The ``key=value`` pairs of a header line; every required key must be
-    present, and the dimension d, which both readers require, must be >= 1."""
-    header = dict(item.split("=", 1) for item in line.split())
-    for key in required:
-        if key not in header:
+def _read_header(line: str, keys: dict, what: str) -> dict:
+    """The values of a header line of ``key=value`` items.
+
+    ``keys`` maps each key to ``(parse, floor, required)``.  Each item must
+    have a known key, given once, and a value that ``parse`` accepts, that is
+    finite when ``parse`` is ``float`` and that is not below ``floor``
+    (``None``: no floor).  A ``ValueError`` names the first item that breaks
+    a rule, or else the first missing required key; a value that a parser
+    other than ``float`` rejects is reported as not an integer.
+    """
+    header = {}
+    for item in line.split():
+        key, eq, text = item.partition("=")
+        if not eq or key not in keys:
+            raise ValueError(f"{what} header item {item!r} is not key=value with a known key")
+        if key in header:
+            raise ValueError(f"{what} header repeats {key}=")
+        parse, floor, _ = keys[key]
+        try:
+            value = parse(text)
+        except ValueError:
+            kind = "a number" if parse is float else "an integer"
+            raise ValueError(f"{what} header has {item}; it must be {kind}") from None
+        if parse is float and not math.isfinite(value):
+            raise ValueError(f"{what} header has non-finite {item}")
+        if floor is not None and value < floor:
+            raise ValueError(f"{what} header has {item}; it must be >= {floor}")
+        header[key] = value
+    for key, (_, _, required) in keys.items():
+        if required and key not in header:
             raise ValueError(f"{what} header lacks {key}=")
-    if _header_number(header, "d", int, what) < 1:
-        raise ValueError(f"{what} header has d={header['d']}; the dimension must be >= 1")
     return header
 
 
-def _header_number(header: dict[str, str], key: str, parse, what: str):
-    """``parse(header[key])`` for ``parse`` in (int, float); a value that is
-    not such a number raises a ``ValueError`` naming the key and the value."""
-    try:
-        return parse(header[key])
-    except ValueError:
-        kind = "an integer" if parse is int else "a number"
-        raise ValueError(f"{what} header has {key}={header[key]}; it must be {kind}") from None
+def _order(text: str) -> float:
+    """A smoothness order: an integer, or ``inf``."""
+    return math.inf if text == "inf" else float(int(text))
+
+
+#: The target header: the dimension and the declared smoothness order.
+_TARGET_HEADER = {"d": (int, 1, True), "r": (_order, 0, True)}
 
 
 def loads_target(text: str) -> FourierTarget:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty target description")
-    header = _parse_header(lines[0], ("d", "r"), "target")
-    d = _header_number(header, "d", int, "target")
-    smoothness = math.inf if header["r"] == "inf" else float(_header_number(header, "r", int, "target"))
-    if smoothness < 0:
-        raise ValueError(f"target header has r={header['r']}; the order must be >= 0")
+    header = _read_header(lines[0], _TARGET_HEADER, "target")
+    d = header["d"]
     rows = [ln.split() for ln in lines[1:]]
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d + 2:
@@ -394,7 +398,7 @@ def loads_target(text: str) -> FourierTarget:
     modes = np.array([[int(p) for p in parts[:d]] for parts in rows], dtype=np.int64).reshape(len(rows), d)
     values = np.array([[float(p) for p in parts[d:]] for parts in rows]).reshape(len(rows), 2)
     coeffs = values.view(np.complex128).ravel()
-    target = _target(d, modes, coeffs, smoothness)
+    target = _target(d, modes, coeffs, header["r"])
     _require_hermitian(modes, coeffs, "stored coefficients are")
     return target
 

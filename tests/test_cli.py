@@ -126,6 +126,12 @@ def test_paired_mc_cli(target_file, capsys):
     assert out.splitlines()[0] == "# schema=paired_mc@1"
 
 
+@pytest.mark.parametrize("command", [["network-rate", "--sweep", "16,32,64,128"], ["paired-mc", "--m", "16"]])
+def test_repeated_seed_rejected(target_file, command):
+    with pytest.raises(ValueError, match="seed 1 is given more than once"):
+        main([*command, "--target", target_file, "--r", "2", "--seed", "1,1", "--grid", "33"])
+
+
 def test_verify_identity(capsys):
     assert main(["verify-identity", "--samples", "20", "--cmax", "5"]) == 0
     out = capsys.readouterr().out

@@ -58,6 +58,16 @@ class TestRateExperimentValidation:
         with pytest.raises(ValueError):
             RateExperiment("network-rate", cos_target, 2, sweep=(8, 16, 32, 64))
 
+    @pytest.mark.parametrize(
+        "mode, seeds, named",
+        [("network-rate", (1, 1, 2), 1), ("network-rate", (3, 0, 5, 0), 0), ("paired-mc", (2, 7, 2), 2)],
+    )
+    def test_rejects_repeated_seed(self, cos_target, mode, seeds, named):
+        """A repeated seed used to give network-rate two error columns of one
+        name and a median that counts it twice, and paired-mc a duplicate row."""
+        with pytest.raises(ValueError, match=f"seed {named} is given more than once"):
+            RateExperiment(mode, cos_target, 2, sweep=(8, 16, 32, 64), seeds=seeds, m=16)
+
     def test_paired_needs_width(self, cos_target):
         with pytest.raises(ValueError):
             RateExperiment("paired-mc", cos_target, 2, seeds=(1,))

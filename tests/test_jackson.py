@@ -345,7 +345,7 @@ class TestTransformsMatchDictReference:
 
     def targets(self):
         out = [
-            rj.make_trig_poly(2, {(1, 1): 1 - 1j, (0, 2): -0.5}, auto_symmetrize=True),
+            rj.make_trig_poly(2, {(1, 1): 0.5 - 0.5j, (-1, -1): 0.5 + 0.5j, (0, 2): -0.25, (0, -2): -0.25}),
             # -0.25j has real part -0.0; k = +-4 lies outside bandwidths 1 and 3,
             # so only one side of the difference holds that signed zero
             rj.make_trig_poly(1, {1: 0.5, -1: 0.5, 4: -0.25j, -4: 0.25j}),

@@ -428,6 +428,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{key}={new}"):
             loads_network(text)
 
+    @pytest.mark.parametrize("key", ["v", "v2"])
+    def test_rejects_negative_mass(self, cos_target, key):
+        """A negative v used to load and pass the audit, whose check
+        v <= 2 pi^2 v2 then holds whatever the network."""
+        text = dumps_network(rj.construct(cos_target, 2, 64, seed=1))
+        bad = re.sub(f" {key}=[^ ]*", f" {key}=-5", text, count=1)
+        with pytest.raises(ValueError, match=f"network header has {key}=-5; it must be >= 0"):
+            loads_network(bad)
+
     @pytest.mark.parametrize(
         "key, value",
         [("N", "1.5"), ("d", "x"), ("m", "2e2"), ("seed", "abc"), ("r", "two"), ("v", "abc"), ("v2", "1,5")],
@@ -447,6 +456,38 @@ class TestSerialization:
         fields = " ".join(f"{k}={val}" for k, val in (("d", 1), ("m", 1), ("v", 0), ("N", 1)) if k != key)
         with pytest.raises(ValueError, match=f"{key}="):
             loads_network(f"# schema=network@1\n# {fields}\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ("d=1 m=1 v=2 N=3 junk", "item 'junk' is not key=value"),
+            ("d=1 m=1 v=2 N=3 lambda=1.1", "item 'lambda=1.1' is not key=value with a known key"),
+            ("d=1 m=1 v=2 N=3 N=5", "repeats N="),
+            ("d=1 m=1 v=2 v=2 N=3", "repeats v="),
+        ],
+    )
+    def test_rejects_malformed_header_item(self, header, named):
+        """An item without = used to raise dict()'s own message, an unknown
+        key was dropped and a repeated key kept its last value (N=5 here)."""
+        with pytest.raises(ValueError, match=f"network header {named}"):
+            loads_network(f"# schema=network@1\n# {header}\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
+
+    def test_rejects_misspelled_header_key(self, cos_target):
+        """With strata_count misspelled the network used to load and pass the
+        audit without its sampled_count check."""
+        text = dumps_network(rj.construct(cos_target, 2, 64, seed=1))
+        bad = text.replace(" strata_count=", " strata_cnt=", 1)
+        assert bad != text
+        with pytest.raises(ValueError, match=r"item 'strata_cnt=\d+' is not key=value with a known key"):
+            loads_network(bad)
+
+    @pytest.mark.parametrize("prefix", ["#", "", "#\t", "## "])
+    def test_rejects_header_line_without_comment_prefix(self, cos_target, prefix):
+        """The reader used to cut two characters off the line whatever they were."""
+        lines = dumps_network(rj.construct(cos_target, 2, 64, seed=1)).splitlines()
+        lines[1] = prefix + lines[1][2:]
+        with pytest.raises(ValueError, match="does not start with '# '"):
+            loads_network("\n".join(lines) + "\n")
 
 
 def test_units_iteration_and_build():

@@ -38,11 +38,6 @@ class TestMakeTrigPoly:
         with pytest.raises(ValueError, match="Hermitian"):
             rj.make_trig_poly(1, {1: 1.0})
 
-    def test_auto_symmetrize(self):
-        t = rj.make_trig_poly(1, {1: 1.0}, auto_symmetrize=True)
-        # Hermitian part of a single mode is a half-sized conjugate pair.
-        assert t.as_dict() == {(1,): 0.5, (-1,): 0.5}
-
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             rj.make_trig_poly(0, {0: 1.0})
@@ -63,9 +58,8 @@ class TestMakeTrigPoly:
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf)])
     def test_rejects_non_finite_coefficient(self, value):
         """A NaN coefficient used to pass the Hermitian check and evaluate to NaN everywhere."""
-        for auto in (False, True):
-            with pytest.raises(ValueError, match=r"non-finite coefficient at k=\(-1,\)"):
-                rj.make_trig_poly(1, {0: 1.0, -1: value, 1: 0.5}, auto_symmetrize=auto)
+        with pytest.raises(ValueError, match=r"non-finite coefficient at k=\(-1,\)"):
+            rj.make_trig_poly(1, {0: 1.0, -1: value, 1: 0.5})
 
     def test_hermitian_tolerance_scales_with_size(self):
         rj.make_trig_poly(1, {1: 1e6, -1: 1e6 + 1e-7})
@@ -75,34 +69,7 @@ class TestMakeTrigPoly:
     def test_rejects_repeated_frequency(self):
         """A bare integer and a 1-tuple name the same frequency."""
         with pytest.raises(ValueError, match=r"repeated frequency k=\(1,\)"):
-            rj.make_trig_poly(1, {1: 0.5, -1: 0.5, (1,): 0.25}, auto_symmetrize=True)
-
-    def test_auto_symmetrize_near_float_max(self):
-        """Adding c(k) and conj(c(-k)) before halving overflowed to inf."""
-        t = rj.make_trig_poly(1, {1: 1e308, -1: 1e308}, auto_symmetrize=True)
-        assert t.as_dict() == {(-1,): 1e308, (1,): 1e308}
-
-    def test_auto_symmetrize_matches_dict_reference(self):
-        """The Hermitian part, taken on arrays, has the bytes of the per-key
-        dict computation, signed zeros included (``-0.25j`` has real part -0.0;
-        an explicit ``-0.0`` at -k adds its sign)."""
-        maps = [
-            (1, {1: -0.25j}),
-            (1, {1: -0.25j, -1: -0.0}),
-            (1, {1: complex(2.0, -0.0), -1: -1.0}),  # the product with 0.5 gives imaginary part +0.0
-            (1, {1: 0.5, -1: 0.5, 4: -0.25j, -4: 0.25j, 0: -1.0}),
-            (2, {(1, 1): 1 - 1j, (0, 2): -0.5, (0, -2): 0.25j, (-1, 0): complex(-0.0, 0.0)}),
-            (3, {(1, -2, 3): 0.3 + 0.1j, (0, 0, 1): 2.0, (0, 0, 0): 0.0}),
-        ]
-        for d, cmap in maps:
-            keys = {tuple(k) if isinstance(k, tuple) else (k,): complex(c) for k, c in cmap.items()}
-            sym = {}
-            for k in set(keys) | {tuple(-x for x in k) for k in keys}:
-                sym[k] = 0.5 * (keys.get(k, 0j) + keys.get(tuple(-x for x in k), 0j).conjugate())
-            got = rj.make_trig_poly(d, cmap, auto_symmetrize=True)
-            want = target_from_dict(d, sym, math.inf)
-            assert np.array_equal(got.modes, want.modes)
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            rj.make_trig_poly(1, {1: 0.5, -1: 0.5, (1,): 0.25})
 
 
 def decay_target_by_dict(d, s, k_max, seed):
@@ -335,6 +302,22 @@ class TestSerialization:
     @pytest.mark.parametrize("header,key", [("r=2", "d="), ("d=1", "r=")])
     def test_missing_header_key_named(self, header, key):
         with pytest.raises(ValueError, match=key):
+            loads_target(f"{header}\n0 1 0\n")
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ("d=1 r=2 junk", "item 'junk' is not key=value"),
+            ("d=1 r=2 s=3", "item 's=3' is not key=value with a known key"),
+            ("d=1 r=2 =3", "item '=3' is not key=value"),
+            ("d=1 r=2 r=5", "repeats r="),
+            ("d=1 d=1 r=2", "repeats d="),
+        ],
+    )
+    def test_rejects_malformed_header_item(self, header, named):
+        """An item without = used to raise dict()'s own message, an unknown
+        key was dropped and a repeated key kept its last value."""
+        with pytest.raises(ValueError, match=f"target header {named}"):
             loads_target(f"{header}\n0 1 0\n")
 
 
