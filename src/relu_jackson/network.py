@@ -107,14 +107,15 @@ class ShallowNetwork:
 def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     """Sum of beta * relu(alpha . x - bias) at one point (d,) or a batch (n, d).
 
-    Two exact paths, chosen from the input alone.  The points are grouped
-    into lines that share their first d - 1 coordinates; with P points, L
-    lines and U units the line path costs about ``(L*U + P) * log2(U)``
-    against ``P*U`` for the dense path.  The line path runs when it is the
-    cheaper one and the points form a tensor set: every line holds the same
-    sorted values t of the last coordinate.  Cube grids, shuffled or not,
-    take the line path; a handful of points, scattered points in d >= 2 and
-    any other point set take the dense one.
+    Two exact paths, chosen from the input alone.  The line path reads the
+    points as lines that share their first d - 1 coordinates, in the order
+    ``EvaluationGrid.points()`` lists them (C order): the points run line
+    by line, every line has the same length and holds the same
+    non-decreasing values t of the last coordinate.  With P points, L lines
+    and U units it costs about ``(L*U + P) * log2(U)`` against ``P*U`` for
+    the dense path, and it runs when it is the cheaper one.  A handful of
+    points, scattered points in d >= 2 and any other point set, a shuffled
+    grid or one with a descending axis included, take the dense path.
 
     - Dense: units are reduced in storage order through fixed-size blocks.
     - Lines: along a line the network is piecewise linear in the last
@@ -137,15 +138,11 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != net.d:
         raise ValueError(f"points must have dimension {net.d}")
-    out = None
-    if _line_path_pays(net.unit_count, pts.shape[0], 1):  # one line is its cheapest case
-        order, starts = _line_groups(pts)
-        if _line_path_pays(net.unit_count, pts.shape[0], len(starts)):
-            t = _shared_line_axis(pts, order, starts)
-            if t is not None:
-                out = np.empty(pts.shape[0])
-                out[order] = _evaluate_lines(net.units, pts[order[starts], :-1], t).ravel()
-    if out is None:
+    # one line is the line path's cheapest case; if even that does not pay, skip the layout check
+    lines = _line_layout(pts) if _line_path_pays(net.unit_count, pts.shape[0], 1) else None
+    if lines is not None and _line_path_pays(net.unit_count, pts.shape[0], lines[0].shape[0]):
+        out = _evaluate_lines(net.units, *lines).ravel()
+    else:
         out = _evaluate_dense(net.units, pts)
     return float(out[0]) if single else out
 
@@ -155,22 +152,17 @@ def _line_path_pays(units: int, points: int, lines: int) -> bool:
     return units > 0 and (lines * units + points) * math.log2(max(units, 2)) < points * units
 
 
-def _line_groups(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point order by all coordinates, last fastest, and each line's start in it."""
-    order = np.lexsort(pts.T[::-1])
-    rest = pts[order, :-1]
-    new_line = np.any(rest[1:] != rest[:-1], axis=1)
-    return order, np.flatnonzero(np.concatenate(([True], new_line)))
-
-
-def _shared_line_axis(pts: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
-    """The sorted t every line holds, or None when the points are not a tensor set."""
-    lines = len(starts)
-    length = pts.shape[0] // lines
-    if length * lines != pts.shape[0] or np.any(np.diff(starts) != length):
+def _line_layout(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(x_rest, t)`` when the points run line by line with one shared, non-decreasing t; else None."""
+    rest = pts[:, :-1]
+    breaks = np.flatnonzero(np.any(rest[1:] != rest[0], axis=1))
+    size = breaks[0] + 1 if breaks.size else pts.shape[0]  # the first line's length
+    if pts.shape[0] % size:
         return None
-    t = pts[order, -1].reshape(lines, length)
-    return t[0] if np.all(t == t[0]) else None
+    lines = pts.reshape(-1, size, pts.shape[1])
+    t = lines[0, :, -1]
+    shared_t = np.all(t[1:] >= t[:-1]) and np.all(lines[:, :, -1] == t)
+    return (lines[:, 0, :-1], t) if shared_t and np.all(lines[:, :, :-1] == lines[:, :1, :-1]) else None
 
 
 def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:

@@ -108,7 +108,6 @@ class SamplingDensity:
     """
 
     image: FourierTarget
-    modes: np.ndarray
     magnitudes: np.ndarray
     phases: np.ndarray
     l1: np.ndarray
@@ -118,12 +117,12 @@ class SamplingDensity:
     v: float
 
     def __post_init__(self):
-        for arr in (self.modes, self.magnitudes, self.phases, self.l1, self.omegas, self.alphas, self.masses):
+        for arr in (self.magnitudes, self.phases, self.l1, self.omegas, self.alphas, self.masses):
             arr.setflags(write=False)
 
     @property
     def mode_count(self) -> int:
-        return self.modes.shape[0]
+        return self.l1.shape[0]
 
     @property
     def is_degenerate(self) -> bool:
@@ -153,7 +152,7 @@ def build_density(image: FourierTarget) -> SamplingDensity:
     phases = np.angle(coeffs)
     l1 = np.abs(modes).sum(axis=1).astype(float)
     omegas = np.pi * l1
-    alphas = modes / (np.pi * l1[:, None]) if modes.shape[0] else np.zeros((0, image.d))
+    alphas = modes / (np.pi * l1[:, None])
     masses = np.zeros((2, modes.shape[0]))
     base = np.pi**2 * magnitudes * l1**2
     for zi, z in enumerate(_SIGNS):
@@ -161,7 +160,6 @@ def build_density(image: FourierTarget) -> SamplingDensity:
     v = math.fsum(float(x) for x in masses.ravel())
     return SamplingDensity(
         image=image,
-        modes=modes,
         magnitudes=magnitudes,
         phases=phases,
         l1=l1,

@@ -63,8 +63,6 @@ def variation(series: FourierTarget, q: float) -> float:
     """
     if q < 0:
         raise ValueError("weight order must be >= 0")
-    if series.mode_count == 0:
-        return 0.0
     l1 = np.abs(series.modes).sum(axis=1).astype(float)
     weights = l1**q  # 0^0 == 1 keeps q = 0 meaningful at k = 0
     terms = np.abs(series.coeffs) * weights
@@ -80,9 +78,9 @@ def shell_sums(target: FourierTarget, r: int, levels: int) -> np.ndarray:
     if levels < 0:
         raise ValueError("levels must be >= 0")
     sums = []
-    sup = np.abs(target.modes).max(axis=1) if target.mode_count else np.zeros(0)
-    l1 = np.abs(target.modes).sum(axis=1).astype(float) if target.mode_count else np.zeros(0)
-    terms = np.abs(target.coeffs) * l1**r if target.mode_count else np.zeros(0)
+    sup = np.abs(target.modes).max(axis=1)
+    l1 = np.abs(target.modes).sum(axis=1).astype(float)
+    terms = np.abs(target.coeffs) * l1**r
     for level in range(levels + 1):
         lo = 2 ** (level - 1)
         hi = 2**level

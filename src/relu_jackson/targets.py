@@ -119,6 +119,14 @@ def _key(k) -> tuple[int, ...]:
     return tuple(int(x) for x in k)
 
 
+def _frequencies(keys: list, d: int) -> np.ndarray:
+    """The keys as an (n, d) int64 array; each |k_j| must be below 2**63, so that -k fits as well."""
+    for key in keys:
+        if max(map(abs, key)) >= 2**63:
+            raise ValueError(f"frequency k={_key(key)} is out of range: each |k_j| must be below 2**63")
+    return np.array(keys, dtype=np.int64).reshape(len(keys), d)
+
+
 def _target(d: int, modes: np.ndarray, coeffs: np.ndarray, smoothness: float) -> FourierTarget:
     """The target with these rows, sorted lexicographically, exact zeros dropped.
 
@@ -161,7 +169,7 @@ def make_trig_poly(d: int, coeffs) -> FourierTarget:
     keys = [_key((k,) if np.isscalar(k) else k) for k in coeffs]
     if any(len(key) != d for key in keys):
         raise ValueError(f"frequency {next(k for k in keys if len(k) != d)} does not have dimension {d}")
-    modes = np.array(keys, dtype=np.int64).reshape(len(keys), d)
+    modes = _frequencies(keys, d)
     values = np.array([complex(c) for c in coeffs.values()], dtype=np.complex128)
     target = _target(d, modes, values, SMOOTHNESS_UNLIMITED)  # also rejects bad rows
     _require_hermitian(modes, values, "coefficient map is")
@@ -229,11 +237,8 @@ def evaluate(target: FourierTarget, x) -> float | np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != target.d:
         raise ValueError(f"points must have dimension {target.d}")
-    if target.mode_count == 0:
-        vals = np.zeros(pts.shape[0])
-    else:
-        phase = np.einsum("pd,md->pm", pts, target.modes.astype(float))
-        vals = np.einsum("pm,m->p", np.exp(1j * phase), target.coeffs).real
+    phase = np.einsum("pd,md->pm", pts, target.modes.astype(float))
+    vals = np.einsum("pm,m->p", np.exp(1j * phase), target.coeffs).real
     return float(vals[0]) if single else vals
 
 
@@ -311,8 +316,6 @@ def holder_norm(target: FourierTarget, r: int, grid: EvaluationGrid) -> float:
     if r < 0:
         raise ValueError("derivative order must be >= 0")
     _require_resolved(target, grid)
-    if target.mode_count == 0:
-        return 0.0
     best = 0.0
     kf = target.modes.astype(float)
     for alpha in multi_indices(target.d, r):
@@ -350,7 +353,8 @@ def _read_header(line: str, keys: dict, what: str) -> dict:
     finite when ``parse`` is ``float`` and that is not below ``floor``
     (``None``: no floor).  A ``ValueError`` names the first item that breaks
     a rule, or else the first missing required key; a value that a parser
-    other than ``float`` rejects is reported as not an integer.
+    other than ``float`` rejects is reported as not an integer, and one that
+    overflows a float (an ``r`` of 400 digits) as beyond the float range.
     """
     header = {}
     for item in line.split():
@@ -365,6 +369,8 @@ def _read_header(line: str, keys: dict, what: str) -> dict:
         except ValueError:
             kind = "a number" if parse is float else "an integer"
             raise ValueError(f"{what} header has {item}; it must be {kind}") from None
+        except OverflowError:
+            raise ValueError(f"{what} header has {key}= beyond the float range") from None
         if parse is float and not math.isfinite(value):
             raise ValueError(f"{what} header has non-finite {item}")
         if floor is not None and value < floor:
@@ -395,7 +401,7 @@ def loads_target(text: str) -> FourierTarget:
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d + 2:
             raise ValueError(f"bad coefficient line: {ln!r}")
-    modes = np.array([[int(p) for p in parts[:d]] for parts in rows], dtype=np.int64).reshape(len(rows), d)
+    modes = _frequencies([[int(p) for p in parts[:d]] for parts in rows], d)
     values = np.array([[float(p) for p in parts[d:]] for parts in rows]).reshape(len(rows), 2)
     coeffs = values.view(np.complex128).ravel()
     target = _target(d, modes, coeffs, header["r"])

@@ -13,9 +13,8 @@ from relu_jackson.network import (
     Units,
     _CELL_BLOCK,
     _evaluate_dense,
-    _line_groups,
+    _line_layout,
     _line_path_pays,
-    _shared_line_axis,
     audit,
     certified_sup_error,
     dumps_network,
@@ -114,19 +113,32 @@ def rounding_scale(net):
     return float(np.sum(np.abs(u.betas) * (np.abs(u.alphas).sum(axis=1) + np.abs(u.biases))))
 
 
+def assert_grid_layout(pts, grid):
+    """The layout check reads the grid in C order: the lines' first d - 1 coordinates, then the axis."""
+    x_rest, t = _line_layout(pts)
+    assert t.tolist() == grid.axis().tolist()
+    assert x_rest.tolist() == pts[:: grid.points_per_axis, :-1].tolist()
+
+
 class TestLinePath:
     @pytest.mark.parametrize("d, per_axis", [(1, 257), (2, 17), (3, 17)])
     def test_matches_dense_on_shuffled_grid(self, d, per_axis):
+        # the grid in C order takes the line path; shuffled, it takes the dense one
         rng = np.random.default_rng(40 + d)
         net = line_test_net(d, rng)
-        pts = rj.EvaluationGrid(d, per_axis, rj.CUBE).points()
-        pts = pts[rng.permutation(pts.shape[0])]
+        grid = rj.EvaluationGrid(d, per_axis, rj.CUBE)
+        pts = grid.points()
         lines = per_axis ** (d - 1)
         assert _line_path_pays(net.unit_count, pts.shape[0], lines)
+        assert_grid_layout(pts, grid)
         got = evaluate(net, pts)
         ref = _evaluate_dense(net.units, pts)
         assert np.abs(got - ref).max() <= 1e-14 * rounding_scale(net)
         assert got.tobytes() == evaluate(net, pts).tobytes()
+        perm = rng.permutation(pts.shape[0])
+        shuffled = evaluate(net, pts[perm])
+        assert shuffled.tobytes() == _evaluate_dense(net.units, pts[perm]).tobytes()
+        assert np.abs(shuffled - got[perm]).max() <= 1e-14 * rounding_scale(net)
 
     def test_breakpoint_on_grid_point(self):
         # 2 relu(0.5 t) - 2 relu(-0.5 t) = t, both kinks on the grid point t = 0
@@ -139,13 +151,13 @@ class TestLinePath:
     def test_matches_dense_across_blocks(self, d):
         rng = np.random.default_rng(60 + d)
         net = line_test_net(d, rng, count=3000)
-        pts = rj.EvaluationGrid(d, 17, rj.CUBE).points()
-        pts = pts[rng.permutation(pts.shape[0])]
+        grid = rj.EvaluationGrid(d, 17, rj.CUBE)
+        pts = grid.points()
         lines = 17 ** (d - 1)
         step = _CELL_BLOCK // net.unit_count
         assert 1 < step < lines and lines % step  # several blocks, the last one partial
         assert _line_path_pays(net.unit_count, pts.shape[0], lines)
-        assert _shared_line_axis(pts, *_line_groups(pts)).tolist() == np.linspace(-1.0, 1.0, 17).tolist()
+        assert_grid_layout(pts, grid)
         got = evaluate(net, pts)
         ref = _evaluate_dense(net.units, pts)
         assert np.abs(got - ref).max() <= 1e-14 * rounding_scale(net)
@@ -180,11 +192,38 @@ class TestLinePath:
             pts = np.delete(pts, 40, axis=0)
         else:
             pts[pts[:, 0] == 0.5, 1] += 1e-3  # one line holds other t values
-        pts = pts[rng.permutation(pts.shape[0])]
+        assert _line_layout(pts) is None
         assert _line_path_pays(net.unit_count, pts.shape[0], 17)
         got = evaluate(net, pts)
         assert got.tobytes() == _evaluate_dense(net.units, pts).tobytes()
         assert got.tobytes() == evaluate(net, pts).tobytes()
+
+    @pytest.mark.parametrize("case", ["shuffled", "reversed_axis", "swapped_between_lines", "unsorted_d1"])
+    def test_other_point_orders_take_dense_path(self, case):
+        rng = np.random.default_rng(75)
+        d = 1 if case == "unsorted_d1" else 2
+        net = line_test_net(d, rng)
+        pts = rj.EvaluationGrid(d, 33, rj.CUBE).points()
+        if case == "shuffled":
+            pts = pts[rng.permutation(pts.shape[0])]
+        elif case == "reversed_axis":
+            pts[:, -1] = -pts[:, -1]  # t descends along every line
+        elif case == "swapped_between_lines":
+            pts[[3 * 33 + 5, 7 * 33 + 5]] = pts[[7 * 33 + 5, 3 * 33 + 5]]  # same t, two lines mixed
+        else:
+            pts[[3, 4]] = pts[[4, 3]]
+        assert _line_layout(pts) is None
+        assert _line_path_pays(net.unit_count, pts.shape[0], 33 ** (d - 1))
+        assert evaluate(net, pts).tobytes() == _evaluate_dense(net.units, pts).tobytes()
+
+    def test_lines_in_other_order_take_line_path(self):
+        # only each line's own t must ascend; the lines may come in any order
+        net = line_test_net(2, np.random.default_rng(76))
+        pts = rj.EvaluationGrid(2, 33, rj.CUBE).points()
+        reversed_lines = pts.reshape(33, 33, 2)[::-1].reshape(-1, 2)
+        assert _line_layout(reversed_lines)[1].tolist() == np.linspace(-1.0, 1.0, 33).tolist()
+        got = evaluate(net, reversed_lines)
+        assert got.tobytes() == evaluate(net, pts).reshape(33, 33)[::-1].tobytes()
 
     def test_empty_network_gives_zeros(self):
         net = ShallowNetwork(2, Units.empty(2))

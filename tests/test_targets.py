@@ -71,6 +71,26 @@ class TestMakeTrigPoly:
         with pytest.raises(ValueError, match=r"repeated frequency k=\(1,\)"):
             rj.make_trig_poly(1, {1: 0.5, -1: 0.5, (1,): 0.25})
 
+    @pytest.mark.parametrize(
+        "coeffs, named",
+        [
+            ({-(2**63): 1.0}, -(2**63)),
+            ({2**63: 1.0, -(2**63): 1.0}, 2**63),
+            ({0: 1.0, 10**20: 0.5, -(10**20): 0.5}, 10**20),
+        ],
+    )
+    def test_rejects_frequency_beyond_int64(self, coeffs, named):
+        """-2**63 used to pass as its own negation (int64 wraps), and 2**63
+        raised NumPy's OverflowError."""
+        with pytest.raises(ValueError, match=rf"frequency k=\({named},\) is out of range"):
+            rj.make_trig_poly(1, coeffs)
+
+    def test_largest_frequency_loads(self):
+        k = 2**63 - 1
+        t = rj.make_trig_poly(2, {(1, k): 0.5, (-1, -k): 0.5})
+        assert t.modes.tolist() == [[-1, -k], [1, k]]
+        assert loads_target(dumps_target(t)).modes.tolist() == t.modes.tolist()
+
 
 def decay_target_by_dict(d, s, k_max, seed):
     """Reference generator: one scalar phase draw per half-space mode in
@@ -290,6 +310,17 @@ class TestSerialization:
         """A repeated line used to overwrite the earlier one silently."""
         with pytest.raises(ValueError, match=r"k=\(1,\)"):
             loads_target("d=1 r=inf\n-1 0.5 0\n1 0.5 0\n0 1 0\n1 0.25 0\n")
+
+    @pytest.mark.parametrize("line", ["-9223372036854775808 1 0", "9223372036854775808 1 0", "99999999999999999999 1 0"])
+    def test_rejects_frequency_beyond_int64(self, line):
+        k = line.split()[0]
+        with pytest.raises(ValueError, match=rf"frequency k=\({k},\) is out of range"):
+            loads_target(f"d=1 r=2\n0 1 0\n{line}\n")
+
+    def test_rejects_order_beyond_float_range(self):
+        """Such an r used to raise OverflowError from the float conversion."""
+        with pytest.raises(ValueError, match="target header has r= beyond the float range"):
+            loads_target("d=1 r=" + "9" * 400 + "\n0 1 0\n")
 
     @pytest.mark.parametrize("header", ["d=1 r=2.5", "d=x r=2", "d=1.0 r=inf", "d=1 r=infinity"])
     def test_non_numeric_header_value_named(self, header):
