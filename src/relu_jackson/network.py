@@ -22,6 +22,7 @@ _ORIGINS = (ORIGIN_SAMPLED, ORIGIN_AFFINE)
 _POINT_BLOCK = 4096
 _UNIT_BLOCK = 2048
 _CELL_BLOCK = 32768  # lines x units per block of the line path
+_LIVE_MARGIN = 1e-9  # relative; see _live_on_box
 
 #: Ceiling on exact affine units: two for the linear part, one for the
 #: constant, as ``affine_units`` builds them.
@@ -128,7 +129,10 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       weight, from the end for a negative one) then gives each point the
       sums ``S_a`` and ``S_c`` over its active units, and its value is
       ``S_a * t + S_c``.  Units with a zero last weight add the constant
-      ``beta * max(c, 0)``.
+      ``beta * max(c, 0)``.  A unit with a nonzero last weight that is
+      inactive on the points' bounding box (``_live_on_box``) is skipped:
+      its breakpoint would land in an end bin that the cumulative sums
+      drop, so the output keeps the same bytes.
 
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
@@ -182,7 +186,9 @@ def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:
 def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Values (lines, len(t)) on the lines through x_rest (lines, d - 1), at the sorted t."""
     a_last = units.alphas[:, -1]
-    pos, neg, flat = (np.flatnonzero(m) for m in (a_last > 0.0, a_last < 0.0, a_last == 0.0))
+    # a dead +/- unit's breakpoint lies past the points' t, in a bin the cumulative sums drop
+    live = _live_on_box(units, np.append(x_rest.min(axis=0), t[0]), np.append(x_rest.max(axis=0), t[-1]))
+    pos, neg, flat = (np.flatnonzero(m) for m in (live & (a_last > 0.0), live & (a_last < 0.0), a_last == 0.0))
     # storage order within each group, so bincount adds units in that order
     perm = np.concatenate((pos, neg, flat))
     alphas, betas, biases = units.alphas[perm], units.betas[perm], units.biases[perm]
@@ -191,7 +197,7 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     size = len(t)
     bins = size + 1
     out = np.empty((x_rest.shape[0], size))
-    step = max(1, _CELL_BLOCK // len(perm))
+    step = max(1, _CELL_BLOCK // max(len(perm), 1))
     for l0 in range(0, x_rest.shape[0], step):
         xr = x_rest[l0 : l0 + step]
         n = xr.shape[0]
@@ -219,10 +225,28 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     return out
 
 
+def _live_on_box(units: Units, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the units that may be nonzero somewhere in the box with corners lo and hi (each (d,)).
+
+    A unit is left out only when its largest pre-activation over the box,
+    ``sum_j max(alpha_j lo_j, alpha_j hi_j) - bias``, is negative by more than
+    ``_LIVE_MARGIN`` times the size of its terms: far above rounding, so the
+    unit is zero at every point of the box however its value is computed.
+    """
+    a_lo, a_hi = units.alphas * lo, units.alphas * hi
+    reach = np.maximum(a_lo, a_hi).sum(axis=1)
+    scale = np.maximum(np.abs(a_lo), np.abs(a_hi)).sum(axis=1) + np.abs(units.biases)
+    return ~(reach < units.biases - _LIVE_MARGIN * scale)
+
+
+def _lipschitz_sum(alphas: np.ndarray, betas: np.ndarray) -> float:
+    terms = np.abs(betas) * np.abs(alphas).sum(axis=1)
+    return math.fsum(float(t) for t in terms)
+
+
 def lipschitz_bound(net: ShallowNetwork) -> float:
     """Upper bound on the sup-norm gradient: sum |beta| * |alpha|_1 (0.0 with no units)."""
-    terms = np.abs(net.units.betas) * np.abs(net.units.alphas).sum(axis=1)
-    return math.fsum(float(t) for t in terms)
+    return _lipschitz_sum(net.units.alphas, net.units.betas)
 
 
 def sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> float:
@@ -250,9 +274,16 @@ class ErrorCertificate:
 
 
 def certified_sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> ErrorCertificate:
+    """Bound on the sup-norm error over the whole cube, from the grid and both Lipschitz sums.
+
+    The network's sum runs over the units that ``_live_on_box`` keeps on the
+    cube; ``lipschitz_bound`` is the same sum over every unit.
+    """
     grid_max = sup_error(net, target, grid)
     lt = variation(target, 1)  # sum |c(k)| * |k|_1 bounds the target's gradient sup-norm
-    ln = lipschitz_bound(net)
+    u = net.units
+    live = _live_on_box(u, -np.ones(net.d), np.ones(net.d))  # the others are zero on the whole cube
+    ln = _lipschitz_sum(u.alphas[live], u.betas[live])
     bound = grid_max + (lt + ln) * grid.spacing * net.d / 2.0
     return ErrorCertificate(grid_max=grid_max, lipschitz_target=lt, lipschitz_network=ln, bound=bound)
 

@@ -26,6 +26,10 @@ DEFAULT_POINTS_PER_AXIS = {1: 4096, 2: 512, 3: 96}
 #: in every finite-order smoothness class.
 SMOOTHNESS_UNLIMITED = math.inf
 
+#: Largest dimension: ``grid_values`` holds a target on a d-axis array, and
+#: a NumPy array has at most 64 axes.
+MAX_DIMENSION = 64
+
 _HERMITIAN_TOL = 1e-12
 
 
@@ -120,10 +124,16 @@ def _key(k) -> tuple[int, ...]:
 
 
 def _frequencies(keys: list, d: int) -> np.ndarray:
-    """The keys as an (n, d) int64 array; each |k_j| must be below 2**63, so that -k fits as well."""
+    """The keys as an (n, d) int64 array.
+
+    Each |k|_1 must be below 2**62, so that -k and the int64 sums of |k_j|
+    fit as well.  d may not exceed ``MAX_DIMENSION``.
+    """
+    if d > MAX_DIMENSION:
+        raise ValueError(f"dimension d={d} is above {MAX_DIMENSION}, the most axes a grid of values can have")
     for key in keys:
-        if max(map(abs, key)) >= 2**63:
-            raise ValueError(f"frequency k={_key(key)} is out of range: each |k_j| must be below 2**63")
+        if sum(map(abs, key)) >= 2**62:
+            raise ValueError(f"frequency k={_key(key)} is out of range: |k|_1 must be below 2**62")
     return np.array(keys, dtype=np.int64).reshape(len(keys), d)
 
 

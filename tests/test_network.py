@@ -13,6 +13,7 @@ from relu_jackson.network import (
     Units,
     _CELL_BLOCK,
     _evaluate_dense,
+    _evaluate_lines,
     _line_layout,
     _line_path_pays,
     audit,
@@ -111,6 +112,36 @@ def rounding_scale(net):
     """sum |beta| (|alpha|_1 + |bias|): the size of the terms both paths add."""
     u = net.units
     return float(np.sum(np.abs(u.betas) * (np.abs(u.alphas).sum(axis=1) + np.abs(u.biases))))
+
+
+def pruning_test_net(d, rng, count=600):
+    """Sampled units shaped as ``construct`` makes them, |alpha|_1 = 1/pi and
+    bias in [0, 1], about two thirds of them zero on the cube, plus two
+    heavy units whose kink meets the grid corner (1, ..., 1) of a 17-point
+    axis: one through it, one past it by a relative 1e-10, below the
+    pruning margin.
+
+    Returns the network and the mask of the units built to be zero on the
+    cube with a nonzero last weight.
+    """
+    rows, dead = [], []
+    for i in range(count):
+        alpha = rng.normal(size=d)
+        if i % 7 == 0:
+            alpha[-1] = 0.0  # constant along every line
+        alpha /= np.pi * np.abs(alpha).sum()
+        bias = rng.random()
+        rows.append((alpha, rng.normal(), bias, ORIGIN_SAMPLED))
+        dead.append(bias > 1.001 / np.pi and alpha[-1] != 0.0)
+    corner = np.full(d, 0.125)
+    for bias in (0.125 * d, 0.125 * d * (1.0 - 1e-10)):
+        rows.append((corner, 1e3, bias, ORIGIN_SAMPLED))
+        dead.append(False)
+    return simple_net(rows, d=d), np.array(dead)
+
+
+def keep_units(units, mask):
+    return Units(units.alphas[mask], units.betas[mask], units.biases[mask], units.origins[mask])
 
 
 def assert_grid_layout(pts, grid):
@@ -225,6 +256,35 @@ class TestLinePath:
         got = evaluate(net, reversed_lines)
         assert got.tobytes() == evaluate(net, pts).reshape(33, 33)[::-1].tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_skips_units_zero_on_the_points(self, d):
+        # left out of the +/- groups, a dead unit changes no kept bin: the bytes stay those of the net without it
+        net, dead = pruning_test_net(d, np.random.default_rng(80 + d))
+        assert 0.5 < dead.mean() < 0.8 and np.sum(net.units.alphas[:, -1] == 0.0) > 50
+        pts = rj.EvaluationGrid(d, 17, rj.CUBE).points()
+        x_rest, t = _line_layout(pts)
+        assert _line_path_pays(net.unit_count, pts.shape[0], x_rest.shape[0])
+        got = evaluate(net, pts)
+        live = keep_units(net.units, ~dead)
+        # two far lines widen the box so that no flat unit is left out; a line's values do not depend on the others
+        far = np.array([[-10.0] * (d - 1), [10.0] * (d - 1)])
+        assert got.tobytes() == _evaluate_lines(live, np.vstack([x_rest, far]), t)[:-2].tobytes()
+        ref = _evaluate_dense(net.units, pts)
+        assert np.abs(got - ref).max() <= 1e-14 * rounding_scale(net)
+        assert 1e3 * 0.125 * d * 1e-10 > 100 * 1e-14 * rounding_scale(net)  # the unit past the corner counts
+
+    @pytest.mark.parametrize("scale", [3.0, 0.25])
+    def test_box_comes_from_the_points(self, scale):
+        # beyond the cube the dead units come alive; inside it more units are dead
+        net, dead = pruning_test_net(2, np.random.default_rng(85))
+        pts = rj.EvaluationGrid(2, 17, rj.CUBE).points() * scale
+        assert _line_layout(pts) is not None
+        got = evaluate(net, pts)
+        ref = _evaluate_dense(net.units, pts)
+        assert np.abs(got - ref).max() <= 1e-14 * rounding_scale(net) * scale
+        without_dead = _evaluate_dense(keep_units(net.units, ~dead), pts)
+        assert bool(np.abs(without_dead - ref).max() > 0.1) is (scale > 1.0)
+
     def test_empty_network_gives_zeros(self):
         net = ShallowNetwork(2, Units.empty(2))
         pts = rj.EvaluationGrid(2, 17, rj.CUBE).points()
@@ -288,6 +348,21 @@ class TestLipschitz:
         cert = certified_sup_error(net, cos_target, rj.default_grid(1, rj.CUBE))
         assert cert.bound >= cert.grid_max
         assert cert.bound <= cert.grid_max + (cert.lipschitz_target + cert.lipschitz_network)
+
+    def test_certificate_sums_units_live_on_the_cube(self, corpus):
+        target = dict(corpus)["decay2"]
+        net = rj.construct(target, 2, 256, seed=1)
+        grid = rj.EvaluationGrid(2, 33, rj.CUBE)
+        cert = certified_sup_error(net, target, grid)
+        u = net.units
+        norms = np.abs(u.alphas).sum(axis=1)
+        live = u.biases <= norms  # sum_j max(-alpha_j, alpha_j) = |alpha|_1 on the cube
+        assert 0.2 < live.mean() < 0.5
+        assert cert.lipschitz_network == pytest.approx(np.sum(np.abs(u.betas[live]) * norms[live]), rel=1e-12)
+        assert cert.lipschitz_network < 0.6 * lipschitz_bound(net)
+        pts = np.random.default_rng(2000).uniform(-1.0, 1.0, size=(2000, 2))
+        for x in (pts, grid.points()):
+            assert np.abs(rj.evaluate(target, x) - evaluate(net, x)).max() <= cert.bound
 
 
 class TestAudit:

@@ -6,6 +6,7 @@ import pytest
 
 import relu_jackson as rj
 from relu_jackson.targets import (
+    MAX_DIMENSION,
     EvaluationGrid,
     dumps_target,
     imag_residual_on_grid,
@@ -86,10 +87,23 @@ class TestMakeTrigPoly:
             rj.make_trig_poly(1, coeffs)
 
     def test_largest_frequency_loads(self):
-        k = 2**63 - 1
+        k = 2**62 - 2  # |k|_1 = 2**62 - 1
         t = rj.make_trig_poly(2, {(1, k): 0.5, (-1, -k): 0.5})
         assert t.modes.tolist() == [[-1, -k], [1, k]]
         assert loads_target(dumps_target(t)).modes.tolist() == t.modes.tolist()
+        assert rj.variation(t, 1) == float(2**62 - 1)
+
+    @pytest.mark.parametrize("k", [(2**62, 2**62), (2**62 - 1, 1), (2**61, -(2**61))])
+    def test_rejects_l1_norm_beyond_2_62(self, k):
+        """(2**62, 2**62) used to load with |k|_1 wrapped in int64: variation
+        was -9.2e18 and build_density dropped the mode."""
+        with pytest.raises(ValueError, match=rf"frequency k=\({k[0]}, {k[1]}\) is out of range"):
+            rj.make_trig_poly(2, {k: 0.5, tuple(-x for x in k): 0.5})
+
+    @pytest.mark.parametrize("d", [65, 10**400], ids=["65", "400_digits"])
+    def test_rejects_dimension_above_the_axis_limit(self, d):
+        with pytest.raises(ValueError, match=f"dimension d={d} is above {MAX_DIMENSION}"):
+            rj.make_trig_poly(d, {})
 
 
 def decay_target_by_dict(d, s, k_max, seed):
@@ -316,6 +330,23 @@ class TestSerialization:
         k = line.split()[0]
         with pytest.raises(ValueError, match=rf"frequency k=\({k},\) is out of range"):
             loads_target(f"d=1 r=2\n0 1 0\n{line}\n")
+
+    def test_rejects_l1_norm_beyond_2_62(self):
+        k = 2**62
+        with pytest.raises(ValueError, match=rf"frequency k=\({k}, {k}\) is out of range"):
+            loads_target(f"d=2 r=2\n0 0 1 0\n{k} {k} 0.5 0\n{-k} {-k} 0.5 0\n")
+
+    @pytest.mark.parametrize("frequencies", ["", "0 1 0\n"], ids=["no_frequency_line", "one_frequency_line"])
+    def test_rejects_huge_dimension(self, frequencies):
+        """With no frequency line this raised NumPy's "Maximum allowed
+        dimension exceeded"; a line still fails its field count first."""
+        text = "d=" + "9" * 400 + " r=1\n" + frequencies
+        match = "bad coefficient line" if frequencies else r"dimension d=9+ is above 64"
+        with pytest.raises(ValueError, match=match):
+            loads_target(text)
+
+    def test_largest_dimension_loads(self):
+        assert loads_target(f"d={MAX_DIMENSION} r=1\n").modes.shape == (0, MAX_DIMENSION)
 
     def test_rejects_order_beyond_float_range(self):
         """Such an r used to raise OverflowError from the float conversion."""
