@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import variation
-from .targets import CUBE, EvaluationGrid, FourierTarget, _fmt, _read_header, grid_values
+from .targets import CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _fmt, _read_header, grid_values
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
@@ -398,9 +398,9 @@ def audit(net: ShallowNetwork) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 #: The network@2 header keys in writing order, as ``(parse, floor, required)``
-#: for ``_read_header``; network@1 has only the required d, m, v and N.  No
-#: value below a floor comes from ``construct``.  Past d and m, each key is
-#: the ``NetworkMeta`` field of that name (N is ``bandwidth``).
+#: for ``_read_header``.  No value below a floor comes from ``construct``, and
+#: d may not exceed ``MAX_DIMENSION``.  Past d and m, each key is the
+#: ``NetworkMeta`` field of that name (N is ``bandwidth``).
 _NETWORK_HEADER = {
     "d": (int, 1, True), "m": (int, 0, True), "v": (float, 0.0, True), "N": (int, 1, True),
     "v2": (float, 0.0, False), "r": (int, 1, False), "seed": (int, 0, False), "m_requested": (int, 8, False),
@@ -430,19 +430,21 @@ def dumps_network(net: ShallowNetwork) -> str:
 
 
 def loads_network(text: str) -> ShallowNetwork:
-    """Parse a network@2 CSV, or a network@1 CSV, whose header has only d, m, v and N.
+    """Parse a network@2 CSV.
 
     Every number must be finite and every origin ``sampled`` or ``affine``:
     the audit checks only units with those tags.  Header items follow
     ``_NETWORK_HEADER``, and ``sampled_count`` must match the sampled rows.
     """
     lines = text.splitlines()
-    if len(lines) < 3 or lines[0] not in ("# schema=network@1", "# schema=network@2"):
+    if len(lines) < 3 or lines[0] != "# schema=network@2":
         raise ValueError("not a network CSV")
     if not lines[1].startswith("# "):
         raise ValueError(f"network header line {lines[1]!r} does not start with '# '")
     header = _read_header(lines[1][2:], _NETWORK_HEADER, "network")
     d = header.pop("d")
+    if d > MAX_DIMENSION:
+        raise ValueError(f"network header has d={d}; it must be <= {MAX_DIMENSION}")
     m = header.pop("m")
     meta = NetworkMeta(bandwidth=header.pop("N"), **header)
     rows = [ln for ln in lines[3:] if ln]

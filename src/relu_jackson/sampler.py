@@ -307,8 +307,8 @@ def _bin_edges(delta: float) -> np.ndarray:
 def _cos_zero_shifts(z, omega, b):
     """Interior zeros of cos(z*omega*t + b) for t in (0, 1), per row.
 
-    Returns (row, t) with t ascending within each row for z > 0 and
-    descending for z < 0; callers sort.
+    Returns (row, t) with rows ascending and t ascending within each row:
+    the phase index n runs up for z > 0 and down for z < 0.
     """
     slope = z * omega
     phi0, phi1 = b, slope + b
@@ -318,7 +318,8 @@ def _cos_zero_shifts(z, omega, b):
     counts = np.maximum(n1 - n0 + 1.0, 0.0).astype(np.int64)
     row = np.repeat(np.arange(z.shape[0]), counts)
     starts = np.cumsum(counts) - counts
-    n = n0[row] + (np.arange(row.shape[0]) - starts[row])
+    step = np.arange(row.shape[0]) - starts[row]
+    n = np.where(slope[row] > 0.0, n0[row] + step, n1[row] - step)
     ts = (math.pi / 2.0 + math.pi * n - b[row]) / slope[row]
     inside = (ts > 0.0) & (ts < 1.0)
     return row[inside], ts[inside]
@@ -332,8 +333,10 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     alpha_k to the delta grid; and the atom sign s, with every shift bin
     additionally split at the zeros of cos(z w t + b) so s is constant per
     atom.  Each nonempty stratum draws ceil(m' * share) samples, with
-    m' = ceil(m / 4).  Strata are ordered by (z, bin, cell, s); the pieces
-    of a stratum by frequency, then by shift.
+    m' = ceil(m / 4).  Strata are ordered by (z, bin, cell, s), cells
+    lexicographically; the pieces of a stratum by frequency, then by shift.
+    Each row's cut points are merged, not sorted, and the strata come from
+    one stable sort of a single integer stratum key.
     """
     if density.is_degenerate:
         raise ValueError("empty density: the image has no oscillatory modes")
@@ -346,39 +349,52 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     cells = np.floor(density.alphas / delta).astype(np.int64)
 
     # One row per (sign z, frequency), z-major; each row's shift range [0, 1]
-    # is cut at the bin edges and at the zeros of cos.
+    # is cut at the bin edges, which every row shares, and at its zeros of
+    # cos.  Both lists are ascending, so a zero's slot is the number of cut
+    # points before it: the edges of the rows before its own, the edges at
+    # or below it, and the zeros before it; the edges fill the other slots.
+    # A zero equal to an edge makes an empty piece, whose mass is exactly 0,
+    # so the mass filter below drops it.
     modes = density.mode_count
     row_mode = np.tile(np.arange(modes), len(_SIGNS))
     row_z = np.repeat(_SIGNS, modes)
     row_omega = density.omegas[row_mode]
     row_b = density.phases[row_mode]
     zero_row, zero_t = _cos_zero_shifts(row_z, row_omega, row_b)
-    row = np.concatenate([np.repeat(np.arange(row_z.shape[0]), edges.shape[0]), zero_row])
-    bound = np.concatenate([np.tile(edges, row_z.shape[0]), zero_t])
-    order = np.lexsort((bound, row))
-    row, bound = row[order], bound[order]
-    fresh = np.ones(row.shape[0], dtype=bool)
-    fresh[1:] = (row[1:] != row[:-1]) | (bound[1:] != bound[:-1])
-    row, bound = row[fresh], bound[fresh]
-    same_row = row[1:] == row[:-1]
-    row, lo, hi = row[:-1][same_row], bound[:-1][same_row], bound[1:][same_row]
+    rows, n_edges, n_zeros = row_z.shape[0], edges.shape[0], zero_t.shape[0]
+    zero_slot = zero_row * n_edges + np.searchsorted(edges, zero_t, side="right") + np.arange(n_zeros)
+    edge_slot = np.ones(rows * n_edges + n_zeros, dtype=bool)
+    edge_slot[zero_slot] = False
+    bound = np.empty(edge_slot.shape[0])
+    bound[zero_slot] = zero_t
+    bound[edge_slot] = np.tile(edges, rows)
+    row = np.repeat(np.arange(rows), np.bincount(zero_row, minlength=rows) + n_edges)
 
-    z, mode = row_z[row], row_mode[row]
-    omega, b = row_omega[row], row_b[row]
-    mid = 0.5 * (lo + hi)
-    sign = -np.sign(np.cos(z * omega * mid + b))
+    # The |cos| primitive once per cut point; a piece's mass is the rise of
+    # the primitive over it, divided by the phase slope.
+    row_slope = row_z * row_omega
+    primitive = _abs_cos_primitive(row_slope[row] * bound + row_b[row])
+    piece = np.flatnonzero(row[1:] == row[:-1])
+    row, lo, hi = row[piece], bound[piece], bound[piece + 1]
+    z, mode, slope, b = row_z[row], row_mode[row], row_slope[row], row_b[row]
+    sign = -np.sign(np.cos(slope * (0.5 * (lo + hi)) + b))
     base = np.pi**2 * density.magnitudes[mode] * density.l1[mode] ** 2
-    mass = base * _interval_abs_cos_integral(z, omega, b, lo, hi)
+    mass = base * ((primitive[piece + 1] - primitive[piece]) / slope)
     bins = np.searchsorted(edges, lo, side="right") - 1
 
-    # A stable sort by the stratum key (z, bin, cell, s) keeps the
-    # (frequency, shift) order of the pieces inside each stratum.
+    # Strata in (z, bin, cell, s) order: one integer key per piece, with the
+    # direction cells ranked lexicographically (so the key stays below
+    # 4 * n_edges * modes at any d), and a stable sort that keeps the
+    # (frequency, shift) order of the pieces inside each stratum.  NumPy
+    # 2.0.0 returns the inverse of an axis-0 unique as a column.
+    unique_cells, cell_rank = np.unique(cells, axis=0, return_inverse=True)
+    cell_rank = cell_rank.reshape(-1)[mode]
+    key = (((z > 0.0) * n_edges + bins) * unique_cells.shape[0] + cell_rank) * 2 + (sign > 0.0)
     kept = np.flatnonzero((sign != 0.0) & (mass > 0.0))
-    key = np.column_stack([z[kept], bins[kept], cells[mode[kept]], sign[kept]])
-    perm = np.lexsort(key.T[::-1])
-    order, key = kept[perm], key[perm]
+    order = kept[np.argsort(key[kept], kind="stable")]
+    key = key[order]
     first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
     ptr = np.append(starts, order.shape[0])
 
@@ -411,10 +427,10 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
         piece_hi=hi[order],
         piece_mass=piece_mass,
         cum=piece_stratum + within,
-        z=key[starts, 0],
+        z=z[order[starts]],
         bin_index=bins[order[starts]],
         cell=cells[mode[order[starts]]],
-        sign=key[starts, -1],
+        sign=sign[order[starts]],
         mass=stratum_mass,
         share=share,
         target_count=target_count,

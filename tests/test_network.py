@@ -25,6 +25,7 @@ from relu_jackson.network import (
     sup_error,
 )
 from relu_jackson.spectral import variation
+from relu_jackson.targets import MAX_DIMENSION
 
 
 def simple_net(rows, d=1, meta=None):
@@ -469,8 +470,8 @@ class TestSerialization:
             assert audit(back) == audit(net), name
             assert audit(back).passed, name
 
-    def test_reads_network_v1(self):
-        net = loads_network("# schema=network@1\n# d=1 m=1 v=2 N=3\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
+    def test_reads_header_of_required_keys(self):
+        net = loads_network("# schema=network@2\n# d=1 m=1 v=2 N=3\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
         assert net.meta == NetworkMeta(v=2.0, bandwidth=3)
         assert dumps_network(net).splitlines()[:2] == ["# schema=network@2", "# d=1 m=1 v=2 N=3"]
 
@@ -484,11 +485,26 @@ class TestSerialization:
     def test_rejects_corrupt(self):
         with pytest.raises(ValueError):
             loads_network("not,a,network\n")
+        # network@1, last written before the audit fields existed, is no longer read.
+        with pytest.raises(ValueError, match="not a network CSV"):
+            loads_network("# schema=network@1\n# d=1 m=1 v=2 N=3\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
         with pytest.raises(ValueError):
-            loads_network("# schema=network@1\n# d=1 m=2 v=0 N=1\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
+            loads_network("# schema=network@2\n# d=1 m=2 v=0 N=1\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
         for d in (0, -1):
             with pytest.raises(ValueError, match=f"d={d}"):
                 loads_network(f"# schema=network@2\n# d={d} m=0 v=0 N=1\nbeta,bias,origin\n")
+
+    @pytest.mark.parametrize("d", [2**40, int("9" * 400)], ids=["2**40", "400_digits"])
+    def test_rejects_dimension_above_the_axis_limit(self, d):
+        """With no unit rows a 400-digit d raised NumPy's "Maximum allowed
+        dimension exceeded", and d=2**40 loaded a (0, 2**40) alphas array."""
+        with pytest.raises(ValueError, match=f"network header has d={d}; it must be <= {MAX_DIMENSION}"):
+            loads_network(f"# schema=network@2\n# d={d} m=0 v=0 N=1\nbeta,bias,origin\n")
+
+    def test_largest_dimension_loads(self):
+        columns = ",".join(f"alpha_{j + 1}" for j in range(MAX_DIMENSION))
+        net = loads_network(f"# schema=network@2\n# d={MAX_DIMENSION} m=0 v=0 N=1\n{columns},beta,bias,origin\n")
+        assert net.d == MAX_DIMENSION and net.units.alphas.shape == (0, MAX_DIMENSION)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("position", ["alpha", "beta", "bias", "v"])
@@ -569,7 +585,7 @@ class TestSerialization:
     def test_missing_header_key_named(self, key):
         fields = " ".join(f"{k}={val}" for k, val in (("d", 1), ("m", 1), ("v", 0), ("N", 1)) if k != key)
         with pytest.raises(ValueError, match=f"{key}="):
-            loads_network(f"# schema=network@1\n# {fields}\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
+            loads_network(f"# schema=network@2\n# {fields}\nalpha_1,beta,bias,origin\n0,1,0,sampled\n")
 
     @pytest.mark.parametrize(
         "header, named",
@@ -584,7 +600,7 @@ class TestSerialization:
         """An item without = used to raise dict()'s own message, an unknown
         key was dropped and a repeated key kept its last value (N=5 here)."""
         with pytest.raises(ValueError, match=f"network header {named}"):
-            loads_network(f"# schema=network@1\n# {header}\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
+            loads_network(f"# schema=network@2\n# {header}\nalpha_1,beta,bias,origin\n0.5,1,0.25,sampled\n")
 
     def test_rejects_misspelled_header_key(self, cos_target):
         """With strata_count misspelled the network used to load and pass the

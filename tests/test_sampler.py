@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from relu_jackson.network import ShallowNetwork, dumps_network
 from relu_jackson.network import evaluate as evaluate_network
 from relu_jackson.sampler import (
     _PLAIN_STREAM_TAG,
+    _cos_zero_shifts,
     _interval_abs_cos_integral,
     _invert_shift,
     affine_part,
@@ -148,9 +150,20 @@ class TestBuildStrata:
             checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize("name,n,m", [("cos", 4, 64), ("decay1", 12, 64), ("decay2", 4, 64), ("decay2", 8, 256)])
+    @pytest.mark.parametrize(
+        "name,n,m",
+        [
+            ("cos", 4, 64),
+            ("decay1", 12, 64),
+            ("decay2", 4, 64),
+            ("decay2", 8, 256),
+            ("decay1", 32, 1024),
+            ("decay3", 4, 256),
+        ],
+    )
     def test_matches_reference_loop(self, corpus, name, n, m):
-        dens = build_density(rj.apply_jackson(dict(corpus)[name], n, 2))
+        targets = dict(corpus, decay3=rj.make_decay_target(3, 3.2, 6, seed=5))
+        dens = build_density(rj.apply_jackson(targets[name], n, 2))
         plan = build_strata(dens, m)
         expected = _reference_strata(dens, m)
         assert plan.strata_count == len(expected)
@@ -173,6 +186,97 @@ class TestBuildStrata:
             cum = np.cumsum(st.piece_mass)
             assert np.abs(within - cum / cum[-1]).max() <= 1e-12
 
+    def test_zero_on_bin_edge_cuts_once(self, cos_image):
+        """cos(pi t) vanishes at t = 0.5, which is also the bin edge 4 delta
+        at m=64: each (sign, frequency) row is cut there once, and no piece
+        is empty."""
+        plan = build_strata(build_density(cos_image), 64)
+        assert plan.delta == 0.125 and 4 * plan.delta == 0.5
+        assert np.all(plan.piece_hi > plan.piece_lo)
+        z = np.repeat(plan.z, np.diff(plan.ptr))
+        for zv in (-1.0, 1.0):
+            for mode in range(2):
+                mine = (z == zv) & (plan.piece_mode == mode)
+                bounds = np.concatenate([plan.piece_lo[mine], plan.piece_hi[mine]])
+                assert np.count_nonzero(plan.piece_lo[mine] == 0.5) == 1
+                assert np.count_nonzero(plan.piece_hi[mine] == 0.5) == 1
+                assert np.array_equal(np.unique(bounds), np.arange(9) / 8)
+
+    # sha256 of each plan array (dtype, shape, then bytes), recorded on
+    # x86-64 with NumPy 2.4: any change of a plan byte, such as a reordering
+    # of strata or pieces, fails here.  The float arrays also depend on
+    # NumPy's float64 cos and sin.
+    PLAN_DIGESTS = {
+        "decay1": {
+            "ptr": "1a02a554ae512b6ad03a7025b8502289f4266974a84462581d9e02a18d0f7fb8",
+            "piece_mode": "941980c8f32fa9d71e29d24e5b888fb7e344a275f047cef05b8245ec0c46c547",
+            "piece_lo": "725708e31d1d2bd1bb8315bedb4d0bc1d259d9f9c9d5a5065098ab2127efd26d",
+            "piece_hi": "577998ec5b3a20f19f0b2d2be62b5a60d5a370021a3137636c1f9c7c20a1d0cc",
+            "piece_mass": "cbf22948cfc256b736555048e449ddfc16a712b583e7110a4fbde3426a037636",
+            "cum": "b95606b17b4b23794601bcaa6a847d74aa4ba379025c0e2d94d0a65cb1c10347",
+            "z": "6d71d818bfcc2d641ce1993cad8e8d7bbe614e8cef6a3e050285e67f25f92cce",
+            "bin_index": "af3a291d30c54cac3929e3fbed19366b0929ea3368f8fd64336413c26b5384ff",
+            "cell": "2509a9b672acd8f7ebe74df142fce2ccce136284707d16e9260c08987a55adb1",
+            "sign": "8f9b82f76501c8d3623205d937df82d4014c2ace3996688a1d8dab8a9fb90185",
+            "mass": "d7aa6092d1ebaef07b28b26a2e6f7fddb0503bce88e33d23fb969fde4b42fd83",
+            "share": "ba3ad67b40417bf2d90de8a12ad45eb4b7b9bafe7d84ed289db69320ce9c4c4c",
+            "target_count": "f76aafe252ea50d4d4e126a4b11a428aa39a33fa31adcfc476117a8af1ebeae5",
+            "count": "549e48cd38aa71628b46e5dd5ec0dccd949feda1e4353ddf6624f56de1e8ae1a",
+        },
+        "decay2": {
+            "ptr": "63c3cb66137494c92874b3d37fe14c53f5f1974f64d16f08d5f81fd7c6420364",
+            "piece_mode": "9701173f3d8d777690a0229906a8cbe29103c58431a60740eb8e8ca63601d672",
+            "piece_lo": "5968ab5af50f1b2711574813c94f9c0999735953c484d25d34c19917fb303c1d",
+            "piece_hi": "fc3a64795129ab5425b95b0a3a2c892537e94ce925b7cfbad7571bb5f544d798",
+            "piece_mass": "eeca49364562822645b03907129d6ffab5e7c0658bd5692ca62e614d803c1319",
+            "cum": "9d392dce3346ea32bd00be8b39ef1fd8778d999caa0467e9d2f5be053ffa5bde",
+            "z": "bcf8e52350de0dac0e6df166eea25d69e0a74e0790e25158b2dbc5b5ad486be0",
+            "bin_index": "5dcf0dad060d7833c27ab5d1bb876a5704365d23ff80924924cb259e4e840b8d",
+            "cell": "9ff16f85e277f857a94a1b4d8a4a41b6b141cbcc7aa11cf8bc1997787b8e5704",
+            "sign": "9586327f154f8077456b28d71f606f46d627cd06c7b20316a6e8a918c33e573b",
+            "mass": "877debe851baba1dcd9c60e10f8a5fc7fb05433bca3750ac0affad416480e969",
+            "share": "caf5ed376abcbce5f462ddf137b3e7f275eb9be736c3d204ba4723597869652d",
+            "target_count": "43cadd3c44e0d141dfaf8592c777464b68a8473ea45ce0c8bebc991c351e2651",
+            "count": "d92bbb72bc78ef9a105c5d076ea991462d67b504daf6fb07da12608b17873e88",
+        },
+        "decay3": {
+            "ptr": "e09ddbdbb108c4e12c21693a39f331c45c6e0db41091a25cf81d645224db66cc",
+            "piece_mode": "ffada2227a21d59f70b3960613e1825c6e16492e77dcda9640bd5004a6f35b47",
+            "piece_lo": "fa04cc6620481fae5e75beef46d71ecdbb0016dbf6ba6dc2122a0333bc4eaa0b",
+            "piece_hi": "8d777c065c45745cbbdb032df6e66850d1af3a5765cc0893965cf7952b10c6b2",
+            "piece_mass": "7263c0baaa5f0f35f842ceb053de583dbffb896425692d8ed701e68e80251726",
+            "cum": "a6d7da2f8ada57693d22edf7b9b4910068509547dc5dc09639f86f7b84650c8a",
+            "z": "04a8f0ffd97329ed2ccbbd25a14c3d43c6079ebfc8b63a736c1844eda2933bcb",
+            "bin_index": "d9626ca304a03e53de877b5c93940bac61734158f5cef8a7847b248830536a6d",
+            "cell": "d035c2e0ecfb742017635c9656002f1ff6f2cd889c7504fd6a7f6367171acc15",
+            "sign": "9cf996c12c16c78932e89467d8293b962d4183b888fdd40319c8eb1323ebf72d",
+            "mass": "56e2107a62ad5d9af654eae437962800a5cb201dbea21754863389bf0a12bd75",
+            "share": "145d6c867c586361b421bf6ee82ac3f9618e41ae195693c0b235e68a8be774e9",
+            "target_count": "c882c9b0139f9041adadad1fad3696fe966d96592347be0a330cc7858fd9b381",
+            "count": "2cfe512895bbd812c49a99c5f782ac8cb56847a3c9f35e91860be5cb8213a3f4",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "name, target, m, n",
+        [
+            ("decay1", (1, 3.2, 16, 11), 4096, 512),
+            ("decay2", (2, 4.2, 8, 7), 4096, 64),
+            ("decay3", (3, 3.2, 6, 5), 4096, None),
+        ],
+        ids=["decay1", "decay2", "decay3"],
+    )
+    def test_plan_bytes_pinned(self, name, target, m, n):
+        d, s, k_max, seed = target
+        t = rj.make_decay_target(d, s, k_max, seed=seed)
+        n = select_bandwidth(m, d, 2) if n is None else n
+        plan = build_strata(build_density(rj.apply_jackson(t, n, 2)), m)
+        digests = {}
+        for field in self.PLAN_DIGESTS[name]:
+            a = getattr(plan, field)
+            digests[field] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+        assert digests == self.PLAN_DIGESTS[name]
+
     def test_rejects(self, cos_image):
         dens = build_density(cos_image)
         with pytest.raises(ValueError):
@@ -180,6 +284,20 @@ class TestBuildStrata:
         degenerate = build_density(rj.apply_jackson(rj.make_trig_poly(1, {0: 1.0}), 4, 2))
         with pytest.raises(ValueError, match="empty density"):
             build_strata(degenerate, 64)
+
+
+def test_cos_zero_shifts_ascend_within_each_row():
+    """Zeros come out row by row with t ascending for both signs of z, so
+    ``build_strata`` can merge them into the bin edges without a sort."""
+    rng = np.random.default_rng(3)
+    omega = np.pi * rng.integers(1, 40, 50).astype(float)
+    b = rng.uniform(-np.pi, np.pi, 50)
+    z = np.repeat([-1.0, 1.0], 25)
+    row, t = _cos_zero_shifts(z, omega, b)
+    assert np.all(np.diff(row) >= 0)
+    assert np.all(np.diff(t)[np.diff(row) == 0] > 0.0)
+    assert np.all((t > 0.0) & (t < 1.0))
+    assert np.abs(np.cos(z[row] * omega[row] * t + b[row])).max() < 1e-12
 
 
 def _reference_strata(dens, m):
