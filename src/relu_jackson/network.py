@@ -123,16 +123,18 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       coordinate t.  All lines are evaluated together, in blocks of lines,
       with no sort: ``c = a_rest . x_rest - bias`` is summed coordinate by
       coordinate in index order, each unit's breakpoint is placed in its
-      bin among the shared t by one ``searchsorted``, and ``beta * a_last``
-      and ``beta * c`` are summed into the bins by ``bincount``, in unit
-      storage order.  A cumulative sum along t (forward for a positive last
-      weight, from the end for a negative one) then gives each point the
-      sums ``S_a`` and ``S_c`` over its active units, and its value is
-      ``S_a * t + S_c``.  Units with a zero last weight add the constant
-      ``beta * max(c, 0)``.  A unit with a nonzero last weight that is
-      inactive on the points' bounding box (``_live_on_box``) is skipped:
-      its breakpoint would land in an end bin that the cumulative sums
-      drop, so the output keeps the same bytes.
+      bin among the shared t by ``_sorted_bins`` (a guess as if t were
+      evenly spaced, checked exactly against the neighbouring t, and a
+      ``searchsorted`` of only the keys whose check fails), and
+      ``beta * a_last`` and ``beta * c`` are summed into the bins by
+      ``bincount``, in unit storage order.  A cumulative sum along t
+      (forward for a positive last weight, from the end for a negative one)
+      then gives each point the sums ``S_a`` and ``S_c`` over its active
+      units, and its value is ``S_a * t + S_c``.  Units with a zero last
+      weight add the constant ``beta * max(c, 0)``.  A unit with a nonzero
+      last weight that is inactive on the points' bounding box
+      (``_live_on_box``) is skipped: its breakpoint would land in an end
+      bin that the cumulative sums drop, so the output keeps the same bytes.
 
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
@@ -152,7 +154,12 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
 
 
 def _line_path_pays(units: int, points: int, lines: int) -> bool:
-    """Whether the line path's work, about (L*U + P) * log2(U), is below the dense P*U."""
+    """Whether the line path's work, about (L*U + P) * log2(U), is below the dense P*U.
+
+    The log2(U) factor prices a binary search per breakpoint, which
+    ``_sorted_bins`` replaces by an O(1) guess for most breakpoints; the rule
+    is kept as it is, so that no input changes path.
+    """
     return units > 0 and (lines * units + points) * math.log2(max(units, 2)) < points * units
 
 
@@ -196,6 +203,7 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     n_pos, n_neg = len(pos), len(neg)
     size = len(t)
     bins = size + 1
+    t_pad = np.concatenate(([-np.inf], t, [np.inf]))
     out = np.empty((x_rest.shape[0], size))
     step = max(1, _CELL_BLOCK // max(len(perm), 1))
     for l0 in range(0, x_rest.shape[0], step):
@@ -211,7 +219,7 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
         # a_last < 0: active for t < tau; bin k = #(t < tau), active at points ..k-1
         for lo, hi, side in ((0, n_pos, "right"), (n_pos, n_pos + n_neg, "left")):
             c_g = c[:, lo:hi]
-            k = np.searchsorted(t, -c_g / a[lo:hi], side=side)
+            k = _sorted_bins(t_pad, -c_g / a[lo:hi], side)
             k += base
             k = k.ravel()
             s_a = np.bincount(k, np.broadcast_to(beta_a[lo:hi], c_g.shape).ravel(), n * bins)
@@ -223,6 +231,41 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
         constant = np.sum(betas[n_pos + n_neg :] * np.maximum(c[:, n_pos + n_neg :], 0.0), axis=1)
         out[l0 : l0 + n] = slope * t + (offset + constant[:, None])
     return out
+
+
+def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(t, q, side)`` for a non-decreasing t, given as ``t_pad = [-inf, *t, inf]``.
+
+    Each key's bin k is guessed as if t were evenly spaced from ``t[0]`` to
+    ``t[-1]``, then checked against its neighbours ``t_pad[k]`` (t[k-1])
+    and ``t_pad[k+1]`` (t[k]): ``t_pad[k] <= q < t_pad[k+1]`` for
+    ``"right"``, ``t_pad[k] < q <= t_pad[k+1]`` for ``"left"``.  Only the
+    keys that fail the check are searched, so the bins are exact on any
+    non-decreasing t.  Keys are clipped to half a step beyond t before the
+    guess, so no guess overflows or leaves ``[0, len(t)]``.  A t too short,
+    flat or wide for an arithmetic guess is searched directly.
+    """
+    t = t_pad[1:-1]
+    size = len(t)
+    t0, t1 = float(t[0]), float(t[-1])
+    step = (t1 - t0) / (size - 1) if t0 < t1 else 0.0
+    inv = 1.0 / step if step > 0.0 else math.inf
+    lo, hi, origin = t0 - 0.5 * step, t1 + 0.5 * step, t0 - step
+    # rounding is monotone, so (hi - origin) * inv bounds every clipped key's guess
+    if not (hi - origin) * inv < size + 1:
+        return np.searchsorted(t, q, side=side)
+    guess = np.clip(q, lo, hi)
+    guess -= origin
+    guess *= inv  # its floor is the bin of an evenly spaced t
+    # a NaN key casts to any integer; the clipped gathers keep it in range, and it fails the check
+    with np.errstate(invalid="ignore"):
+        k = guess.astype(np.intp)
+    below, above = np.take(t_pad, k, mode="clip"), np.take(t_pad[1:], k, mode="clip")
+    ok = (below <= q) & (q < above) if side == "right" else (below < q) & (q <= above)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        k.flat[bad] = np.searchsorted(t, q.flat[bad], side=side)
+    return k
 
 
 def _live_on_box(units: Units, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

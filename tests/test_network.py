@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from relu_jackson.network import (
     _evaluate_lines,
     _line_layout,
     _line_path_pays,
+    _sorted_bins,
     audit,
     certified_sup_error,
     dumps_network,
@@ -292,6 +294,38 @@ class TestLinePath:
         assert not _line_path_pays(0, pts.shape[0], 17)
         assert evaluate(net, pts).tolist() == [0.0] * pts.shape[0]
 
+    #: sha256 of dtype, shape and bytes of ``evaluate`` on the default cube
+    #: grid times a scale, computed with one ``searchsorted`` per breakpoint:
+    #: guessed and checked bins must change no byte.
+    EVALUATE_DIGESTS = {
+        "decay2": "62c8af8c9182bf5230c9c3360bddb4584b0fc652c14fb700db5fa216f64fabc0",
+        "decay2_x3": "eb4f0d9e504c899371fd4dcd828acefb81a8a4630684013bb2a369405682b555",
+        "decay2_x0.25": "cfd57cafff7be1265a557298975db39197eeaae7988f3cf3a5b64f638eb32b5a",
+        "decay3": "a314dbcb2cec9550421b67c51460303530e3aa65a89418eedee0b4cd335b081e",
+        "decay1": "9e4cb8d73933e10dad05f972c3ee5993a29aff8250626f91bb391f86a8ed4688",
+    }
+
+    @pytest.mark.parametrize(
+        "name, target, seed, per_axis, scale",
+        [
+            ("decay2", (2, 4.2, 8, 7), 1, 129, 1.0),
+            ("decay2_x3", (2, 4.2, 8, 7), 1, 129, 3.0),
+            ("decay2_x0.25", (2, 4.2, 8, 7), 1, 129, 0.25),
+            ("decay3", (3, 3.2, 6, 5), 5, 33, 1.0),
+            ("decay1", (1, 3.2, 16, 11), 1, 4096, 1.0),
+        ],
+        ids=["decay2", "decay2_x3", "decay2_x0.25", "decay3", "decay1"],
+    )
+    def test_evaluate_bytes_pinned(self, name, target, seed, per_axis, scale):
+        d, s, k_max, target_seed = target
+        net = rj.construct(rj.make_decay_target(d, s, k_max, seed=target_seed), 2, 4096, seed)
+        pts = rj.default_grid(d, rj.CUBE, per_axis).points() * scale
+        assert _line_layout(pts) is not None
+        assert _line_path_pays(net.unit_count, pts.shape[0], per_axis ** (d - 1))
+        out = evaluate(net, pts)
+        digest = hashlib.sha256(f"{out.dtype.str}{out.shape}".encode() + out.tobytes()).hexdigest()
+        assert digest == self.EVALUATE_DIGESTS[name]
+
     @pytest.mark.parametrize(
         "units, points, lines, expected",
         [
@@ -304,6 +338,62 @@ class TestLinePath:
     )
     def test_path_choice(self, units, points, lines, expected):
         assert _line_path_pays(units, points, lines) is expected
+
+
+def padded(t):
+    return np.concatenate(([-np.inf], t, [np.inf]))
+
+
+#: Keys on every edge: signed zeros, infinities, the largest finite values,
+#: the smallest subnormals and NaN (``searchsorted`` puts it last).
+SPECIAL_KEYS = np.array([0.0, -0.0, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324, -5e-324, np.nan])
+
+
+class TestSortedBins:
+    """``_sorted_bins`` returns exactly ``np.searchsorted``; Tier-1 turns any warning into an error."""
+
+    @staticmethod
+    def assert_bins(t, q):
+        for side in ("left", "right"):
+            got = _sorted_bins(padded(t), q, side)
+            want = np.searchsorted(t, q, side=side)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tolist() == want.tolist(), side
+
+    @staticmethod
+    def edge_keys(t):
+        """Every t[j], its neighbours in float64 and the special keys."""
+        return np.concatenate((t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), SPECIAL_KEYS))
+
+    @pytest.mark.parametrize("size", [2, 17, 129, 4096])
+    def test_evenly_spaced(self, size):
+        rng = np.random.default_rng(size)
+        t = np.linspace(-1.0, 1.0, size)
+        self.assert_bins(t, rng.uniform(-1.5, 1.5, (40, 73)))
+        self.assert_bins(t, self.edge_keys(t))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.5, 1.0]),  # repeated values
+            np.geomspace(1e-3, 10.0, 60),  # most guesses miss
+            np.array([0.3]),
+            np.full(5, 0.3),  # constant
+            np.array([-0.0, 0.0]),
+            np.array([-np.inf, 0.0, 1.0]),
+            np.array([-1.7e308, 1.7e308]),  # the span overflows
+            np.array([-1.1e308, 0.0, 1.1e308]),
+            np.array([0.0, 5e-324, 1e-323]),  # the step's inverse overflows
+            1e16 + 2.0 * np.arange(3),  # half a step is below the spacing of t
+        ],
+        ids=["repeated", "geometric", "one", "constant", "signed_zeros", "infinite_end", "wide", "wider",
+             "subnormal", "coarse"],
+    )
+    def test_any_sorted_t(self, t):
+        rng = np.random.default_rng(7)
+        lo, hi = np.clip(t[[0, -1]], -10.0, 10.0)
+        self.assert_bins(t, lo - 1.0 + (hi - lo + 2.0) * rng.random((9, 31)))
+        self.assert_bins(t, self.edge_keys(t))
 
 
 class TestSupError:
