@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import variation
-from .targets import CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _fmt, _read_header, grid_values
+from .targets import CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _as_points, _fmt, _read_header, grid_values
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
@@ -127,23 +127,23 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       evenly spaced, checked exactly against the neighbouring t, and a
       ``searchsorted`` of only the keys whose check fails), and
       ``beta * a_last`` and ``beta * c`` are summed into the bins by
-      ``bincount``, in unit storage order.  A cumulative sum along t
-      (forward for a positive last weight, from the end for a negative one)
-      then gives each point the sums ``S_a`` and ``S_c`` over its active
-      units, and its value is ``S_a * t + S_c``.  Units with a zero last
-      weight add the constant ``beta * max(c, 0)``.  A unit with a nonzero
-      last weight that is inactive on the points' bounding box
-      (``_live_on_box``) is skipped: its breakpoint would land in an end
-      bin that the cumulative sums drop, so the output keeps the same bytes.
+      ``bincount``, in unit storage order.  A unit with ``a_last > 0`` is
+      active above its breakpoint tau and takes the bin ``#(t <= tau)``; one
+      with ``a_last < 0`` is active above ``-tau = -c / |a_last|`` on the
+      mirrored line ``t' = -t[::-1]`` and takes the bin ``#(t' <= -tau)``
+      there; negation is exact, so that bin is ``len(t) - #(t < tau)``.  One
+      forward cumulative sum, the mirrored bins read back in reverse point
+      order (the terms and order of a sum from the end of t), gives each
+      point the sums ``S_a`` and ``S_c`` over its active units, and its
+      value is ``S_a * t + S_c``.  Units with a zero last weight add the
+      constant ``beta * max(c, 0)``.  A unit with a nonzero last weight that
+      is inactive on the points' bounding box (``_live_on_box``) is skipped:
+      its breakpoint would land in an end bin that the cumulative sums drop.
 
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != net.d:
-        raise ValueError(f"points must have dimension {net.d}")
+    pts, single = _as_points(x, net.d)
     # one line is the line path's cheapest case; if even that does not pay, skip the layout check
     lines = _line_layout(pts) if _line_path_pays(net.unit_count, pts.shape[0], 1) else None
     if lines is not None and _line_path_pays(net.unit_count, pts.shape[0], lines[0].shape[0]):
@@ -199,11 +199,11 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     # storage order within each group, so bincount adds units in that order
     perm = np.concatenate((pos, neg, flat))
     alphas, betas, biases = units.alphas[perm], units.betas[perm], units.biases[perm]
-    a, beta_a = alphas[:, -1], betas * alphas[:, -1]
-    n_pos, n_neg = len(pos), len(neg)
-    size = len(t)
-    bins = size + 1
+    n_pos, n_live = len(pos), len(pos) + len(neg)
+    scale, beta_a = np.abs(alphas[:n_live, -1]), betas[:n_live] * alphas[:n_live, -1]
+    size, bins = len(t), len(t) + 1
     t_pad = np.concatenate(([-np.inf], t, [np.inf]))
+    mirror_pad = -t_pad[::-1]  # the mirrored line t' = -t[::-1], padded the same way
     out = np.empty((x_rest.shape[0], size))
     step = max(1, _CELL_BLOCK // max(len(perm), 1))
     for l0 in range(0, x_rest.shape[0], step):
@@ -213,34 +213,29 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
         for j in range(xr.shape[1]):
             c += xr[:, j : j + 1] * alphas[:, j]
         c -= biases
-        base = (np.arange(n) * bins)[:, None]
-        sums = []
-        # a_last > 0: active for t > tau; bin k = #(t <= tau), active at points k..
-        # a_last < 0: active for t < tau; bin k = #(t < tau), active at points ..k-1
-        for lo, hi, side in ((0, n_pos, "right"), (n_pos, n_pos + n_neg, "left")):
-            c_g = c[:, lo:hi]
-            k = _sorted_bins(t_pad, -c_g / a[lo:hi], side)
-            k += base
-            k = k.ravel()
-            s_a = np.bincount(k, np.broadcast_to(beta_a[lo:hi], c_g.shape).ravel(), n * bins)
-            s_c = np.bincount(k, (betas[lo:hi] * c_g).ravel(), n * bins)
-            sums.append((s_a.reshape(n, bins), s_c.reshape(n, bins)))
-        (pa, pc), (na, nc) = sums
-        slope = np.cumsum(pa, axis=1)[:, :size] + np.cumsum(na[:, ::-1], axis=1)[:, -2::-1]
-        offset = np.cumsum(pc, axis=1)[:, :size] + np.cumsum(nc[:, ::-1], axis=1)[:, -2::-1]
-        constant = np.sum(betas[n_pos + n_neg :] * np.maximum(c[:, n_pos + n_neg :], 0.0), axis=1)
+        # a_last > 0: active for t > -c/|a_last|; a_last < 0: for t' > -c/|a_last| on the mirrored line.
+        # Bin k = #(t <= key) on its own line: active at points k.., the last bin dropped; falling bins follow.
+        q_pos, q_neg = -c[:, :n_pos] / scale[:n_pos], -c[:, n_pos:n_live] / scale[n_pos:]
+        k = np.concatenate((_sorted_bins(t_pad, q_pos), _sorted_bins(mirror_pad, q_neg) + bins), axis=1)
+        k += (np.arange(n) * 2 * bins)[:, None]
+        k = k.ravel()
+        s_a = np.bincount(k, np.broadcast_to(beta_a, (n, n_live)).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_c = np.bincount(k, (betas[:n_live] * c[:, :n_live]).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_a, s_c = np.cumsum(s_a, axis=2), np.cumsum(s_c, axis=2)
+        # the falling sums are read back in reverse point order
+        slope = s_a[:, 0, :size] + s_a[:, 1, size - 1 :: -1]
+        offset = s_c[:, 0, :size] + s_c[:, 1, size - 1 :: -1]
+        constant = np.sum(betas[n_live:] * np.maximum(c[:, n_live:], 0.0), axis=1)
         out[l0 : l0 + n] = slope * t + (offset + constant[:, None])
     return out
 
 
-def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(t, q, side)`` for a non-decreasing t, given as ``t_pad = [-inf, *t, inf]``.
+def _sorted_bins(t_pad: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(t, q, side="right")`` for a non-decreasing t, given as ``t_pad = [-inf, *t, inf]``.
 
     Each key's bin k is guessed as if t were evenly spaced from ``t[0]`` to
-    ``t[-1]``, then checked against its neighbours ``t_pad[k]`` (t[k-1])
-    and ``t_pad[k+1]`` (t[k]): ``t_pad[k] <= q < t_pad[k+1]`` for
-    ``"right"``, ``t_pad[k] < q <= t_pad[k+1]`` for ``"left"``.  Only the
-    keys that fail the check are searched, so the bins are exact on any
+    ``t[-1]`` and checked: ``t_pad[k] <= q < t_pad[k+1]``.  Only the keys
+    that fail the check are searched, so the bins are exact on any
     non-decreasing t.  Keys are clipped to half a step beyond t before the
     guess, so no guess overflows or leaves ``[0, len(t)]``.  A t too short,
     flat or wide for an arithmetic guess is searched directly.
@@ -253,7 +248,7 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
     lo, hi, origin = t0 - 0.5 * step, t1 + 0.5 * step, t0 - step
     # rounding is monotone, so (hi - origin) * inv bounds every clipped key's guess
     if not (hi - origin) * inv < size + 1:
-        return np.searchsorted(t, q, side=side)
+        return np.searchsorted(t, q, side="right")
     guess = np.clip(q, lo, hi)
     guess -= origin
     guess *= inv  # its floor is the bin of an evenly spaced t
@@ -261,10 +256,9 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         k = guess.astype(np.intp)
     below, above = np.take(t_pad, k, mode="clip"), np.take(t_pad[1:], k, mode="clip")
-    ok = (below <= q) & (q < above) if side == "right" else (below < q) & (q <= above)
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~((below <= q) & (q < above)))
     if bad.size:
-        k.flat[bad] = np.searchsorted(t, q.flat[bad], side=side)
+        k.flat[bad] = np.searchsorted(t, q.flat[bad], side="right")
     return k
 
 

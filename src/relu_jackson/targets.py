@@ -236,17 +236,22 @@ def difference(a: FourierTarget, b: FourierTarget) -> FourierTarget:
     return FourierTarget(a.d, modes[nz], coeffs[nz], min(a.smoothness, b.smoothness))
 
 
+def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
+    """x as float points (n, d), and whether it was one point (d,); more than two axes is an error."""
+    pts = np.asarray(x, dtype=float)
+    batch = np.atleast_2d(pts)
+    if pts.ndim > 2 or batch.shape[1] != d:
+        raise ValueError(f"points must have shape ({d},) or (n, {d}), not {pts.shape}")
+    return batch, pts.ndim == 1
+
+
 def evaluate(target: FourierTarget, x) -> float | np.ndarray:
     """Real part of the coefficient sum at one point (d,) or a batch (n, d).
 
     Modes are summed in their stored lexicographic order, so the result does
     not depend on how callers batch or parallelize points.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != target.d:
-        raise ValueError(f"points must have dimension {target.d}")
+    pts, single = _as_points(x, target.d)
     phase = np.einsum("pd,md->pm", pts, target.modes.astype(float))
     vals = np.einsum("pm,m->p", np.exp(1j * phase), target.coeffs).real
     return float(vals[0]) if single else vals

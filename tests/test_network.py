@@ -58,6 +58,14 @@ class TestEvaluate:
         for i, x in enumerate(xs):
             assert batch[i] == pytest.approx(evaluate(net, x), abs=1e-12)
 
+    @pytest.mark.parametrize("last_axis", [1, 3])
+    def test_rejects_points_with_more_than_two_axes(self, last_axis):
+        # a (P, d, 1) array is not read as (P, d), and a (P, d, 3) one fails before the einsum
+        net = simple_net([(np.array([1.0, 0.0]), 1.0, 0.0, "sampled")], d=2)
+        pts = np.zeros((5, 2, last_axis))
+        with pytest.raises(ValueError, match=re.escape(f"not (5, 2, {last_axis})")):
+            evaluate(net, pts)
+
     def test_piecewise_linear_on_safe_segments(self):
         rng = np.random.default_rng(5)
         rows = [
@@ -326,6 +334,46 @@ class TestLinePath:
         digest = hashlib.sha256(f"{out.dtype.str}{out.shape}".encode() + out.tobytes()).hexdigest()
         assert digest == self.EVALUATE_DIGESTS[name]
 
+    #: sha256 of dtype, shape and bytes of ``_evaluate_lines`` for the decay2
+    #: m=4096 network on the 129 lines of its grid, at a t that is not evenly
+    #: spaced (most guessed bins fail their check), computed with the falling
+    #: units binned on t itself and summed from its end.
+    LINE_DIGESTS = {
+        "cubed": "169047e3d17b03666d10fa6e5f1a381393c14261d58108f0c16b38f9e06474a3",
+        "repeated": "ce25e1e908d3c320e2b61015bf497c4fb6fb7fd13951675b8b2f98e800e59576",
+    }
+
+    @pytest.mark.parametrize("name", ["cubed", "repeated"])
+    def test_uneven_t_bytes_pinned(self, name):
+        net = rj.construct(rj.make_decay_target(2, 4.2, 8, seed=7), 2, 4096, 1)
+        s = rj.default_grid(2, rj.CUBE, 129).axis()
+        t = np.sign(s) * np.abs(s) ** 3 if name == "cubed" else np.round(s * 8.0) / 8.0
+        out = _evaluate_lines(net.units, s[:, None], t)
+        digest = hashlib.sha256(f"{out.dtype.str}{out.shape}".encode() + out.tobytes()).hexdigest()
+        assert digest == self.LINE_DIGESTS[name]
+
+    @pytest.mark.parametrize("axis", ["even", "cubed"])
+    def test_mirrored_line_keeps_the_bytes(self, axis):
+        # negating a_last and t swaps the sign groups: each group is binned on the line the other
+        # group used, with the same keys, so the values come back reversed along t, byte for byte
+        s = rj.EvaluationGrid(2, 33, rj.CUBE).axis()
+        t = s if axis == "even" else np.sign(s) * np.abs(s) ** 3
+        kinks = [
+            (np.array([0.0, 0.5]), 1.25, 0.5 * t[5], ORIGIN_SAMPLED),  # kink on t[5]
+            (np.array([0.0, -0.5]), -0.75, -0.5 * t[-6], ORIGIN_SAMPLED),  # kink on t[-6]
+        ]
+        units = Units.concat([line_test_net(2, np.random.default_rng(77)).units, Units.build(2, kinks)])
+        a_last = units.alphas[:, -1]
+        assert (a_last > 0.0).any() and (a_last < 0.0).any() and (a_last == 0.0).any()
+        net = ShallowNetwork(2, units)
+        mirrored = ShallowNetwork(2, Units(units.alphas * [1.0, -1.0], units.betas, units.biases, units.origins))
+        lines = np.stack(np.meshgrid(s, t, indexing="ij"), axis=-1)  # (line, t, coordinate)
+        pts, flipped = lines.reshape(-1, 2), (lines[:, ::-1] * [1.0, -1.0]).reshape(-1, 2)
+        assert _line_layout(pts) is not None and _line_layout(flipped) is not None
+        assert _line_path_pays(net.unit_count, pts.shape[0], 33)
+        got = evaluate(net, pts).reshape(33, 33)
+        assert got[:, ::-1].tobytes() == evaluate(mirrored, flipped).tobytes()
+
     @pytest.mark.parametrize(
         "units, points, lines, expected",
         [
@@ -350,15 +398,14 @@ SPECIAL_KEYS = np.array([0.0, -0.0, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324, 
 
 
 class TestSortedBins:
-    """``_sorted_bins`` returns exactly ``np.searchsorted``; Tier-1 turns any warning into an error."""
+    """``_sorted_bins`` returns exactly ``np.searchsorted(side="right")``; Tier-1 turns any warning into an error."""
 
     @staticmethod
     def assert_bins(t, q):
-        for side in ("left", "right"):
-            got = _sorted_bins(padded(t), q, side)
-            want = np.searchsorted(t, q, side=side)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tolist() == want.tolist(), side
+        got = _sorted_bins(padded(t), q)
+        want = np.searchsorted(t, q, side="right")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
 
     @staticmethod
     def edge_keys(t):

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -178,6 +179,14 @@ class TestEvaluation:
         batch = rj.evaluate(t, xs)
         singles = [rj.evaluate(t, x) for x in xs]
         assert np.allclose(batch, singles, atol=0)
+
+    @pytest.mark.parametrize("last_axis", [1, 3])
+    def test_rejects_points_with_more_than_two_axes(self, last_axis):
+        # a (P, d, 1) array is not read as (P, d), and a (P, d, 3) one fails before the einsum
+        t = rj.make_decay_target(2, 4.2, 3, seed=1)
+        pts = np.zeros((5, 2, last_axis))
+        with pytest.raises(ValueError, match=re.escape(f"not (5, 2, {last_axis})")):
+            rj.evaluate(t, pts)
 
     def test_real_valuedness_on_grids(self, corpus):
         for name, t in corpus:
