@@ -108,6 +108,8 @@ class ShallowNetwork:
 def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     """Sum of beta * relu(alpha . x - bias) at one point (d,) or a batch (n, d).
 
+    In d = 1 a bare number is one point.  One point gives a float.
+
     Two exact paths, chosen from the input alone.  The line path reads the
     points as lines that share their first d - 1 coordinates, in the order
     ``EvaluationGrid.points()`` lists them (C order): the points run line

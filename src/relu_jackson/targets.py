@@ -237,16 +237,21 @@ def difference(a: FourierTarget, b: FourierTarget) -> FourierTarget:
 
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
-    """x as float points (n, d), and whether it was one point (d,); more than two axes is an error."""
+    """x as float points (n, d), and whether it was one point: (d,), or a bare number when d = 1.
+
+    More than two axes, or a bare number when d > 1, is an error.
+    """
     pts = np.asarray(x, dtype=float)
     batch = np.atleast_2d(pts)
     if pts.ndim > 2 or batch.shape[1] != d:
         raise ValueError(f"points must have shape ({d},) or (n, {d}), not {pts.shape}")
-    return batch, pts.ndim == 1
+    return batch, pts.ndim < 2
 
 
 def evaluate(target: FourierTarget, x) -> float | np.ndarray:
     """Real part of the coefficient sum at one point (d,) or a batch (n, d).
+
+    In d = 1 a bare number is one point.  One point gives a float.
 
     Modes are summed in their stored lexicographic order, so the result does
     not depend on how callers batch or parallelize points.
@@ -257,26 +262,53 @@ def evaluate(target: FourierTarget, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
+def _cube_basis(k_max: int, axis: np.ndarray) -> np.ndarray:
+    """``exp(i k x)`` with rows k = -k_max..k_max and columns x on the axis.
+
+    Only the rows k >= 0 are exponentiated.  Row -k is the conjugate of row
+    k: its argument is the exact negation, and cos is even and sin odd, so
+    the bytes are those of the direct ``exp``.
+    """
+    half = np.exp(1j * np.arange(k_max + 1, dtype=float)[:, None] * axis[None, :])
+    return np.concatenate((half[:0:-1].conj(), half))
+
+
 def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
-    """Complex values on the full grid, shape (G,)*d."""
+    """Complex values on the full grid, shape (G,)*d.
+
+    On the torus the values are the inverse DFT of the folded spectrum, taken
+    one axis at a time from the last, as ``np.fft.ifftn`` does.  A line along
+    axis j is transformed only if it sits at an occupied index (one that some
+    ``k mod G`` takes) on every axis before j; every other line holds only
+    zeros.  Each transformed line has the input it has inside ``ifftn``, and
+    pocketfft transforms each line on its own, so the bytes are those of
+    ``ifftn(spectrum) * G**d``.
+    """
     g = grid.points_per_axis
     if modes.shape[0] == 0:
         return np.zeros((g,) * d, dtype=np.complex128)
     if grid.domain == TORUS:
         # Exact sampling via the DFT: grid starts at -pi, which contributes a
         # (-1)^{sum k_j} twist relative to the standard [0, 2*pi) transform.
-        spectrum = np.zeros((g,) * d, dtype=np.complex128)
+        # The coefficients go into a box over the occupied indices of each
+        # axis; add.at sums modes that alias to one index in row order.
         twist = np.where(modes.sum(axis=1) % 2 == 0, 1.0, -1.0)
-        np.add.at(spectrum, tuple((modes % g).T), coeffs * twist)
-        return np.fft.ifftn(spectrum) * g**d
+        occupied, slots = zip(*(np.unique(col, return_inverse=True) for col in (modes % g).T))
+        vals = np.zeros(tuple(idx.size for idx in occupied), dtype=np.complex128)
+        np.add.at(vals, slots, coeffs * twist)
+        for j in reversed(range(d)):
+            wide = np.zeros(vals.shape[:j] + (g,) + vals.shape[j + 1 :], dtype=np.complex128)
+            wide[(slice(None),) * j + (occupied[j],)] = vals
+            vals = np.fft.ifft(wide, axis=j, out=wide)
+        vals *= g**d
+        return vals
     # Cube grids are not commensurate with the period; contract one axis at a
     # time against per-axis exponentials instead.
     k_max = int(np.abs(modes).max())
     shape = (2 * k_max + 1,) * d
     box = np.zeros(shape, dtype=np.complex128)
     box[tuple((modes + k_max).T)] = coeffs
-    freqs = np.arange(-k_max, k_max + 1, dtype=float)
-    basis = np.exp(1j * freqs[:, None] * grid.axis()[None, :])
+    basis = _cube_basis(k_max, grid.axis())
     vals = box
     for _ in range(d):
         vals = np.einsum("i...,ig->...g", vals, basis)

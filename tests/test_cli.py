@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -54,6 +55,25 @@ def test_spectral_rows(target_file, capsys):
     assert float(level0[1]) == pytest.approx(1.0, abs=1e-9)   # sup of the weighted series
     assert float(level0[2]) == pytest.approx(1.0, abs=1e-12)  # shell 0 mass
     assert float(level0[3]) < 1e-10
+
+
+#: sha256 of the spectral and jackson-rate CSVs for decay2 (d=2, s=4.2,
+#: k_max=8, seed 7) at r=2 on the default 512^2 grid, recorded with the torus
+#: grid values taken by a full ``np.fft.ifftn``: a change to the torus
+#: transform that moves a byte of these CSVs fails here.
+SPECTRAL_DECAY2_SHA256 = "b2a2060cceae0a41e28bee351a966915a5b06ed8f129089f3aae2ba34cb6a27c"
+JACKSON_RATE_DECAY2_SHA256 = "6f5810f1108673366f6b4662abf1c17b4335f0cc588eef61edd6095b0b34b709"
+
+
+def test_spectral_and_jackson_rate_bytes_pinned(tmp_path):
+    target = tmp_path / "decay2.txt"
+    rj.save_target(rj.make_decay_target(2, 4.2, 8, seed=7), target)
+    common = ["--target", str(target), "--r", "2"]
+    spectral, jackson = tmp_path / "spectral.csv", tmp_path / "jackson.csv"
+    assert main(["spectral", *common, "--L", "3", "--out", str(spectral)]) == 0
+    assert main(["jackson-rate", *common, "--sweep", "2,4,8,16", "--out", str(jackson)]) == 0
+    assert hashlib.sha256(spectral.read_bytes()).hexdigest() == SPECTRAL_DECAY2_SHA256
+    assert hashlib.sha256(jackson.read_bytes()).hexdigest() == JACKSON_RATE_DECAY2_SHA256
 
 
 def test_construct_roundtrip_and_determinism(target_file, tmp_path):

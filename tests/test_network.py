@@ -58,6 +58,17 @@ class TestEvaluate:
         for i, x in enumerate(xs):
             assert batch[i] == pytest.approx(evaluate(net, x), abs=1e-12)
 
+    def test_bare_number_is_one_point_in_d1(self):
+        net = simple_net([(np.array([0.5]), 1.0, 0.1, "sampled"), (np.array([-0.3]), 2.0, 0.0, "sampled")])
+        value = evaluate(net, 0.5)
+        assert type(value) is float
+        assert value == evaluate(net, [0.5])
+
+    def test_bare_number_rejected_in_d2(self):
+        net = simple_net([(np.array([1.0, 0.0]), 1.0, 0.0, "sampled")], d=2)
+        with pytest.raises(ValueError, match=re.escape("points must have shape (2,) or (n, 2), not ()")):
+            evaluate(net, 0.5)
+
     @pytest.mark.parametrize("last_axis", [1, 3])
     def test_rejects_points_with_more_than_two_axes(self, last_axis):
         # a (P, d, 1) array is not read as (P, d), and a (P, d, 3) one fails before the einsum

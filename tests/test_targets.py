@@ -9,11 +9,14 @@ import relu_jackson as rj
 from relu_jackson.targets import (
     MAX_DIMENSION,
     EvaluationGrid,
+    _cube_basis,
+    _grid_values_raw,
     dumps_target,
     imag_residual_on_grid,
     loads_target,
     multi_indices,
 )
+from relu_jackson.spectral import level_series
 
 from conftest import target_from_dict, torus_grid
 
@@ -188,6 +191,17 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=re.escape(f"not (5, 2, {last_axis})")):
             rj.evaluate(t, pts)
 
+    def test_bare_number_is_one_point_in_d1(self, corpus):
+        t = dict(corpus)["decay1"]
+        value = rj.evaluate(t, 0.5)
+        assert type(value) is float
+        assert value == rj.evaluate(t, [0.5])
+
+    def test_bare_number_rejected_in_d2(self):
+        t = rj.make_decay_target(2, 4.2, 3, seed=1)
+        with pytest.raises(ValueError, match=re.escape("points must have shape (2,) or (n, 2), not ()")):
+            rj.evaluate(t, 0.5)
+
     def test_real_valuedness_on_grids(self, corpus):
         for name, t in corpus:
             grid = torus_grid(t)
@@ -207,6 +221,78 @@ class TestEvaluation:
         vals = rj.grid_values(t, grid).ravel()
         direct = rj.evaluate(t, grid.points())
         assert np.allclose(vals, direct, atol=1e-12)
+
+
+def grid_values_by_ifftn(d, modes, coeffs, points):
+    """Reference: the (-1)^{sum k}-twisted spectrum folded onto the full grid and inverted by ifftn."""
+    spectrum = np.zeros((points,) * d, dtype=np.complex128)
+    twist = np.where(modes.sum(axis=1) % 2 == 0, 1.0, -1.0)
+    np.add.at(spectrum, tuple((modes % points).T), coeffs * twist)
+    return np.fft.ifftn(spectrum) * points**d
+
+
+class TestTorusTransform:
+    """The torus branch inverse-transforms only the lines the spectrum
+    occupies; its complex values keep the bytes of a full ifftn."""
+
+    def assert_same_bytes(self, d, modes, coeffs, points):
+        got = _grid_values_raw(d, modes, coeffs, EvaluationGrid(d, points))
+        want = grid_values_by_ifftn(d, modes, coeffs, points)
+        assert got.shape == want.shape == (points,) * d
+        assert got.tobytes() == want.tobytes(), (d, points)
+
+    # resolved grids (points > 2 * k_max) and aliased ones (points <= 2 * k_max), down to 2 points
+    @pytest.mark.parametrize(
+        "d, k_max, points",
+        [(1, 16, p) for p in (2, 7, 32, 33, 4096)]
+        + [(2, 8, p) for p in (2, 5, 16, 17, 64, 512)]
+        + [(3, 6, p) for p in (2, 4, 12, 13, 33)],
+    )
+    def test_decay_target(self, d, k_max, points):
+        t = rj.make_decay_target(d, d + 1.2, k_max, seed=3)
+        self.assert_same_bytes(d, t.modes, t.coeffs, points)
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 9])
+    def test_colliding_modes(self, points):
+        # k, k + points and k - 2 * points share a grid index; their sums depend on the order of adds
+        base = np.array([[1, 0, 2], [0, 3, 1], [2, 2, 0]])
+        modes = np.concatenate([base, base + points, base - 2 * points, -base, -base - points])
+        coeffs = np.random.default_rng(points).normal(size=(modes.shape[0], 2)) @ np.array([1.0, 1e-3j])
+        self.assert_same_bytes(3, modes, coeffs, points)
+        self.assert_same_bytes(2, modes[:, 1:], coeffs, points)
+        self.assert_same_bytes(1, modes[:, :1], coeffs, points)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("points", [2, 5, 8])
+    def test_single_mode(self, d, points):
+        modes = np.array([[3, -2, 7][:d]])
+        self.assert_same_bytes(d, modes, np.array([0.3 + 0.7j]), points)
+
+    @pytest.mark.parametrize("d, k_max, points", [(1, 16, 4096), (2, 8, 512), (3, 6, 33)])
+    def test_level_series(self, d, k_max, points):
+        t = rj.make_decay_target(d, d + 1.2, k_max, seed=7)
+        for level in range(4):
+            s = level_series(t, level, 2)
+            self.assert_same_bytes(d, s.modes, s.coeffs, points)
+
+    @pytest.mark.parametrize("d, k_max, points", [(1, 16, 4096), (2, 8, 512), (3, 6, 33)])
+    def test_derivative_weights(self, d, k_max, points):
+        t = rj.make_decay_target(d, d + 1.2, k_max, seed=7)
+        kf = t.modes.astype(float)
+        for alpha in multi_indices(d, 2):
+            weights = np.ones(t.mode_count, dtype=np.complex128)
+            for j, a in enumerate(alpha):
+                if a:
+                    weights = weights * (1j * kf[:, j]) ** a
+            self.assert_same_bytes(d, t.modes, t.coeffs * weights, points)
+
+
+@pytest.mark.parametrize("k_max, points", [(16, 4096), (8, 129), (6, 33), (200, 4096), (1, 2), (5, 3)])
+def test_cube_basis_matches_direct_exp(k_max, points):
+    axis = EvaluationGrid(1, points, rj.CUBE).axis()
+    freqs = np.arange(-k_max, k_max + 1, dtype=float)
+    direct = np.exp(1j * freqs[:, None] * axis[None, :])
+    assert _cube_basis(k_max, axis).tobytes() == direct.tobytes()
 
 
 class TestHolderNorm:
