@@ -22,11 +22,15 @@ _ORIGINS = (ORIGIN_SAMPLED, ORIGIN_AFFINE)
 _POINT_BLOCK = 4096
 _UNIT_BLOCK = 2048
 _CELL_BLOCK = 32768  # lines x units per block of the line path
-_LIVE_MARGIN = 1e-9  # relative; see _live_on_box
 
 #: Ceiling on exact affine units: two for the linear part, one for the
 #: constant, as ``affine_units`` builds them.
 MAX_AFFINE_UNITS = 3
+
+#: Largest shift (bias) of a sampled unit.  Every sampled direction has
+#: ``|alpha|_1 = 1/pi``, so ``alpha . x <= 1/pi`` on the cube and a unit with a
+#: larger shift would be zero on the whole cube.
+SHIFT_LIMIT = 1.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,8 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       point the sums ``S_a`` and ``S_c`` over its active units, and its
       value is ``S_a * t + S_c``.  Units with a zero last weight add the
       constant ``beta * max(c, 0)``.  A unit with a nonzero last weight that
-      is inactive on the points' bounding box (``_live_on_box``) is skipped:
-      its breakpoint would land in an end bin that the cumulative sums drop.
+      is zero at every point of a line has its breakpoint past the line's t,
+      in the end bin, which the cumulative sums drop.
 
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
@@ -195,14 +199,12 @@ def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:
 def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Values (lines, len(t)) on the lines through x_rest (lines, d - 1), at the sorted t."""
     a_last = units.alphas[:, -1]
-    # a dead +/- unit's breakpoint lies past the points' t, in a bin the cumulative sums drop
-    live = _live_on_box(units, np.append(x_rest.min(axis=0), t[0]), np.append(x_rest.max(axis=0), t[-1]))
-    pos, neg, flat = (np.flatnonzero(m) for m in (live & (a_last > 0.0), live & (a_last < 0.0), a_last == 0.0))
+    pos, neg, flat = (np.flatnonzero(m) for m in (a_last > 0.0, a_last < 0.0, a_last == 0.0))
     # storage order within each group, so bincount adds units in that order
     perm = np.concatenate((pos, neg, flat))
     alphas, betas, biases = units.alphas[perm], units.betas[perm], units.biases[perm]
-    n_pos, n_live = len(pos), len(pos) + len(neg)
-    scale, beta_a = np.abs(alphas[:n_live, -1]), betas[:n_live] * alphas[:n_live, -1]
+    n_pos, n_sloped = len(pos), len(pos) + len(neg)
+    scale, beta_a = np.abs(alphas[:n_sloped, -1]), betas[:n_sloped] * alphas[:n_sloped, -1]
     size, bins = len(t), len(t) + 1
     t_pad = np.concatenate(([-np.inf], t, [np.inf]))
     mirror_pad = -t_pad[::-1]  # the mirrored line t' = -t[::-1], padded the same way
@@ -217,17 +219,17 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
         c -= biases
         # a_last > 0: active for t > -c/|a_last|; a_last < 0: for t' > -c/|a_last| on the mirrored line.
         # Bin k = #(t <= key) on its own line: active at points k.., the last bin dropped; falling bins follow.
-        q_pos, q_neg = -c[:, :n_pos] / scale[:n_pos], -c[:, n_pos:n_live] / scale[n_pos:]
+        q_pos, q_neg = -c[:, :n_pos] / scale[:n_pos], -c[:, n_pos:n_sloped] / scale[n_pos:]
         k = np.concatenate((_sorted_bins(t_pad, q_pos), _sorted_bins(mirror_pad, q_neg) + bins), axis=1)
         k += (np.arange(n) * 2 * bins)[:, None]
         k = k.ravel()
-        s_a = np.bincount(k, np.broadcast_to(beta_a, (n, n_live)).ravel(), n * 2 * bins).reshape(n, 2, bins)
-        s_c = np.bincount(k, (betas[:n_live] * c[:, :n_live]).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_a = np.bincount(k, np.broadcast_to(beta_a, (n, n_sloped)).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_c = np.bincount(k, (betas[:n_sloped] * c[:, :n_sloped]).ravel(), n * 2 * bins).reshape(n, 2, bins)
         s_a, s_c = np.cumsum(s_a, axis=2), np.cumsum(s_c, axis=2)
         # the falling sums are read back in reverse point order
         slope = s_a[:, 0, :size] + s_a[:, 1, size - 1 :: -1]
         offset = s_c[:, 0, :size] + s_c[:, 1, size - 1 :: -1]
-        constant = np.sum(betas[n_live:] * np.maximum(c[:, n_live:], 0.0), axis=1)
+        constant = np.sum(betas[n_sloped:] * np.maximum(c[:, n_sloped:], 0.0), axis=1)
         out[l0 : l0 + n] = slope * t + (offset + constant[:, None])
     return out
 
@@ -264,28 +266,10 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray) -> np.ndarray:
     return k
 
 
-def _live_on_box(units: Units, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask of the units that may be nonzero somewhere in the box with corners lo and hi (each (d,)).
-
-    A unit is left out only when its largest pre-activation over the box,
-    ``sum_j max(alpha_j lo_j, alpha_j hi_j) - bias``, is negative by more than
-    ``_LIVE_MARGIN`` times the size of its terms: far above rounding, so the
-    unit is zero at every point of the box however its value is computed.
-    """
-    a_lo, a_hi = units.alphas * lo, units.alphas * hi
-    reach = np.maximum(a_lo, a_hi).sum(axis=1)
-    scale = np.maximum(np.abs(a_lo), np.abs(a_hi)).sum(axis=1) + np.abs(units.biases)
-    return ~(reach < units.biases - _LIVE_MARGIN * scale)
-
-
-def _lipschitz_sum(alphas: np.ndarray, betas: np.ndarray) -> float:
-    terms = np.abs(betas) * np.abs(alphas).sum(axis=1)
-    return math.fsum(float(t) for t in terms)
-
-
 def lipschitz_bound(net: ShallowNetwork) -> float:
     """Upper bound on the sup-norm gradient: sum |beta| * |alpha|_1 (0.0 with no units)."""
-    return _lipschitz_sum(net.units.alphas, net.units.betas)
+    terms = np.abs(net.units.betas) * np.abs(net.units.alphas).sum(axis=1)
+    return math.fsum(terms.tolist())
 
 
 def sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> float:
@@ -315,14 +299,12 @@ class ErrorCertificate:
 def certified_sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> ErrorCertificate:
     """Bound on the sup-norm error over the whole cube, from the grid and both Lipschitz sums.
 
-    The network's sum runs over the units that ``_live_on_box`` keeps on the
-    cube; ``lipschitz_bound`` is the same sum over every unit.
+    The network's sum is ``lipschitz_bound``, over every unit: a constructed
+    network has no unit that is zero on the whole cube.
     """
     grid_max = sup_error(net, target, grid)
     lt = variation(target, 1)  # sum |c(k)| * |k|_1 bounds the target's gradient sup-norm
-    u = net.units
-    live = _live_on_box(u, -np.ones(net.d), np.ones(net.d))  # the others are zero on the whole cube
-    ln = _lipschitz_sum(u.alphas[live], u.betas[live])
+    ln = lipschitz_bound(net)
     bound = grid_max + (lt + ln) * grid.spacing * net.d / 2.0
     return ErrorCertificate(grid_max=grid_max, lipschitz_target=lt, lipschitz_network=ln, bound=bound)
 
@@ -362,9 +344,11 @@ _BETA_TOL = 1e-9  # relative
 def audit(net: ShallowNetwork) -> AuditReport:
     """Re-verify the construction's parameter bounds on a finished network.
 
-    Sampled units must satisfy |alpha|_1 <= 1, bias in [0, 1] and
-    |beta| <= 8 pi^2 v2 / m; affine units are exempt from the beta bound but
-    must keep |alpha|_1 <= 1, bias in [-1, 1] and number at most
+    Sampled units must satisfy |alpha|_1 <= 1, bias in [0, 1/pi]
+    (``SHIFT_LIMIT``) and |beta| <= 8 pi v2 / m, and the density mass
+    v <= 2 pi v2, since the |cos| integral over [0, 1/pi] is at most 1/pi;
+    affine units are exempt from the beta bound but must keep
+    |alpha|_1 <= 1, bias in [-1, 1] and number at most
     ``MAX_AFFINE_UNITS``.  The total-unit budget is reported via
     ``within_budget`` but does not fail the audit: dense spectra can make the
     sampled-unit count exceed the nominal 3 * ceil(m/4) reservation.
@@ -384,18 +368,18 @@ def audit(net: ShallowNetwork) -> AuditReport:
 
     alpha_norms = np.abs(net.units.alphas).sum(axis=1)
 
-    def _geometry(origin, mask, floor):
-        """|alpha|_1 <= 1 and bias in [floor, 1] on the units of one origin."""
+    def _geometry(origin, mask, floor, ceiling):
+        """|alpha|_1 <= 1 and bias in [floor, ceiling] on the units of one origin."""
         norm_max = _max_or(alpha_norms[mask])
         lo, hi = _min_or(net.units.biases[mask]), _max_or(net.units.biases[mask])
         return [
             AuditCheck(f"{origin}_alpha_l1", norm_max, 1.0, norm_max <= 1.0 + _ALPHA_TOL),
             AuditCheck(f"{origin}_bias_low", lo, floor, lo >= floor - _BIAS_TOL),
-            AuditCheck(f"{origin}_bias_high", hi, 1.0, hi <= 1.0 + _BIAS_TOL),
+            AuditCheck(f"{origin}_bias_high", hi, ceiling, hi <= ceiling + _BIAS_TOL),
         ]
 
-    checks = _geometry(ORIGIN_SAMPLED, sampled, 0.0)
-    beta_bound = 8.0 * math.pi**2 * meta.v2 / meta.m_requested
+    checks = _geometry(ORIGIN_SAMPLED, sampled, 0.0, SHIFT_LIMIT)
+    beta_bound = 8.0 * math.pi * meta.v2 / meta.m_requested
     beta_max = _max_or(np.abs(net.units.betas[sampled]))
     checks.append(
         AuditCheck(
@@ -409,8 +393,8 @@ def audit(net: ShallowNetwork) -> AuditReport:
         AuditCheck(
             "normalization_vs_variation",
             meta.v,
-            2.0 * math.pi**2 * meta.v2,
-            meta.v <= 2.0 * math.pi**2 * meta.v2 * (1.0 + _BETA_TOL) + 1e-300,
+            2.0 * math.pi * meta.v2,
+            meta.v <= 2.0 * math.pi * meta.v2 * (1.0 + _BETA_TOL) + 1e-300,
         )
     )
     if meta.m_prime is not None and meta.strata_count is not None:
@@ -418,7 +402,7 @@ def audit(net: ShallowNetwork) -> AuditReport:
         checks.append(
             AuditCheck("sampled_count", float(n_sampled), float(count_limit), n_sampled <= count_limit)
         )
-    checks += _geometry(ORIGIN_AFFINE, affine, -1.0)
+    checks += _geometry(ORIGIN_AFFINE, affine, -1.0, 1.0)
     n_affine = int(affine.sum())
     checks.append(
         AuditCheck("affine_count", float(n_affine), float(MAX_AFFINE_UNITS), n_affine <= MAX_AFFINE_UNITS)

@@ -3,10 +3,14 @@
 The pipeline rests on an exact integral identity that writes ``exp(iz)`` as a
 ReLU ridge integral plus an affine part.  Plugging the identity into the
 coefficient sum of a smoothed target turns the target (minus an affine part)
-into the expectation of ``sigma(z * alpha_k . x - t)`` atoms under a density
-over ``(sign z, shift t, frequency k)``.  Sampling the atoms, stratified so
-that atoms in one stratum are nearly interchangeable as functions of x,
-produces the network units; two or three exact units realize the affine part.
+into the expectation of ``sigma(alpha_k . x - t)`` atoms under a density over
+``(shift t, frequency k)``.  The identity's second ridge, of sign -1, is the
+atom of frequency -k, since the image is Hermitian, so it is folded into the
+first by doubling its mass.  The shift runs over ``[0, SHIFT_LIMIT]``,
+``SHIFT_LIMIT = 1/pi = |alpha_k|_1``: beyond it an atom is zero on the whole
+cube.  Sampling the atoms, stratified so that atoms in one stratum are nearly
+interchangeable as functions of x, produces the network units; two or three
+exact units realize the affine part.
 """
 
 from __future__ import annotations
@@ -22,14 +26,13 @@ from .jackson import apply_jackson
 from .network import (
     ORIGIN_AFFINE,
     ORIGIN_SAMPLED,
+    SHIFT_LIMIT,
     NetworkMeta,
     ShallowNetwork,
     Units,
 )
 from .spectral import variation
 from .targets import FourierTarget
-
-_SIGNS = (-1.0, 1.0)
 
 # Stream tag of the unstratified sampler: its PCG64 stream is keyed by
 # (seed, tag), apart from the stratified sampler's Philox stream, which is
@@ -86,7 +89,7 @@ def identity_residual(z: float, c: float, panels: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sampling density over (sign, shift, frequency)
+# Sampling density over (shift, frequency)
 # ---------------------------------------------------------------------------
 
 def _abs_cos_primitive(u):
@@ -98,13 +101,13 @@ def _abs_cos_primitive(u):
 
 @dataclass(frozen=True)
 class SamplingDensity:
-    """Atom density p(z, t, k) proportional to |c(k)| |k|_1^2 |cos(z w_k t + b_k)|.
+    """Atom density p(t, k) proportional to |c(k)| |k|_1^2 |cos(w_k t + b_k)| on [0, 1/pi].
 
     ``b_k`` is the coefficient phase, ``w_k = pi |k|_1`` the phase slope, and
     ``alpha_k = k / (pi |k|_1)`` the unit direction each frequency
-    contributes.  ``masses[zi, j]`` is the unnormalized mass of the
-    ``(sign, frequency)`` pair with the shift integrated out; ``v`` is the
-    total mass, i.e. the estimator scale.
+    contributes.  ``masses[j]`` is the unnormalized mass of frequency j with
+    the shift integrated out; ``v`` is the total mass, i.e. the estimator
+    scale.
     """
 
     image: FourierTarget
@@ -129,21 +132,31 @@ class SamplingDensity:
         return self.mode_count == 0
 
 
-def _interval_abs_cos_integral(z, omega, b, lo, hi):
-    """Integral of |cos(z*omega*t + b)| over [lo, hi], vectorized."""
-    slope = z * omega
-    upper = _abs_cos_primitive(slope * hi + b)
-    lower = _abs_cos_primitive(slope * lo + b)
-    return (upper - lower) / slope
+def _interval_abs_cos_integral(omega, b, lo, hi):
+    """Integral of |cos(omega*t + b)| over [lo, hi], vectorized."""
+    upper = _abs_cos_primitive(omega * hi + b)
+    lower = _abs_cos_primitive(omega * lo + b)
+    return (upper - lower) / omega
+
+
+def _atom_weight(magnitudes, l1):
+    """Density weight 2 pi^2 |c(k)| |k|_1^2 of a frequency's |cos| shift profile.
+
+    The factor 2 folds in the identity's ridge of sign -1: its atom (t, k) is
+    the atom (t, -k) of sign +1, with the same mass, because targets are
+    Hermitian (c(-k) = conj(c(k)) to the 1e-12 tolerance that
+    ``targets._require_hermitian`` enforces).
+    """
+    return 2.0 * np.pi**2 * magnitudes * l1**2
 
 
 def build_density(image: FourierTarget) -> SamplingDensity:
-    """Per-(sign, frequency) masses and the normalization of the atom density.
+    """Per-frequency masses and the normalization of the atom density.
 
-    The shift integral of |cos| is evaluated in closed form through the
-    piecewise antiderivative, never by quadrature.  An image with no
-    oscillatory modes yields a degenerate density (the network is purely
-    affine); the flag is exposed as ``is_degenerate``.
+    The shift integral of |cos| over [0, SHIFT_LIMIT] is evaluated in closed
+    form through the piecewise antiderivative, never by quadrature.  An image
+    with no oscillatory modes yields a degenerate density (the network is
+    purely affine); the flag is exposed as ``is_degenerate``.
     """
     keep = (np.abs(image.modes).sum(axis=1) > 0) & (image.coeffs != 0)
     modes = image.modes[keep]
@@ -153,11 +166,8 @@ def build_density(image: FourierTarget) -> SamplingDensity:
     l1 = np.abs(modes).sum(axis=1).astype(float)
     omegas = np.pi * l1
     alphas = modes / (np.pi * l1[:, None])
-    masses = np.zeros((2, modes.shape[0]))
-    base = np.pi**2 * magnitudes * l1**2
-    for zi, z in enumerate(_SIGNS):
-        masses[zi] = base * _interval_abs_cos_integral(z, omegas, phases, 0.0, 1.0)
-    v = math.fsum(float(x) for x in masses.ravel())
+    masses = _atom_weight(magnitudes, l1) * _interval_abs_cos_integral(omegas, phases, 0.0, SHIFT_LIMIT)
+    v = math.fsum(masses.tolist())
     return SamplingDensity(
         image=image,
         magnitudes=magnitudes,
@@ -178,14 +188,13 @@ def build_density(image: FourierTarget) -> SamplingDensity:
 class Stratum:
     """One cell of the proportionate-allocation partition.
 
-    A stratum fixes the sign z, a shift bin of width at most epsilon/(d+1), a
-    direction cell of the same side length, and the value of the atom sign
-    ``s = -sgn(cos(z w t + b))``.  Its atoms are (frequency, sub-interval)
+    A stratum fixes a shift bin of width at most epsilon/(d+1), a direction
+    cell of the same side length, and the value of the atom sign
+    ``s = -sgn(cos(w t + b))``.  Its atoms are (frequency, sub-interval)
     pairs on which ``s`` is constant, so any two atoms give ReLU features
     within epsilon of each other uniformly over the cube.
     """
 
-    z: float
     bin_index: int
     t_lo: float
     t_hi: float
@@ -213,9 +222,9 @@ class SamplingPlan:
     index ``piece_mode``, the shift sub-interval ``[piece_lo, piece_hi]``,
     its mass, and ``cum``, the cumulative mass normalised within the stratum
     and offset by the stratum index (so stratum i's pieces end at exactly
-    i + 1).  Per stratum: sign z, shift bin, direction cell (one row of
-    ``cell``), atom sign, mass, share of the total mass, fractional
-    allocation ``target_count`` and draw count.
+    i + 1).  Per stratum: shift bin, direction cell (one row of ``cell``),
+    atom sign, mass, share of the total mass, fractional allocation
+    ``target_count`` and draw count.
     """
 
     m: int
@@ -228,7 +237,6 @@ class SamplingPlan:
     piece_hi: np.ndarray
     piece_mass: np.ndarray
     cum: np.ndarray
-    z: np.ndarray
     bin_index: np.ndarray
     cell: np.ndarray
     sign: np.ndarray
@@ -245,7 +253,7 @@ class SamplingPlan:
 
     @property
     def strata_count(self) -> int:
-        return self.z.shape[0]
+        return self.count.shape[0]
 
     @property
     def total_count(self) -> int:
@@ -262,7 +270,6 @@ class SamplingPlan:
         ptr = self.ptr.tolist()
         return tuple(
             Stratum(
-                z=z,
                 bin_index=b,
                 t_lo=float(edges[b]),
                 t_hi=float(edges[b + 1]),
@@ -277,8 +284,7 @@ class SamplingPlan:
                 target_count=target_count,
                 count=count,
             )
-            for z, b, cell, sign, mass, share, target_count, count, lo, hi in zip(
-                self.z.tolist(),
+            for b, cell, sign, mass, share, target_count, count, lo, hi in zip(
                 self.bin_index.tolist(),
                 self.cell.tolist(),
                 self.sign.tolist(),
@@ -292,76 +298,71 @@ class SamplingPlan:
         )
 
 
+def _m_prime(m: int) -> int:
+    """m' = ceil(m / 4), the draws a width-m plan allocates to its strata."""
+    return math.ceil(m / 4)
+
+
 def allocation_width(m: int, d: int) -> tuple[float, float]:
     """(epsilon, delta): the oscillation budget and the cell side per axis."""
-    m_prime = math.ceil(m / 4)
-    eps = 2.0 * (d + 1) * math.pi ** (-1.0 + 1.0 / d) / m_prime ** (1.0 / d)
+    eps = 2.0 * (d + 1) * math.pi ** (-1.0 + 1.0 / d) / _m_prime(m) ** (1.0 / d)
     return eps, eps / (d + 1)
 
 
 def _bin_edges(delta: float) -> np.ndarray:
-    """Shift-bin edges j*delta, clipped at 1."""
-    return np.minimum(delta * np.arange(math.ceil(1.0 / delta) + 1), 1.0)
+    """Shift-bin edges j*delta, clipped at SHIFT_LIMIT."""
+    return np.minimum(delta * np.arange(math.ceil(SHIFT_LIMIT / delta) + 1), SHIFT_LIMIT)
 
 
-def _cos_zero_shifts(z, omega, b):
-    """Interior zeros of cos(z*omega*t + b) for t in (0, 1), per row.
+def _cos_zero_shifts(omega, b):
+    """Interior zeros of cos(omega*t + b) for t in (0, SHIFT_LIMIT), per row.
 
     Returns (row, t) with rows ascending and t ascending within each row:
-    the phase index n runs up for z > 0 and down for z < 0.
+    the slope omega is positive, so t rises with the phase index n.
     """
-    slope = z * omega
-    phi0, phi1 = b, slope + b
-    lo, hi = np.minimum(phi0, phi1), np.maximum(phi0, phi1)
-    n0 = np.ceil((lo - math.pi / 2.0) / math.pi)
-    n1 = np.floor((hi - math.pi / 2.0) / math.pi)
+    n0 = np.ceil((b - math.pi / 2.0) / math.pi)
+    n1 = np.floor((omega * SHIFT_LIMIT + b - math.pi / 2.0) / math.pi)
     counts = np.maximum(n1 - n0 + 1.0, 0.0).astype(np.int64)
-    row = np.repeat(np.arange(z.shape[0]), counts)
+    row = np.repeat(np.arange(omega.shape[0]), counts)
     starts = np.cumsum(counts) - counts
-    step = np.arange(row.shape[0]) - starts[row]
-    n = np.where(slope[row] > 0.0, n0[row] + step, n1[row] - step)
-    ts = (math.pi / 2.0 + math.pi * n - b[row]) / slope[row]
-    inside = (ts > 0.0) & (ts < 1.0)
+    n = n0[row] + (np.arange(row.shape[0]) - starts[row])
+    ts = (math.pi / 2.0 + math.pi * n - b[row]) / omega[row]
+    inside = (ts > 0.0) & (ts < SHIFT_LIMIT)
     return row[inside], ts[inside]
 
 
 def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     """Proportionate-allocation plan for a width-m network.
 
-    Strata are the product of: sign z; shift bins [j*delta, (j+1)*delta)
-    clipped at 1; direction cells obtained by flooring each coordinate of
+    Strata are the product of: shift bins [j*delta, (j+1)*delta) clipped at
+    SHIFT_LIMIT; direction cells obtained by flooring each coordinate of
     alpha_k to the delta grid; and the atom sign s, with every shift bin
-    additionally split at the zeros of cos(z w t + b) so s is constant per
+    additionally split at the zeros of cos(w t + b) so s is constant per
     atom.  Each nonempty stratum draws ceil(m' * share) samples, with
-    m' = ceil(m / 4).  Strata are ordered by (z, bin, cell, s), cells
+    m' = ceil(m / 4).  Strata are ordered by (bin, cell, s), cells
     lexicographically; the pieces of a stratum by frequency, then by shift.
-    Each row's cut points are merged, not sorted, and the strata come from
-    one stable sort of a single integer stratum key.
+    Each frequency's cut points are merged, not sorted, and the strata come
+    from one stable sort of a single integer stratum key.
     """
     if density.is_degenerate:
         raise ValueError("empty density: the image has no oscillatory modes")
     if m < 8:
         raise ValueError("width must be >= 8")
-    d = density.image.d
-    m_prime = math.ceil(m / 4)
-    eps, delta = allocation_width(m, d)
+    m_prime = _m_prime(m)
+    eps, delta = allocation_width(m, density.image.d)
     edges = _bin_edges(delta)
     cells = np.floor(density.alphas / delta).astype(np.int64)
 
-    # One row per (sign z, frequency), z-major; each row's shift range [0, 1]
-    # is cut at the bin edges, which every row shares, and at its zeros of
-    # cos.  Both lists are ascending, so a zero's slot is the number of cut
-    # points before it: the edges of the rows before its own, the edges at
-    # or below it, and the zeros before it; the edges fill the other slots.
-    # A zero equal to an edge makes an empty piece, whose mass is exactly 0,
-    # so the mass filter below drops it.
-    modes = density.mode_count
-    row_mode = np.tile(np.arange(modes), len(_SIGNS))
-    row_z = np.repeat(_SIGNS, modes)
-    row_omega = density.omegas[row_mode]
-    row_b = density.phases[row_mode]
-    zero_row, zero_t = _cos_zero_shifts(row_z, row_omega, row_b)
-    rows, n_edges, n_zeros = row_z.shape[0], edges.shape[0], zero_t.shape[0]
+    # One row per frequency; each row's shift range [0, SHIFT_LIMIT] is cut
+    # at the bin edges, which every row shares, and at its zeros of cos.
+    # Both lists are ascending, so a zero's slot is the number of cut points
+    # before it: the edges of the rows before its own, the edges at or below
+    # it, and the zeros before it; the edges fill the other slots.  A zero
+    # equal to an edge makes an empty piece, whose mass is exactly 0, so the
+    # mass filter below drops it.
+    omegas, phases = density.omegas, density.phases
+    zero_row, zero_t = _cos_zero_shifts(omegas, phases)
+    rows, n_edges, n_zeros = density.mode_count, edges.shape[0], zero_t.shape[0]
     zero_slot = zero_row * n_edges + np.searchsorted(edges, zero_t, side="right") + np.arange(n_zeros)
     edge_slot = np.ones(rows * n_edges + n_zeros, dtype=bool)
     edge_slot[zero_slot] = False
@@ -372,24 +373,23 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
 
     # The |cos| primitive once per cut point; a piece's mass is the rise of
     # the primitive over it, divided by the phase slope.
-    row_slope = row_z * row_omega
-    primitive = _abs_cos_primitive(row_slope[row] * bound + row_b[row])
+    primitive = _abs_cos_primitive(omegas[row] * bound + phases[row])
     piece = np.flatnonzero(row[1:] == row[:-1])
-    row, lo, hi = row[piece], bound[piece], bound[piece + 1]
-    z, mode, slope, b = row_z[row], row_mode[row], row_slope[row], row_b[row]
-    sign = -np.sign(np.cos(slope * (0.5 * (lo + hi)) + b))
-    base = np.pi**2 * density.magnitudes[mode] * density.l1[mode] ** 2
-    mass = base * ((primitive[piece + 1] - primitive[piece]) / slope)
+    mode, lo, hi = row[piece], bound[piece], bound[piece + 1]
+    omega, b = omegas[mode], phases[mode]
+    sign = -np.sign(np.cos(omega * (0.5 * (lo + hi)) + b))
+    weight = _atom_weight(density.magnitudes[mode], density.l1[mode])
+    mass = weight * ((primitive[piece + 1] - primitive[piece]) / omega)
     bins = np.searchsorted(edges, lo, side="right") - 1
 
-    # Strata in (z, bin, cell, s) order: one integer key per piece, with the
+    # Strata in (bin, cell, s) order: one integer key per piece, with the
     # direction cells ranked lexicographically (so the key stays below
-    # 4 * n_edges * modes at any d), and a stable sort that keeps the
+    # 2 * n_edges * modes at any d), and a stable sort that keeps the
     # (frequency, shift) order of the pieces inside each stratum.  NumPy
     # 2.0.0 returns the inverse of an axis-0 unique as a column.
     unique_cells, cell_rank = np.unique(cells, axis=0, return_inverse=True)
     cell_rank = cell_rank.reshape(-1)[mode]
-    key = (((z > 0.0) * n_edges + bins) * unique_cells.shape[0] + cell_rank) * 2 + (sign > 0.0)
+    key = (bins * unique_cells.shape[0] + cell_rank) * 2 + (sign > 0.0)
     kept = np.flatnonzero((sign != 0.0) & (mass > 0.0))
     order = kept[np.argsort(key[kept], kind="stable")]
     key = key[order]
@@ -427,7 +427,6 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
         piece_hi=hi[order],
         piece_mass=piece_mass,
         cum=piece_stratum + within,
-        z=z[order[starts]],
         bin_index=bins[order[starts]],
         cell=cells[mode[order[starts]]],
         sign=sign[order[starts]],
@@ -445,20 +444,19 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _invert_shift(z, omega, b, lo, hi, u):
-    """Inverse-CDF draw of t with density |cos(z*omega*t + b)| on [lo, hi].
+def _invert_shift(omega, b, lo, hi, u):
+    """Inverse-CDF draw of t with density |cos(omega*t + b)| on [lo, hi].
 
     The antiderivative F rises by 2 per half-period of the phase, so the
     half-period holding the drawn level y is floor((y + 1) / 2), and arcsin
     inverts F inside it.  The interval may span any number of half-periods.
     """
-    slope = z * omega
-    f_lo = _abs_cos_primitive(slope * lo + b)
-    f_hi = _abs_cos_primitive(slope * hi + b)
+    f_lo = _abs_cos_primitive(omega * lo + b)
+    f_hi = _abs_cos_primitive(omega * hi + b)
     y = f_lo + u * (f_hi - f_lo)
     branch = np.floor((y + 1.0) / 2.0)
     phi = branch * np.pi + np.arcsin(np.clip(y - 2.0 * branch, -1.0, 1.0))
-    return np.clip((phi - b) / slope, lo, hi)
+    return np.clip((phi - b) / omega, lo, hi)
 
 
 def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -> Units:
@@ -469,8 +467,8 @@ def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -
     i's units are rows ``[start_i, start_i + count_i)`` with ``start_i`` the
     draws of the strata before it.  Stratum i can therefore be reproduced on
     its own by advancing the stream to that row's counter, without drawing
-    the strata before it.  Each atom (z, t, k) becomes the unit
-    ``beta * relu((z alpha_k) . x - t)`` with ``beta = v * m_i / (m' * n_i) * s``.
+    the strata before it.  Each atom (t, k) becomes the unit
+    ``beta * relu(alpha_k . x - t)`` with ``beta = v * m_i / (m' * n_i) * s``.
     """
     _validate_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -479,18 +477,10 @@ def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -
     pick = np.searchsorted(plan.cum, stratum + u[:, 0], side="right")
     pick = np.minimum(pick, plan.ptr[stratum + 1] - 1)
     mode = plan.piece_mode[pick]
-    z = plan.z[stratum]
-    t = _invert_shift(
-        z,
-        density.omegas[mode],
-        density.phases[mode],
-        plan.piece_lo[pick],
-        plan.piece_hi[pick],
-        u[:, 1],
-    )
+    t = _invert_shift(density.omegas[mode], density.phases[mode], plan.piece_lo[pick], plan.piece_hi[pick], u[:, 1])
     beta = density.v * plan.target_count / (plan.m_prime * plan.count) * plan.sign
     return Units(
-        alphas=z[:, None] * density.alphas[mode],
+        alphas=density.alphas[mode],
         betas=np.repeat(beta, plan.count),
         biases=t,
         origins=np.full(t.shape[0], ORIGIN_SAMPLED, dtype="<U7"),
@@ -505,19 +495,15 @@ def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
         raise ValueError("empty density: the image has no oscillatory modes")
     _validate_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _PLAIN_STREAM_TAG)))
-    flat = density.masses.ravel()
-    cum = np.cumsum(flat)
+    cum = np.cumsum(density.masses)
     u = rng.random((n, 2))
-    pick = np.searchsorted(cum, u[:, 0] * cum[-1], side="right")
-    pick = np.minimum(pick, flat.shape[0] - 1)
-    zi, mode = np.divmod(pick, density.mode_count)
-    z = np.where(zi == 0, _SIGNS[0], _SIGNS[1])
+    mode = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1], side="right"), density.mode_count - 1)
     omega = density.omegas[mode]
     b = density.phases[mode]
-    t = _invert_shift(z, omega, b, 0.0, 1.0, u[:, 1])
-    s = -np.sign(np.cos(z * omega * t + b))
+    t = _invert_shift(omega, b, 0.0, SHIFT_LIMIT, u[:, 1])
+    s = -np.sign(np.cos(omega * t + b))
     return Units(
-        alphas=z[:, None] * density.alphas[mode],
+        alphas=density.alphas[mode],
         betas=density.v / n * s,
         biases=t,
         origins=np.full(n, ORIGIN_SAMPLED, dtype="<U7"),
@@ -637,7 +623,7 @@ def realize(prep: Preparation, seed: int, method: str = "stratified") -> Shallow
         r=prep.r,
         seed=seed,
         m_requested=prep.m,
-        m_prime=math.ceil(prep.m / 4),
+        m_prime=_m_prime(prep.m) if plan is None else plan.m_prime,
         strata_count=0 if plan is None else plan.strata_count,
         sampled_count=len(sampled),
     )

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
+from relu_jackson import sampler
 from relu_jackson.network import (
     MAX_AFFINE_UNITS,
     ORIGIN_AFFINE,
     ORIGIN_SAMPLED,
+    SHIFT_LIMIT,
     NetworkMeta,
     ShallowNetwork,
     Units,
@@ -137,11 +139,10 @@ def rounding_scale(net):
 
 
 def pruning_test_net(d, rng, count=600):
-    """Sampled units shaped as ``construct`` makes them, |alpha|_1 = 1/pi and
-    bias in [0, 1], about two thirds of them zero on the cube, plus two
-    heavy units whose kink meets the grid corner (1, ..., 1) of a 17-point
-    axis: one through it, one past it by a relative 1e-10, below the
-    pruning margin.
+    """Units with |alpha|_1 = 1/pi and bias in [0, 1], about two thirds of
+    them zero on the cube, plus two heavy units whose kink meets the grid
+    corner (1, ..., 1) of a 17-point axis: one through it, one past it by a
+    relative 1e-10.
 
     Returns the network and the mask of the units built to be zero on the
     cube with a nonzero last weight.
@@ -317,11 +318,11 @@ class TestLinePath:
     #: grid times a scale, computed with one ``searchsorted`` per breakpoint:
     #: guessed and checked bins must change no byte.
     EVALUATE_DIGESTS = {
-        "decay2": "62c8af8c9182bf5230c9c3360bddb4584b0fc652c14fb700db5fa216f64fabc0",
-        "decay2_x3": "eb4f0d9e504c899371fd4dcd828acefb81a8a4630684013bb2a369405682b555",
-        "decay2_x0.25": "cfd57cafff7be1265a557298975db39197eeaae7988f3cf3a5b64f638eb32b5a",
-        "decay3": "a314dbcb2cec9550421b67c51460303530e3aa65a89418eedee0b4cd335b081e",
-        "decay1": "9e4cb8d73933e10dad05f972c3ee5993a29aff8250626f91bb391f86a8ed4688",
+        "decay2": "61c9308a4f0b4f6c7f613e8889f6fae6313fa89734aa67ed957b69d5711a811a",
+        "decay2_x3": "0494ff2c814f6e9ac033e82e783edd1372f240315981163dee7a2d8613bf3ca8",
+        "decay2_x0.25": "cc884cff2c06f39f16a61f26b945826b906051ca1b5bb80c5f716bb10470d74c",
+        "decay3": "00839b752e017b7cec481ae1853ab64e6ef27692b3e8d89c8ede0852db433d98",
+        "decay1": "add1507de7750ad5cfa9a4f9076b3400b1c018195797edf23eeb5e9691ddb389",
     }
 
     @pytest.mark.parametrize(
@@ -350,8 +351,8 @@ class TestLinePath:
     #: spaced (most guessed bins fail their check), computed with the falling
     #: units binned on t itself and summed from its end.
     LINE_DIGESTS = {
-        "cubed": "169047e3d17b03666d10fa6e5f1a381393c14261d58108f0c16b38f9e06474a3",
-        "repeated": "ce25e1e908d3c320e2b61015bf497c4fb6fb7fd13951675b8b2f98e800e59576",
+        "cubed": "a7fbff87b7caf6e7ce05a644b9d42b16b920d4b9a42c745c0a653c70268a1f90",
+        "repeated": "b2fa3bb805e093d204b4f21de5158477043a16a913b9b2ba17ef0c3631944d62",
     }
 
     @pytest.mark.parametrize("name", ["cubed", "repeated"])
@@ -498,17 +499,23 @@ class TestLipschitz:
         assert cert.bound >= cert.grid_max
         assert cert.bound <= cert.grid_max + (cert.lipschitz_target + cert.lipschitz_network)
 
-    def test_certificate_sums_units_live_on_the_cube(self, corpus):
+    def test_certificate_sums_every_unit(self, corpus):
+        """No sampled unit is zero on the whole cube: the largest value of
+        alpha . x there is |alpha|_1, and no bias exceeds it.  So the
+        certificate sums the Lipschitz terms of every unit."""
+        for name, target in corpus:
+            grid = rj.EvaluationGrid(target.d, 9, rj.CUBE)
+            for m in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
+                net = rj.construct(target, 2, m, seed=1)
+                u = net.units
+                sampled = u.origins == ORIGIN_SAMPLED
+                assert np.all(u.biases[sampled] <= np.abs(u.alphas[sampled]).sum(axis=1)), (name, m)
+                cert = certified_sup_error(net, target, grid)
+                assert cert.lipschitz_network == lipschitz_bound(net), (name, m)
         target = dict(corpus)["decay2"]
         net = rj.construct(target, 2, 256, seed=1)
         grid = rj.EvaluationGrid(2, 33, rj.CUBE)
         cert = certified_sup_error(net, target, grid)
-        u = net.units
-        norms = np.abs(u.alphas).sum(axis=1)
-        live = u.biases <= norms  # sum_j max(-alpha_j, alpha_j) = |alpha|_1 on the cube
-        assert 0.2 < live.mean() < 0.5
-        assert cert.lipschitz_network == pytest.approx(np.sum(np.abs(u.betas[live]) * norms[live]), rel=1e-12)
-        assert cert.lipschitz_network < 0.6 * lipschitz_bound(net)
         pts = np.random.default_rng(2000).uniform(-1.0, 1.0, size=(2000, 2))
         for x in (pts, grid.points()):
             assert np.abs(rj.evaluate(target, x) - evaluate(net, x)).max() <= cert.bound
@@ -533,12 +540,51 @@ class TestAudit:
         net = simple_net([(np.array([0.1]), 5.0, 0.5, "sampled")], d=1, meta=meta)
         rep = audit(net)
         assert not rep.check("sampled_beta").passed
+        # |beta| = 0.5 lies between the limit 8 pi v2 / m and the former 8 pi^2 v2 / m
+        meta = NetworkMeta(v=1.0, bandwidth=1, v2=1.0, m_requested=64, m_prime=16, strata_count=1)
+        net = simple_net([(np.array([0.1]), 0.5, 0.25, "sampled")], d=1, meta=meta)
+        assert audit(net).check("sampled_beta").limit == 8 * np.pi / 64
+        assert [c.name for c in audit(net).checks if not c.passed] == ["sampled_beta"]
 
     def test_flags_bias_violation(self):
         meta = NetworkMeta(v=0.0, bandwidth=1, v2=1.0, m_requested=64, m_prime=16, strata_count=0)
         net = simple_net([(np.array([0.1]), 1e-6, 1.5, "sampled")], d=1, meta=meta)
         rep = audit(net)
         assert not rep.check("sampled_bias_high").passed
+
+    def test_flags_sampled_bias_above_shift_limit(self):
+        """A sampled unit with shift 0.5 > 1/pi is zero on the whole cube; the
+        bias limit 1 used to pass it."""
+        meta = NetworkMeta(v=0.0, bandwidth=1, v2=1.0, m_requested=64, m_prime=16, strata_count=1)
+        net = simple_net([(np.array([1 / np.pi]), 1e-6, 0.5, "sampled")], d=1, meta=meta)
+        rep = audit(net)
+        assert not rep.passed
+        assert [c.name for c in rep.checks if not c.passed] == ["sampled_bias_high"]
+        assert rep.check("sampled_bias_high").limit == SHIFT_LIMIT
+
+    def test_flags_density_integrated_past_shift_limit(self, corpus, monkeypatch):
+        """Masses integrated over shifts [0, 1] while the strata cut [0, 1/pi]:
+        v comes out about 4 pi v2, within the old limit 2 pi^2 v2."""
+        exact = sampler._interval_abs_cos_integral
+        monkeypatch.setattr(sampler, "_interval_abs_cos_integral", lambda omega, b, lo, hi: exact(omega, b, lo, 1.0))
+        for name, target in corpus:
+            if name == "const1":
+                continue
+            net = rj.construct(target, 2, 256, seed=1)
+            rep = audit(net)
+            assert not rep.check("normalization_vs_variation").passed, name
+            assert net.meta.v <= 2 * np.pi**2 * net.meta.v2, name
+
+    def test_affine_bias_one_passes(self, cos_target):
+        """The shift limit 1/pi binds sampled units only: the affine constant
+        unit may keep bias up to 1."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        meta = net.meta
+        extra = Units.build(1, [(np.array([0.5]), 0.25, 1.0, ORIGIN_AFFINE)])
+        net = ShallowNetwork(1, Units.concat([net.units, extra]), meta)
+        rep = audit(net)
+        assert rep.passed
+        assert rep.check("affine_bias_high").observed == 1.0
 
     def test_affine_only_vacuous(self):
         t = rj.make_trig_poly(1, {0: 1.0})
@@ -567,6 +613,7 @@ class TestAudit:
             "affine_count",
         ]
         assert [c.limit for c in rep.checks if c.name.endswith("_bias_low")] == [0.0, -1.0]
+        assert [c.limit for c in rep.checks if c.name.endswith("_bias_high")] == [SHIFT_LIMIT, 1.0]
 
 
 class TestSerialization:

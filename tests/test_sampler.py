@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
-from relu_jackson.network import ShallowNetwork, dumps_network
+from relu_jackson.network import SHIFT_LIMIT, ShallowNetwork, dumps_network
 from relu_jackson.network import evaluate as evaluate_network
 from relu_jackson.sampler import (
     _PLAIN_STREAM_TAG,
+    _abs_cos_primitive,
     _cos_zero_shifts,
-    _interval_abs_cos_integral,
     _invert_shift,
     affine_part,
     affine_units,
@@ -62,13 +62,27 @@ class TestIdentityResidual:
 class TestBuildDensity:
     def test_cos_image_masses(self, cos_image):
         dens = build_density(cos_image)
-        # per-(sign, mode) mass: pi^2 * (1/4) * 1 * int_0^1 |cos(pi t)| dt
-        cos_integral = np.trapezoid(np.abs(np.cos(np.pi * np.linspace(0, 1, 100001))), dx=1e-5)
-        assert cos_integral == pytest.approx(2 / np.pi, abs=1e-8)
-        expected = np.pi**2 * 0.25 * cos_integral
-        assert dens.masses == pytest.approx(np.full((2, 2), expected), abs=1e-7)
-        assert dens.masses == pytest.approx(np.full((2, 2), np.pi / 2), abs=1e-12)
-        assert dens.v == pytest.approx(2 * np.pi, abs=1e-12)
+        # per-mode mass, both ridge signs: 2 * pi^2 * (1/4) * 1 * int_0^(1/pi) |cos(pi t)| dt
+        cos_integral = np.trapezoid(np.abs(np.cos(np.pi * np.linspace(0, 1 / np.pi, 100001))), dx=1e-5 / np.pi)
+        assert cos_integral == pytest.approx(np.sin(1.0) / np.pi, abs=1e-8)
+        expected = 2 * np.pi**2 * 0.25 * cos_integral
+        assert dens.masses.shape == (2,)
+        assert dens.masses == pytest.approx(np.full(2, expected), abs=1e-7)
+        assert dens.masses == pytest.approx(np.full(2, np.pi * np.sin(1.0) / 2), abs=1e-12)
+        assert dens.v == pytest.approx(np.pi * np.sin(1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_fold_premise(self, corpus, n):
+        """The density folds the ridge of sign -1 at k into the atom at -k: this
+        needs every smoothed image's modes closed under negation, with equal
+        moduli and opposite phases, bit for bit."""
+        for name, t in corpus:
+            img = rj.apply_jackson(t, n, 2)
+            row = {tuple(k): i for i, k in enumerate(img.modes.tolist())}
+            neg = np.array([row[tuple(-x for x in k)] for k in img.modes.tolist()], dtype=np.int64)
+            c, c_neg = img.coeffs, img.coeffs[neg]
+            assert np.array_equal(np.abs(c_neg), np.abs(c)), name
+            assert np.array_equal(np.angle(c_neg), -np.angle(c)), name
 
     def test_normalized_mass(self, corpus):
         for name, t in corpus:
@@ -81,11 +95,11 @@ class TestBuildDensity:
         dens = build_density(cos_image)
         v2 = rj.variation(cos_image, 2)
         assert v2 == pytest.approx(0.5, abs=1e-15)
-        assert dens.v <= 2 * np.pi**2 * v2
+        assert dens.v <= 2 * np.pi * v2
         for name, t in corpus:
             img = rj.apply_jackson(t, 16, 2)
             dens = build_density(img)
-            assert dens.v <= 2 * np.pi**2 * rj.variation(img, 2) + 1e-12, name
+            assert dens.v <= 2 * np.pi * rj.variation(img, 2) + 1e-12, name
 
     def test_direction_norms(self, corpus):
         for _, t in corpus:
@@ -124,10 +138,11 @@ class TestBuildStrata:
         plan = build_strata(dens, 64)
         for st in plan.strata:
             mids = 0.5 * (st.piece_lo + st.piece_hi)
-            sgn = -np.sign(np.cos(st.z * dens.omegas[st.mode_index] * mids + dens.phases[st.mode_index]))
+            sgn = -np.sign(np.cos(dens.omegas[st.mode_index] * mids + dens.phases[st.mode_index]))
             assert np.all(sgn == st.sign)
             assert np.all(st.piece_lo >= st.t_lo - 1e-15)
             assert np.all(st.piece_hi <= st.t_hi + 1e-15)
+            assert st.t_lo >= 0.0 and st.t_hi <= SHIFT_LIMIT
 
     def test_within_stratum_oscillation(self):
         t = rj.make_decay_target(2, 4.2, 4, seed=7)
@@ -140,7 +155,7 @@ class TestBuildStrata:
                 continue
             feats = []
             for j in (0, len(st.mode_index) - 1):
-                alpha = st.z * dens.alphas[st.mode_index[j]]
+                alpha = dens.alphas[st.mode_index[j]]
                 for t_val in (st.piece_lo[j], st.piece_hi[j]):
                     feats.append(np.maximum(xs @ alpha - t_val, 0.0))
             worst = max(
@@ -169,7 +184,7 @@ class TestBuildStrata:
         assert plan.strata_count == len(expected)
         assert plan.ptr[-1] == sum(len(ref["modes"]) for ref in expected)
         for st, ref in zip(plan.strata, expected):
-            assert (st.z, st.bin_index, st.cell, st.sign) == ref["key"]
+            assert (st.bin_index, st.cell, st.sign) == ref["key"]
             assert np.array_equal(st.mode_index, ref["modes"])
             assert np.array_equal(st.piece_lo, ref["lo"]) and np.array_equal(st.piece_hi, ref["hi"])
             assert np.all(np.abs(st.piece_mass - ref["mass"]) <= np.spacing(ref["mass"]))
@@ -186,21 +201,26 @@ class TestBuildStrata:
             cum = np.cumsum(st.piece_mass)
             assert np.abs(within - cum / cum[-1]).max() <= 1e-12
 
-    def test_zero_on_bin_edge_cuts_once(self, cos_image):
-        """cos(pi t) vanishes at t = 0.5, which is also the bin edge 4 delta
-        at m=64: each (sign, frequency) row is cut there once, and no piece
-        is empty."""
-        plan = build_strata(build_density(cos_image), 64)
-        assert plan.delta == 0.125 and 4 * plan.delta == 0.5
+    def test_zero_on_bin_edge_cuts_once(self):
+        """cos(pi t + pi/4), the k = 1 row of (1 + i) e^{ix} / 4 + conj, vanishes
+        at t = 0.25, which is also the bin edge 2 delta at m=64: that row is
+        cut there once, and no piece is empty."""
+        dens = build_density(rj.make_trig_poly(1, {1: 0.25 + 0.25j, -1: 0.25 - 0.25j}))
+        assert dens.phases.tolist() == [-np.pi / 4, np.pi / 4]
+        plan = build_strata(dens, 64)
+        assert plan.delta == 0.125 and 2 * plan.delta == 0.25
         assert np.all(plan.piece_hi > plan.piece_lo)
-        z = np.repeat(plan.z, np.diff(plan.ptr))
-        for zv in (-1.0, 1.0):
-            for mode in range(2):
-                mine = (z == zv) & (plan.piece_mode == mode)
-                bounds = np.concatenate([plan.piece_lo[mine], plan.piece_hi[mine]])
-                assert np.count_nonzero(plan.piece_lo[mine] == 0.5) == 1
-                assert np.count_nonzero(plan.piece_hi[mine] == 0.5) == 1
-                assert np.array_equal(np.unique(bounds), np.arange(9) / 8)
+        edges = [0.0, 0.125, 0.25, SHIFT_LIMIT]
+        for mode in range(2):
+            mine = plan.piece_mode == mode
+            bounds = np.concatenate([plan.piece_lo[mine], plan.piece_hi[mine]])
+            assert np.count_nonzero(plan.piece_lo[mine] == 0.25) == 1
+            assert np.count_nonzero(plan.piece_hi[mine] == 0.25) == 1
+            assert np.unique(bounds).tolist() == edges
+        # the sign of cos changes at the edge on the k = 1 row only
+        signs = np.repeat(plan.sign, np.diff(plan.ptr))
+        assert len(set(signs[plan.piece_mode == 1].tolist())) == 2
+        assert len(set(signs[plan.piece_mode == 0].tolist())) == 1
 
     # sha256 of each plan array (dtype, shape, then bytes), recorded on
     # x86-64 with NumPy 2.4: any change of a plan byte, such as a reordering
@@ -208,52 +228,49 @@ class TestBuildStrata:
     # NumPy's float64 cos and sin.
     PLAN_DIGESTS = {
         "decay1": {
-            "ptr": "1a02a554ae512b6ad03a7025b8502289f4266974a84462581d9e02a18d0f7fb8",
-            "piece_mode": "941980c8f32fa9d71e29d24e5b888fb7e344a275f047cef05b8245ec0c46c547",
-            "piece_lo": "725708e31d1d2bd1bb8315bedb4d0bc1d259d9f9c9d5a5065098ab2127efd26d",
-            "piece_hi": "577998ec5b3a20f19f0b2d2be62b5a60d5a370021a3137636c1f9c7c20a1d0cc",
-            "piece_mass": "cbf22948cfc256b736555048e449ddfc16a712b583e7110a4fbde3426a037636",
-            "cum": "b95606b17b4b23794601bcaa6a847d74aa4ba379025c0e2d94d0a65cb1c10347",
-            "z": "6d71d818bfcc2d641ce1993cad8e8d7bbe614e8cef6a3e050285e67f25f92cce",
-            "bin_index": "af3a291d30c54cac3929e3fbed19366b0929ea3368f8fd64336413c26b5384ff",
-            "cell": "2509a9b672acd8f7ebe74df142fce2ccce136284707d16e9260c08987a55adb1",
-            "sign": "8f9b82f76501c8d3623205d937df82d4014c2ace3996688a1d8dab8a9fb90185",
-            "mass": "d7aa6092d1ebaef07b28b26a2e6f7fddb0503bce88e33d23fb969fde4b42fd83",
-            "share": "ba3ad67b40417bf2d90de8a12ad45eb4b7b9bafe7d84ed289db69320ce9c4c4c",
-            "target_count": "f76aafe252ea50d4d4e126a4b11a428aa39a33fa31adcfc476117a8af1ebeae5",
-            "count": "549e48cd38aa71628b46e5dd5ec0dccd949feda1e4353ddf6624f56de1e8ae1a",
+            "ptr": "1d708e67e55328617f4c77ca34e27ae29f86b949423df327ca290d442d41a3de",
+            "piece_mode": "be98f70e6f95de375c4880b709f3f2dde405d774fe3093085cd4c2cd61f8abbf",
+            "piece_lo": "cbea39bb711b1aecc7f572be6926f452fe7a33b4fd13a37f1dde381ac815b39d",
+            "piece_hi": "92e2abba253b35e2b2bbc12e366fe645debc3cd92894a56b270320835c2ff6ec",
+            "piece_mass": "0c2a10f93c3b126af1402b583d0ffe8062632a8b867f2ce7b3f25d3f8660a6e0",
+            "cum": "957f8339998cd463c39d64ac61afe1108615e6e734a3848aeb6a2cdb627fa780",
+            "bin_index": "9298028ceffef7b4e7ca34bebe13bfcfe84cc1d14d6749ca9788ee43fb42bb68",
+            "cell": "140d7f98b7d937c4e89a4f7cef9bea2c108598d7220df4c20aa80d8f8b69e040",
+            "sign": "7e85ec7db2b723791d2be8da270c32e50bec70f118269de024f37ed8d029a671",
+            "mass": "17e5b23ce1f9d291cf3de9565dec39496dc9c4abe931b0bad5c6d980dd0992ba",
+            "share": "100b06b22279ab7e7f6ddd47c355500150d63e0c104a909023d9f79d0762a193",
+            "target_count": "3a07f4effb3f4bb462f65466e908e796769e872856c11552d07742e69524c338",
+            "count": "d010d2254eb39027c92b3865b4aae33ab3cd8e8854e3a4bccf4ab72fa119e8fb",
         },
         "decay2": {
-            "ptr": "63c3cb66137494c92874b3d37fe14c53f5f1974f64d16f08d5f81fd7c6420364",
-            "piece_mode": "9701173f3d8d777690a0229906a8cbe29103c58431a60740eb8e8ca63601d672",
-            "piece_lo": "5968ab5af50f1b2711574813c94f9c0999735953c484d25d34c19917fb303c1d",
-            "piece_hi": "fc3a64795129ab5425b95b0a3a2c892537e94ce925b7cfbad7571bb5f544d798",
-            "piece_mass": "eeca49364562822645b03907129d6ffab5e7c0658bd5692ca62e614d803c1319",
-            "cum": "9d392dce3346ea32bd00be8b39ef1fd8778d999caa0467e9d2f5be053ffa5bde",
-            "z": "bcf8e52350de0dac0e6df166eea25d69e0a74e0790e25158b2dbc5b5ad486be0",
-            "bin_index": "5dcf0dad060d7833c27ab5d1bb876a5704365d23ff80924924cb259e4e840b8d",
-            "cell": "9ff16f85e277f857a94a1b4d8a4a41b6b141cbcc7aa11cf8bc1997787b8e5704",
-            "sign": "9586327f154f8077456b28d71f606f46d627cd06c7b20316a6e8a918c33e573b",
-            "mass": "877debe851baba1dcd9c60e10f8a5fc7fb05433bca3750ac0affad416480e969",
-            "share": "caf5ed376abcbce5f462ddf137b3e7f275eb9be736c3d204ba4723597869652d",
-            "target_count": "43cadd3c44e0d141dfaf8592c777464b68a8473ea45ce0c8bebc991c351e2651",
-            "count": "d92bbb72bc78ef9a105c5d076ea991462d67b504daf6fb07da12608b17873e88",
+            "ptr": "5759dd238cb68f31b6e162d789d99b1689f9ada862d8ae5d39b9bb1767d6c140",
+            "piece_mode": "854c7f012207a0e2178530413f13a47566932d74fc29ce29428db243148893d6",
+            "piece_lo": "8dac06e69fbeb8412bd536c498e159488d41cee4b0ab7cd32cfcb2bc73cff390",
+            "piece_hi": "8071ba48a124e0430459c3b219e52a6a2208feb9a41e8de4cedb96784ac9c48d",
+            "piece_mass": "778686cc2f832c13f4f399ea1fcd72974d04c05c303ee239a18ca19ce20ab1fd",
+            "cum": "df17e056e85c9c5b840674755c4da65f25a37aa45a1a300a09be923593a29107",
+            "bin_index": "84bb8a987fddc482d79e7f93b5ed500a58de3754713e806635fb6d370cd3edef",
+            "cell": "30fc2f50e1c962081851e514e88eb633cea851b81d0c9382d4ea86fd981aac3b",
+            "sign": "cdbe4249975cbd35bbe05cd9307b21dc427b7e699e2e663c97dc8f23110f0e1b",
+            "mass": "4fd15cd713042f8946461929a333b30609dac2ab5378ff56fc973a91bd047353",
+            "share": "558c24b0f412be8c83c11fc402017e68cb66cc636f0c94ff674a7e149ad16c42",
+            "target_count": "e919de08480fe35261d8d501855ea20519a81242b03ac3dde0f1607163593b61",
+            "count": "29380ba8998653d1c0c1e9d24e61dc6dfb8d9e15e38904dba1b0932c3ce5eb5d",
         },
         "decay3": {
-            "ptr": "e09ddbdbb108c4e12c21693a39f331c45c6e0db41091a25cf81d645224db66cc",
-            "piece_mode": "ffada2227a21d59f70b3960613e1825c6e16492e77dcda9640bd5004a6f35b47",
-            "piece_lo": "fa04cc6620481fae5e75beef46d71ecdbb0016dbf6ba6dc2122a0333bc4eaa0b",
-            "piece_hi": "8d777c065c45745cbbdb032df6e66850d1af3a5765cc0893965cf7952b10c6b2",
-            "piece_mass": "7263c0baaa5f0f35f842ceb053de583dbffb896425692d8ed701e68e80251726",
-            "cum": "a6d7da2f8ada57693d22edf7b9b4910068509547dc5dc09639f86f7b84650c8a",
-            "z": "04a8f0ffd97329ed2ccbbd25a14c3d43c6079ebfc8b63a736c1844eda2933bcb",
-            "bin_index": "d9626ca304a03e53de877b5c93940bac61734158f5cef8a7847b248830536a6d",
-            "cell": "d035c2e0ecfb742017635c9656002f1ff6f2cd889c7504fd6a7f6367171acc15",
-            "sign": "9cf996c12c16c78932e89467d8293b962d4183b888fdd40319c8eb1323ebf72d",
-            "mass": "56e2107a62ad5d9af654eae437962800a5cb201dbea21754863389bf0a12bd75",
-            "share": "145d6c867c586361b421bf6ee82ac3f9618e41ae195693c0b235e68a8be774e9",
-            "target_count": "c882c9b0139f9041adadad1fad3696fe966d96592347be0a330cc7858fd9b381",
-            "count": "2cfe512895bbd812c49a99c5f782ac8cb56847a3c9f35e91860be5cb8213a3f4",
+            "ptr": "5a8fcde45d6006b6928512cf9ef805745e113d93e70f781f88388b53d0538c07",
+            "piece_mode": "09a22dd239ef60b04f9fe2eb5b9ba57a01af514542380ccf34aaf3202bfc4468",
+            "piece_lo": "94515644571f631c534a4e1f39474bf066587886ab2b9afe8d5b626fa528c409",
+            "piece_hi": "976d9a155607a88f1a884c659b0cca5716974779c2b978c1fed768ec2f14548d",
+            "piece_mass": "3b92876ef344a9270b9b66a3778e4dde2728e34b7d0a502774f9fc26be6b85ff",
+            "cum": "fea6dd303fb85e64556d16b7111ad0e04ab7f730ff879721b1b1fc9d41808bc9",
+            "bin_index": "e3d13a2137f6ae534fa51d1f7267ccf96530bec89c4dd00f7128eec194d0e248",
+            "cell": "afea05e4b1b5e53737a700c69a05d3723f92f2e22c4e992c473f48dabb98ac93",
+            "sign": "7bdb7fd7efd9b5907d27ff58eba1efe2c645bc70d7e375c958b5c095df91df9d",
+            "mass": "e0117d022551aa47805d4aa02a24d68ee9fa2047e00a8b725e032027636f29e3",
+            "share": "94fca5f182893c0445e08038aa0d1f6ef729a6ad0dc0d189eb774f2e2bb0380c",
+            "target_count": "0667ad723a243348724b3c7c62badd7f9f1014e511001c76c872d5668ad64695",
+            "count": "91b53064c155b6ba7d5cad407f31f64a7310c8a1aac27e5db212fac5bc6dcbfd",
         },
     }
 
@@ -287,53 +304,71 @@ class TestBuildStrata:
 
 
 def test_cos_zero_shifts_ascend_within_each_row():
-    """Zeros come out row by row with t ascending for both signs of z, so
-    ``build_strata`` can merge them into the bin edges without a sort."""
+    """Zeros come out row by row with t ascending, so ``build_strata`` can
+    merge them into the bin edges without a sort."""
     rng = np.random.default_rng(3)
     omega = np.pi * rng.integers(1, 40, 50).astype(float)
     b = rng.uniform(-np.pi, np.pi, 50)
-    z = np.repeat([-1.0, 1.0], 25)
-    row, t = _cos_zero_shifts(z, omega, b)
+    row, t = _cos_zero_shifts(omega, b)
     assert np.all(np.diff(row) >= 0)
     assert np.all(np.diff(t)[np.diff(row) == 0] > 0.0)
-    assert np.all((t > 0.0) & (t < 1.0))
-    assert np.abs(np.cos(z[row] * omega[row] * t + b[row])).max() < 1e-12
+    assert np.all((t > 0.0) & (t < SHIFT_LIMIT))
+    assert np.abs(np.cos(omega[row] * t + b[row])).max() < 1e-12
+    # every zero in the range: each row's phase runs from b to b + omega / pi
+    expected = np.floor((b + omega / np.pi - np.pi / 2) / np.pi) - np.ceil((b - np.pi / 2) / np.pi) + 1
+    assert np.bincount(row, minlength=50).tolist() == np.maximum(expected, 0).astype(int).tolist()
 
 
 def _reference_strata(dens, m):
-    """Strata of a width-m plan built by a plain loop over (sign, mode),
-    bucketed in a dict and ordered by sorting its keys."""
+    """Strata of a width-m plan built by a plain loop over both ridge signs z
+    and every mode, shifts on [0, 1/pi], bucketed in a dict and ordered by
+    sorting its keys.
+
+    The atom (z = -1, k, t) is the atom (z = +1, -k, t), so the loop folds it
+    there: it is filed under the mode and direction cell of -k, and its mass
+    is added to that piece's mass from the z = +1 row of -k.  The pieces of
+    the two rows must coincide, or the fold leaves a piece the plan lacks.
+    """
     _, delta = allocation_width(m, dens.image.d)
-    edges = np.minimum(delta * np.arange(math.ceil(1.0 / delta) + 1), 1.0)
+    limit = 1.0 / math.pi
+    edges = np.minimum(delta * np.arange(math.ceil(limit / delta) + 1), limit)
+    # (|k|_1, alpha_k) names k; alpha_k alone does not (in d = 1 every k > 0 has alpha_k = 1/pi)
+    named = {(l1, tuple(a)): j for j, (l1, a) in enumerate(zip(dens.l1.tolist(), dens.alphas.tolist()))}
     bucket = {}
     for z in (-1.0, 1.0):
         for j in range(dens.mode_count):
             omega, b = float(dens.omegas[j]), float(dens.phases[j])
-            lo_phase, hi_phase = sorted((b, z * omega + b))
+            lo_phase, hi_phase = sorted((b, z * omega * limit + b))
             n0 = math.ceil((lo_phase - math.pi / 2.0) / math.pi)
             n1 = math.floor((hi_phase - math.pi / 2.0) / math.pi)
             zeros = (math.pi / 2.0 + math.pi * np.arange(n0, n1 + 1) - b) / (z * omega)
-            bounds = np.unique(np.concatenate([edges, zeros[(zeros > 0.0) & (zeros < 1.0)]]))
-            cell = tuple(int(c) for c in np.floor(dens.alphas[j] / delta))
+            bounds = np.unique(np.concatenate([edges, zeros[(zeros > 0.0) & (zeros < limit)]]))
+            mode = j if z > 0.0 else named[(float(dens.l1[j]), tuple((-dens.alphas[j]).tolist()))]
+            cell = tuple(int(c) for c in np.floor(dens.alphas[mode] / delta))
             base = np.pi**2 * float(dens.magnitudes[j]) * float(dens.l1[j]) ** 2
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 sign = -float(np.sign(np.cos(z * omega * (0.5 * (lo + hi)) + b)))
-                mass = base * float(_interval_abs_cos_integral(z, omega, b, lo, hi))
+                rise = _abs_cos_primitive(z * omega * hi + b) - _abs_cos_primitive(z * omega * lo + b)
+                mass = base * float(rise / (z * omega))
                 if sign == 0.0 or mass <= 0.0:
                     continue
                 bin_index = int(np.searchsorted(edges, lo, side="right")) - 1
-                bucket.setdefault((z, bin_index, cell, sign), []).append((j, lo, hi, mass))
-    return [
-        {
-            "key": key,
-            "modes": np.array([p[0] for p in bucket[key]]),
-            "lo": np.array([p[1] for p in bucket[key]]),
-            "hi": np.array([p[2] for p in bucket[key]]),
-            "mass": np.array([p[3] for p in bucket[key]]),
-            "total": math.fsum(p[3] for p in bucket[key]),
-        }
-        for key in sorted(bucket)
-    ]
+                pieces = bucket.setdefault((bin_index, cell, sign), {})
+                pieces[(mode, lo, hi)] = pieces.get((mode, lo, hi), 0.0) + mass
+    strata = []
+    for key in sorted(bucket):
+        pieces = sorted(bucket[key].items())
+        strata.append(
+            {
+                "key": key,
+                "modes": np.array([p[0][0] for p in pieces]),
+                "lo": np.array([p[0][1] for p in pieces]),
+                "hi": np.array([p[0][2] for p in pieces]),
+                "mass": np.array([p[1] for p in pieces]),
+                "total": math.fsum(p[1] for p in pieces),
+            }
+        )
+    return strata
 
 
 def _stratified_stream(seed, start, rows):
@@ -360,10 +395,10 @@ class TestStratifiedSample:
             cum = np.cumsum(st.piece_mass)
             pick = np.minimum(np.searchsorted(cum / cum[-1], u[:, 0], side="right"), len(cum) - 1)
             mode = st.mode_index[pick]
-            t = _invert_shift(st.z, dens.omegas[mode], dens.phases[mode], st.piece_lo[pick], st.piece_hi[pick], u[:, 1])
+            t = _invert_shift(dens.omegas[mode], dens.phases[mode], st.piece_lo[pick], st.piece_hi[pick], u[:, 1])
             block = slice(start, start + st.count)
             assert np.array_equal(units.biases[block], t)
-            assert np.array_equal(units.alphas[block], st.z * dens.alphas[mode])
+            assert np.array_equal(units.alphas[block], dens.alphas[mode])
             start += st.count
         assert start == len(units)
         # strata start on both halves of a Philox block
@@ -375,11 +410,9 @@ class TestStratifiedSample:
         n = plan.total_count
         for seed in range(5):
             u_plain = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _PLAIN_STREAM_TAG))).random((n, 2))
-            flat = dens.masses.ravel()
-            cum = np.cumsum(flat)
-            zi, mode = np.divmod(np.searchsorted(cum, u_plain[:, 0] * cum[-1], side="right"), dens.mode_count)
-            z = np.where(zi == 0, -1.0, 1.0)
-            t = _invert_shift(z, dens.omegas[mode], dens.phases[mode], 0.0, 1.0, u_plain[:, 1])
+            cum = np.cumsum(dens.masses)
+            mode = np.searchsorted(cum, u_plain[:, 0] * cum[-1], side="right")
+            t = _invert_shift(dens.omegas[mode], dens.phases[mode], 0.0, 1.0 / np.pi, u_plain[:, 1])
             assert np.array_equal(plain_sample(dens, n, seed).biases, t)
             u_strat = _stratified_stream(seed, 0, n)
             assert not np.isin(u_strat, u_plain).any()
@@ -401,7 +434,7 @@ class TestStratifiedSample:
         units = stratified_sample(plan, dens, 3)
         assert len(units) == plan.total_count
         assert np.abs(np.abs(units.alphas).sum(axis=1) - 1 / np.pi).max() < 1e-14
-        assert units.biases.min() >= 0.0 and units.biases.max() <= 1.0
+        assert units.biases.min() >= 0.0 and units.biases.max() <= SHIFT_LIMIT
         assert np.abs(units.betas).max() <= dens.v / plan.m_prime + 1e-15
 
     def test_beta_bound_from_variation(self, corpus):
@@ -413,7 +446,7 @@ class TestStratifiedSample:
             m = 64
             plan = build_strata(dens, m)
             units = stratified_sample(plan, dens, 1)
-            cap = 8 * np.pi**2 * rj.variation(img, 2) / m
+            cap = 8 * np.pi * rj.variation(img, 2) / m
             assert np.abs(units.betas).max() <= cap * (1 + 1e-12), name
 
     def test_shift_distribution_within_piece(self, cos_image):
@@ -436,7 +469,7 @@ class TestPlainSample:
         b = plain_sample(dens, 500, 9)
         assert np.array_equal(a.betas, b.betas) and np.array_equal(a.biases, b.biases)
         assert np.abs(np.abs(a.alphas).sum(axis=1) - 1 / np.pi).max() < 1e-14
-        assert a.biases.min() >= 0.0 and a.biases.max() <= 1.0
+        assert a.biases.min() >= 0.0 and a.biases.max() <= SHIFT_LIMIT
         assert np.abs(np.abs(a.betas) - dens.v / 500).max() < 1e-15
 
     def test_expectation_at_point(self, cos_image):
