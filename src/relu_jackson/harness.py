@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jackson import jackson_sup_error
-from .network import _max_error
+from .network import _line_layout, _max_error
 from .sampler import prepare, realize, select_bandwidth
 from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid, grid_values
 
@@ -155,12 +155,13 @@ def run_network_rate(exp: RateExperiment) -> str:
         raise ValueError("experiment mode must be network-rate")
     grid = default_grid(exp.target.d, CUBE, exp.grid_points)
     tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
+    layout = _line_layout(pts)
     header = ["m", "N_selected", "v", "median_error"] + [f"error_seed{s}" for s in exp.seeds]
     lines = ["# schema=network_rate@1", ",".join(header)]
     points = []
     for m in exp.sweep:
         prep = prepare(exp.target, exp.r, m, bandwidth=_selected_bandwidth(exp, m))
-        errs = [_max_error(realize(prep, seed), tvals, pts) for seed in exp.seeds]
+        errs = [_max_error(realize(prep, seed), tvals, pts, layout) for seed in exp.seeds]
         median = float(np.median(errs))
         points.append((m, median))
         fields = [str(m), str(prep.bandwidth), _fmt(prep.density.v), _fmt(median)] + [_fmt(e) for e in errs]
@@ -186,12 +187,13 @@ def run_paired_mc(exp: RateExperiment) -> str:
         raise ValueError("experiment mode must be paired-mc")
     grid = default_grid(exp.target.d, CUBE, exp.grid_points)
     tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
+    layout = _line_layout(pts)
     lines = ["# schema=paired_mc@1", "seed,stratified_error,plain_error"]
     strat_errs, plain_errs = [], []
     prep = prepare(exp.target, exp.r, exp.m, bandwidth=_selected_bandwidth(exp, exp.m))
     for seed in exp.seeds:
-        es = _max_error(realize(prep, seed, "stratified"), tvals, pts)
-        ep = _max_error(realize(prep, seed, "plain"), tvals, pts)
+        es = _max_error(realize(prep, seed, "stratified"), tvals, pts, layout)
+        ep = _max_error(realize(prep, seed, "plain"), tvals, pts, layout)
         strat_errs.append(es)
         plain_errs.append(ep)
         lines.append(f"{seed},{_fmt(es)},{_fmt(ep)}")

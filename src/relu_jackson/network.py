@@ -144,7 +144,16 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       value is ``S_a * t + S_c``.  Units with a zero last weight add the
       constant ``beta * max(c, 0)``.  A unit with a nonzero last weight that
       is zero at every point of a line has its breakpoint past the line's t,
-      in the end bin, which the cumulative sums drop.
+      in the end bin, which the cumulative sums drop.  Before a block of
+      lines is binned, ``_kept_sloped`` leaves out every such unit whose
+      breakpoint is in the end bin on every line of the block: it computes
+      the breakpoint once, at the corner of the block's box that the unit
+      rises toward, with the kernel's own operations.  A unit left out adds
+      only to end bins, and the kept units keep their storage order, so
+      every kept bin gets the same terms in the same order and no output
+      byte changes.  Units with a zero last weight are always kept: their
+      constants are summed pairwise, and a pairwise sum's bytes depend on
+      all of its terms.
 
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
@@ -152,19 +161,25 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     pts, single = _as_points(x, net.d)
     # one line is the line path's cheapest case; if even that does not pay, skip the layout check
     lines = _line_layout(pts) if _line_path_pays(net.unit_count, pts.shape[0], 1) else None
-    if lines is not None and _line_path_pays(net.unit_count, pts.shape[0], lines[0].shape[0]):
-        out = _evaluate_lines(net.units, *lines).ravel()
-    else:
-        out = _evaluate_dense(net.units, pts)
+    out = _evaluate_points(net.units, pts, lines)
     return float(out[0]) if single else out
+
+
+def _evaluate_points(units: Units, pts: np.ndarray, lines: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Values at pts (n, d), given ``lines = _line_layout(pts)`` (or None): the path ``evaluate`` takes."""
+    if lines is not None and _line_path_pays(len(units), pts.shape[0], lines[0].shape[0]):
+        return _evaluate_lines(units, *lines).ravel()
+    return _evaluate_dense(units, pts)
 
 
 def _line_path_pays(units: int, points: int, lines: int) -> bool:
     """Whether the line path's work, about (L*U + P) * log2(U), is below the dense P*U.
 
     The log2(U) factor prices a binary search per breakpoint, which
-    ``_sorted_bins`` replaces by an O(1) guess for most breakpoints; the rule
-    is kept as it is, so that no input changes path.
+    ``_sorted_bins`` replaces by an O(1) guess for most breakpoints, and U
+    counts every unit, also those ``_evaluate_lines`` leaves out on a block
+    of lines.  The cost model is left unchanged on purpose, so that no input
+    changes path.
     """
     return units > 0 and (lines * units + points) * math.log2(max(units, 2)) < points * units
 
@@ -202,9 +217,12 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     pos, neg, flat = (np.flatnonzero(m) for m in (a_last > 0.0, a_last < 0.0, a_last == 0.0))
     # storage order within each group, so bincount adds units in that order
     perm = np.concatenate((pos, neg, flat))
-    alphas, betas, biases = units.alphas[perm], units.betas[perm], units.biases[perm]
+    a_t, betas, biases = units.alphas[perm].T.copy(), units.betas[perm], units.biases[perm]  # a_t[j]: coordinate j
     n_pos, n_sloped = len(pos), len(pos) + len(neg)
-    scale, beta_a = np.abs(alphas[:n_sloped, -1]), betas[:n_sloped] * alphas[:n_sloped, -1]
+    scale, beta_a = np.abs(a_t[-1, :n_sloped]), betas[:n_sloped] * a_t[-1, :n_sloped]
+    ends = np.full(n_sloped, -t[0])
+    ends[:n_pos] = t[-1]
+    flat_cols = np.arange(n_sloped, len(perm))  # never left out: their constants are summed pairwise
     size, bins = len(t), len(t) + 1
     t_pad = np.concatenate(([-np.inf], t, [np.inf]))
     mirror_pad = -t_pad[::-1]  # the mirrored line t' = -t[::-1], padded the same way
@@ -213,25 +231,54 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     for l0 in range(0, x_rest.shape[0], step):
         xr = x_rest[l0 : l0 + step]
         n = xr.shape[0]
-        c = np.zeros((n, len(perm)))
+        # a unit left out adds only to end bins, so every kept bin gets the same terms in the same order
+        sloped = np.flatnonzero(_kept_sloped(a_t[:, :n_sloped], biases[:n_sloped], xr, ends))
+        kp, ks = np.searchsorted(sloped, n_pos), len(sloped)  # kept rising units, kept sloped units
+        kept = np.concatenate((sloped, flat_cols))
+        c = np.zeros((n, len(kept)))
         for j in range(xr.shape[1]):
-            c += xr[:, j : j + 1] * alphas[:, j]
-        c -= biases
+            c += xr[:, j : j + 1] * a_t[j][kept]
+        c -= biases[kept]
         # a_last > 0: active for t > -c/|a_last|; a_last < 0: for t' > -c/|a_last| on the mirrored line.
         # Bin k = #(t <= key) on its own line: active at points k.., the last bin dropped; falling bins follow.
-        q_pos, q_neg = -c[:, :n_pos] / scale[:n_pos], -c[:, n_pos:n_sloped] / scale[n_pos:]
-        k = np.concatenate((_sorted_bins(t_pad, q_pos), _sorted_bins(mirror_pad, q_neg) + bins), axis=1)
+        key = -c[:, :ks] / scale[sloped]
+        k = np.concatenate((_sorted_bins(t_pad, key[:, :kp]), _sorted_bins(mirror_pad, key[:, kp:]) + bins), axis=1)
         k += (np.arange(n) * 2 * bins)[:, None]
         k = k.ravel()
-        s_a = np.bincount(k, np.broadcast_to(beta_a, (n, n_sloped)).ravel(), n * 2 * bins).reshape(n, 2, bins)
-        s_c = np.bincount(k, (betas[:n_sloped] * c[:, :n_sloped]).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_a = np.bincount(k, np.broadcast_to(beta_a[sloped], (n, ks)).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_c = np.bincount(k, (betas[sloped] * c[:, :ks]).ravel(), n * 2 * bins).reshape(n, 2, bins)
         s_a, s_c = np.cumsum(s_a, axis=2), np.cumsum(s_c, axis=2)
         # the falling sums are read back in reverse point order
         slope = s_a[:, 0, :size] + s_a[:, 1, size - 1 :: -1]
         offset = s_c[:, 0, :size] + s_c[:, 1, size - 1 :: -1]
-        constant = np.sum(betas[n_sloped:] * np.maximum(c[:, n_sloped:], 0.0), axis=1)
+        constant = np.sum(betas[n_sloped:] * np.maximum(c[:, ks:], 0.0), axis=1)
         out[l0 : l0 + n] = slope * t + (offset + constant[:, None])
     return out
+
+
+def _kept_sloped(a_t: np.ndarray, biases: np.ndarray, x_rest: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Mask of the units with a nonzero last weight that ``_evaluate_lines`` bins on a block of lines.
+
+    a_t (d, units) holds the units' directions by coordinate, x_rest
+    (lines, d - 1) the block's lines, and ends the key from which on each
+    unit is in the end bin: ``t[-1]`` for a rising unit, ``-t[0]`` for a
+    falling one, which is binned on the mirrored line.  A unit is left out when its
+    breakpoint key is at or past its end on every line of the block.  Its
+    largest ``c`` over the block is taken at the corner of the box of
+    x_rest that it rises toward: coordinate by coordinate, the larger of
+    the products with the box's low and high end, summed from 0.0 in index
+    order, then less the bias, as the kernel computes ``c``.  Rounding is
+    monotone, so every line's key ``-c / |a_last|`` is at least the
+    corner's, and a corner key at or past the end puts the unit in the end
+    bin on every line.  A NaN key keeps the unit.
+    """
+    lo, hi = x_rest.min(axis=0), x_rest.max(axis=0)
+    c = np.zeros(len(biases))
+    with np.errstate(invalid="ignore"):
+        for j in range(x_rest.shape[1]):
+            c += np.maximum(lo[j] * a_t[j], hi[j] * a_t[j])
+        c -= biases
+        return ~(-c / np.abs(a_t[-1]) >= ends)
 
 
 def _sorted_bins(t_pad: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -278,12 +325,19 @@ def sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) 
         raise ValueError("network error is measured on a cube grid")
     if grid.d != net.d or target.d != net.d:
         raise ValueError("dimension mismatch")
-    return _max_error(net, grid_values(target, grid).ravel(), grid.points())
+    pts = grid.points()
+    return _max_error(net, grid_values(target, grid).ravel(), pts, _line_layout(pts))
 
 
-def _max_error(net: ShallowNetwork, tvals: np.ndarray, pts: np.ndarray) -> float:
-    """max |tvals - net(pts)|; callers that reuse one grid compute its target values once."""
-    return float(np.abs(tvals - evaluate(net, pts)).max())
+def _max_error(
+    net: ShallowNetwork, tvals: np.ndarray, pts: np.ndarray, lines: tuple[np.ndarray, np.ndarray] | None
+) -> float:
+    """max |tvals - net(pts)| for ``lines = _line_layout(pts)``.
+
+    Callers that reuse one grid compute its target values and its line
+    layout once.
+    """
+    return float(np.abs(tvals - _evaluate_points(net.units, pts, lines)).max())
 
 
 @dataclass(frozen=True)

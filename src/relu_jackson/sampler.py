@@ -385,11 +385,14 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     # Strata in (bin, cell, s) order: one integer key per piece, with the
     # direction cells ranked lexicographically (so the key stays below
     # 2 * n_edges * modes at any d), and a stable sort that keeps the
-    # (frequency, shift) order of the pieces inside each stratum.  NumPy
-    # 2.0.0 returns the inverse of an axis-0 unique as a column.
-    unique_cells, cell_rank = np.unique(cells, axis=0, return_inverse=True)
-    cell_rank = cell_rank.reshape(-1)[mode]
-    key = (bins * unique_cells.shape[0] + cell_rank) * 2 + (sign > 0.0)
+    # (frequency, shift) order of the pieces inside each stratum.  A cell's
+    # rank counts the changes of row among the lexicographically sorted cells.
+    by_cell = np.lexsort(cells.T[::-1])
+    sorted_cells = cells[by_cell]
+    changes = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
+    cell_rank = np.empty(by_cell.shape[0], dtype=np.int64)
+    cell_rank[by_cell] = np.concatenate(([0], np.cumsum(changes)))
+    key = (bins * (cell_rank.max() + 1) + cell_rank[mode]) * 2 + (sign > 0.0)
     kept = np.flatnonzero((sign != 0.0) & (mass > 0.0))
     order = kept[np.argsort(key[kept], kind="stable")]
     key = key[order]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,40 @@ class TestRunPairedMc:
             assert float(strat) > 0 and float(plain) > 0
         assert lines[-1].startswith("# stratified_median=")
         assert run_paired_mc(exp) == csv
+
+
+_DECAY2, _DECAY3 = rj.make_decay_target(2, 4.2, 8, seed=7), rj.make_decay_target(3, 3.2, 6, seed=5)
+
+#: Harness CSVs that evaluate on a grid whose line layout the runner
+#: computes once, with the sha256 of their bytes: the d = 2 sweep's shape
+#: (decay2, bandwidth floor(m^0.5), 129^2 grid), a d = 3 sweep at the
+#: default bandwidth rule (decay3, 33^3 grid) and a d = 2 paired
+#: comparison.  Recorded with the layout detected inside every evaluation
+#: and no unit left out of any block of lines.
+HARNESS_CSV_PINS = {
+    "sweep_d2": (
+        run_network_rate,
+        RateExperiment("network-rate", _DECAY2, 2, (64, 128, 256, 512, 1024, 2048, 4096), (1, 2), 129,
+                       bandwidth_exponent=0.5),
+        "839c39c09b789402d49fd5e0b98bd77111f11929ce2c810f99096ecf5bdefb6d",
+    ),
+    "sweep_d3": (
+        run_network_rate,
+        RateExperiment("network-rate", _DECAY3, 2, (512, 1024, 2048, 4096), (1,), 33),
+        "725e1ecbc433a81ee7ae04f46e5700b3bd9ab59cef50df1b152f744b4fc95b39",
+    ),
+    "paired_d2": (
+        run_paired_mc,
+        RateExperiment("paired-mc", _DECAY2, 2, seeds=(1, 2, 3), grid_points=129, bandwidth_exponent=0.5, m=1024),
+        "04ce51ddeb58e1b3a23432e083e6518ef61d1b56ac4454e023fe511bc9346504",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HARNESS_CSV_PINS))
+def test_harness_csv_bytes_pinned(name):
+    run, exp, digest = HARNESS_CSV_PINS[name]
+    assert hashlib.sha256(run(exp).encode()).hexdigest() == digest
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from relu_jackson.network import (
     _CELL_BLOCK,
     _evaluate_dense,
     _evaluate_lines,
+    _kept_sloped,
     _line_layout,
     _line_path_pays,
     _sorted_bins,
@@ -398,6 +399,89 @@ class TestLinePath:
     )
     def test_path_choice(self, units, points, lines, expected):
         assert _line_path_pays(units, points, lines) is expected
+
+
+class TestBlockPruning:
+    """Units left out of a block of lines are those whose breakpoint is in the end bin on every line."""
+
+    #: directions (-0.5, a_last) at the block's low end x_1 = 0.5 give c = -0.25 - bias: key 0.25 + bias
+    BLOCK = np.array([[0.5], [0.75]])
+    ON_END, ULP_INSIDE = 0.75, float(np.nextafter(0.75, 0.0))  # keys 1.0 and nextafter(1.0, 0.0)
+
+    def two_units(self, a_last):
+        rows = [(np.array([-0.5, a_last]), 1.0, bias, ORIGIN_SAMPLED) for bias in (self.ON_END, self.ULP_INSIDE)]
+        return Units.build(2, rows)
+
+    def test_rising_unit_on_the_last_t_is_left_out(self):
+        t = np.linspace(-1.0, 1.0, 17)
+        units = self.two_units(1.0)
+        kept = _kept_sloped(units.alphas.T.copy(), units.biases, self.BLOCK, np.full(2, t[-1]))
+        assert kept.tolist() == [False, True]
+        # the unit an ulp inside is live at the last point of the block's low line, and only there
+        for unit, tail in ((0, 0.0), (1, 2.0**-53)):
+            out = _evaluate_lines(keep_units(units, np.arange(2) == unit), self.BLOCK, t)
+            assert out.tolist() == [[0.0] * 16 + [tail], [0.0] * 17]
+
+    def test_falling_unit_on_the_first_t_is_left_out(self):
+        # t[-1] != -t[0], so a falling unit must be measured against the mirrored line's end -t[0] = 1
+        t = np.linspace(-1.0, 0.5, 13)
+        units = self.two_units(-1.0)
+        kept = _kept_sloped(units.alphas.T.copy(), units.biases, self.BLOCK, np.full(2, -t[0]))
+        assert kept.tolist() == [False, True]
+        for unit, head in ((0, 0.0), (1, 2.0**-53)):
+            out = _evaluate_lines(keep_units(units, np.arange(2) == unit), self.BLOCK, t)
+            assert out.tolist() == [[head] + [0.0] * 12, [0.0] * 13]
+
+    def test_nan_key_keeps_the_unit(self):
+        a_t = np.array([[0.5], [1.0]])
+        kept = _kept_sloped(a_t, np.array([5.0]), np.array([[np.nan], [0.0]]), np.array([1.0]))
+        assert kept.tolist() == [True]
+
+    def test_flat_unit_dead_on_every_line_stays_in_the_constant_sum(self):
+        # removing a zero term from a pairwise sum can change its bytes, so a dead flat unit must stay
+        rng = np.random.default_rng(90)
+        rows = [
+            (np.array([rng.uniform(0.1, 0.3), 0.0]), rng.normal(), -rng.uniform(0.35, 1.0), ORIGIN_SAMPLED)
+            for _ in range(40)
+        ]
+        rows[17] = (np.array([0.25, 0.0]), 3.0, 0.5, ORIGIN_SAMPLED)  # c <= 0 for x_1 <= 1
+        units = Units.build(2, rows)
+        x_rest, t = np.linspace(-1.0, 1.0, 9)[:, None], np.linspace(-1.0, 1.0, 5)
+        c = x_rest * units.alphas[:, 0] - units.biases
+        assert (c[:, 17] <= 0.0).all() and (c[:, np.arange(40) != 17] > 0.0).all()
+        terms = units.betas * np.maximum(c, 0.0)
+        constant, without = np.sum(terms, axis=1), np.sum(np.delete(terms, 17, axis=1), axis=1)
+        assert constant.tobytes() != without.tobytes()
+        out = _evaluate_lines(units, x_rest, t)
+        assert out.tobytes() == np.repeat(constant[:, None], len(t), axis=1).tobytes()
+
+    @pytest.mark.parametrize(
+        "target, per_axis", [((2, 4.2, 8, 7), 129), ((3, 3.2, 6, 5), 33)], ids=["decay2", "decay3"]
+    )
+    def test_blocks_match_single_lines(self, target, per_axis):
+        # a one-line block's box is the line itself: the units a block leaves out change none of its lines' bytes
+        d, s, k_max, target_seed = target
+        net = rj.construct(rj.make_decay_target(d, s, k_max, seed=target_seed), 2, 4096, 1)
+        x_rest, t = _line_layout(rj.default_grid(d, rj.CUBE, per_axis).points())
+        assert 1 < _CELL_BLOCK // net.unit_count < x_rest.shape[0]
+        got = _evaluate_lines(net.units, x_rest, t)
+        singles = [_evaluate_lines(net.units, x_rest[i : i + 1], t) for i in range(x_rest.shape[0])]
+        assert got.tobytes() == np.concatenate(singles).tobytes()
+
+    def test_leaves_out_many_units(self):
+        # on the d = 2 sweep grid, blocks of lines leave out a large share of the (line, unit) pairs
+        net = rj.construct(rj.make_decay_target(2, 4.2, 8, seed=7), 2, 4096, 1)
+        x_rest, t = _line_layout(rj.default_grid(2, rj.CUBE, 129).points())
+        u = net.units
+        sloped = u.alphas[:, -1] != 0.0
+        a_t, biases = u.alphas[sloped].T.copy(), u.biases[sloped]
+        ends = np.where(a_t[-1] > 0.0, t[-1], -t[0])
+        step = _CELL_BLOCK // net.unit_count
+        kept = sum(
+            np.count_nonzero(_kept_sloped(a_t, biases, x_rest[l0 : l0 + step], ends)) * x_rest[l0 : l0 + step].shape[0]
+            for l0 in range(0, x_rest.shape[0], step)
+        )
+        assert kept <= 0.7 * x_rest.shape[0] * np.count_nonzero(sloped)
 
 
 def padded(t):
