@@ -56,6 +56,7 @@ from .network import (
     ShallowNetwork,
     audit,
     certified_sup_error,
+    grid_error,
     load_network,
     save_network,
     sup_error,

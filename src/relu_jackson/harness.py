@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jackson import jackson_sup_error
-from .network import _line_layout, _max_error
-from .sampler import prepare, realize, select_bandwidth
-from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid, grid_values
+from .network import grid_error
+from .sampler import prepare, realize
+from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid
 
 #: Errors at or below this level are treated as exactly reproduced and are
 #: excluded from slope fits (they are rounding noise, not signal).
@@ -135,12 +135,11 @@ def run_jackson_rate(exp: RateExperiment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _selected_bandwidth(exp: RateExperiment, m: int) -> int:
-    if exp.bandwidth is not None:
-        return exp.bandwidth
+def _selected_bandwidth(exp: RateExperiment, m: int) -> int | None:
+    """The fixed or scheduled bandwidth; None leaves the selection rule to ``prepare``."""
     if exp.bandwidth_exponent is not None:
         return max(1, math.floor(m**exp.bandwidth_exponent))
-    return select_bandwidth(m, exp.target.d, exp.r)
+    return exp.bandwidth
 
 
 def run_network_rate(exp: RateExperiment) -> str:
@@ -153,15 +152,13 @@ def run_network_rate(exp: RateExperiment) -> str:
     """
     if exp.mode != "network-rate":
         raise ValueError("experiment mode must be network-rate")
-    grid = default_grid(exp.target.d, CUBE, exp.grid_points)
-    tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
-    layout = _line_layout(pts)
+    error = grid_error(exp.target, default_grid(exp.target.d, CUBE, exp.grid_points))
     header = ["m", "N_selected", "v", "median_error"] + [f"error_seed{s}" for s in exp.seeds]
     lines = ["# schema=network_rate@1", ",".join(header)]
     points = []
     for m in exp.sweep:
         prep = prepare(exp.target, exp.r, m, bandwidth=_selected_bandwidth(exp, m))
-        errs = [_max_error(realize(prep, seed), tvals, pts, layout) for seed in exp.seeds]
+        errs = [error(realize(prep, seed)) for seed in exp.seeds]
         median = float(np.median(errs))
         points.append((m, median))
         fields = [str(m), str(prep.bandwidth), _fmt(prep.density.v), _fmt(median)] + [_fmt(e) for e in errs]
@@ -185,15 +182,13 @@ def run_paired_mc(exp: RateExperiment) -> str:
     """
     if exp.mode != "paired-mc":
         raise ValueError("experiment mode must be paired-mc")
-    grid = default_grid(exp.target.d, CUBE, exp.grid_points)
-    tvals, pts = grid_values(exp.target, grid).ravel(), grid.points()
-    layout = _line_layout(pts)
+    error = grid_error(exp.target, default_grid(exp.target.d, CUBE, exp.grid_points))
     lines = ["# schema=paired_mc@1", "seed,stratified_error,plain_error"]
     strat_errs, plain_errs = [], []
     prep = prepare(exp.target, exp.r, exp.m, bandwidth=_selected_bandwidth(exp, exp.m))
     for seed in exp.seeds:
-        es = _max_error(realize(prep, seed, "stratified"), tvals, pts, layout)
-        ep = _max_error(realize(prep, seed, "plain"), tvals, pts, layout)
+        es = error(realize(prep, seed, "stratified"))
+        ep = error(realize(prep, seed, "plain"))
         strat_errs.append(es)
         plain_errs.append(ep)
         lines.append(f"{seed},{_fmt(es)},{_fmt(ep)}")

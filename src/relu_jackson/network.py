@@ -8,6 +8,7 @@ arrays, each tagged with its origin (Monte Carlo "sampled" unit or exact
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,24 +321,29 @@ def lipschitz_bound(net: ShallowNetwork) -> float:
 
 
 def sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> float:
-    """Grid maximum of |target - network| on the cube."""
+    """Grid maximum of |target - network| on the cube: ``grid_error(target, grid)(net)``."""
+    return grid_error(target, grid)(net)
+
+
+def grid_error(target: FourierTarget, grid: EvaluationGrid) -> Callable[[ShallowNetwork], float]:
+    """``net -> max |target - net|`` over a cube grid of the target's dimension.
+
+    The target's grid values, the points and their line layout are computed
+    once, so callers that measure many networks on one grid share them.
+    """
     if grid.domain != CUBE:
         raise ValueError("network error is measured on a cube grid")
-    if grid.d != net.d or target.d != net.d:
+    if grid.d != target.d:
         raise ValueError("dimension mismatch")
-    pts = grid.points()
-    return _max_error(net, grid_values(target, grid).ravel(), pts, _line_layout(pts))
+    tvals, pts = grid_values(target, grid).ravel(), grid.points()
+    lines = _line_layout(pts)
 
+    def error(net: ShallowNetwork) -> float:
+        if net.d != target.d:
+            raise ValueError("dimension mismatch")
+        return float(np.abs(tvals - _evaluate_points(net.units, pts, lines)).max())
 
-def _max_error(
-    net: ShallowNetwork, tvals: np.ndarray, pts: np.ndarray, lines: tuple[np.ndarray, np.ndarray] | None
-) -> float:
-    """max |tvals - net(pts)| for ``lines = _line_layout(pts)``.
-
-    Callers that reuse one grid compute its target values and its line
-    layout once.
-    """
-    return float(np.abs(tvals - _evaluate_points(net.units, pts, lines)).max())
+    return error
 
 
 @dataclass(frozen=True)
@@ -378,10 +384,10 @@ class AuditCheck:
 @dataclass(frozen=True)
 class AuditReport:
     checks: tuple[AuditCheck, ...]
-    sampled_count: int
-    affine_count: int
-    within_budget: bool
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> AuditCheck:
         for c in self.checks:
@@ -396,19 +402,20 @@ _BETA_TOL = 1e-9  # relative
 
 
 def audit(net: ShallowNetwork) -> AuditReport:
-    """Re-verify the construction's parameter bounds on a finished network.
+    """Re-verify the construction's bounds on a finished network.
 
+    Every check runs on every network, and any failed check fails the
+    audit.  The network must have at most ``m_requested`` units (``width``).
     Sampled units must satisfy |alpha|_1 <= 1, bias in [0, 1/pi]
-    (``SHIFT_LIMIT``) and |beta| <= 8 pi v2 / m, and the density mass
-    v <= 2 pi v2, since the |cos| integral over [0, 1/pi] is at most 1/pi;
-    affine units are exempt from the beta bound but must keep
-    |alpha|_1 <= 1, bias in [-1, 1] and number at most
-    ``MAX_AFFINE_UNITS``.  The total-unit budget is reported via
-    ``within_budget`` but does not fail the audit: dense spectra can make the
-    sampled-unit count exceed the nominal 3 * ceil(m/4) reservation.
+    (``SHIFT_LIMIT``) and |beta| <= 8 pi v2 / m, and number at most
+    m' + #strata; the density mass v <= 2 pi v2, since the |cos| integral
+    over [0, 1/pi] is at most 1/pi.  Affine units are exempt from the beta
+    bound but must keep |alpha|_1 <= 1, bias in [-1, 1] and number at most
+    ``MAX_AFFINE_UNITS``.  A network without ``v2``, ``m_requested``,
+    ``m_prime`` or ``strata_count`` raises a ``ValueError``.
     """
     meta = net.meta
-    if meta is None or meta.v2 is None or meta.m_requested is None:
+    if meta is None or None in (meta.v2, meta.m_requested, meta.m_prime, meta.strata_count):
         raise ValueError("audit requires construction metadata")
     sampled = net.units.origins == ORIGIN_SAMPLED
     affine = net.units.origins == ORIGIN_AFFINE
@@ -432,7 +439,9 @@ def audit(net: ShallowNetwork) -> AuditReport:
             AuditCheck(f"{origin}_bias_high", hi, ceiling, hi <= ceiling + _BIAS_TOL),
         ]
 
-    checks = _geometry(ORIGIN_SAMPLED, sampled, 0.0, SHIFT_LIMIT)
+    width = net.unit_count
+    checks = [AuditCheck("width", float(width), float(meta.m_requested), width <= meta.m_requested)]
+    checks += _geometry(ORIGIN_SAMPLED, sampled, 0.0, SHIFT_LIMIT)
     beta_bound = 8.0 * math.pi * meta.v2 / meta.m_requested
     beta_max = _max_or(np.abs(net.units.betas[sampled]))
     checks.append(
@@ -451,23 +460,14 @@ def audit(net: ShallowNetwork) -> AuditReport:
             meta.v <= 2.0 * math.pi * meta.v2 * (1.0 + _BETA_TOL) + 1e-300,
         )
     )
-    if meta.m_prime is not None and meta.strata_count is not None:
-        count_limit = meta.m_prime + meta.strata_count
-        checks.append(
-            AuditCheck("sampled_count", float(n_sampled), float(count_limit), n_sampled <= count_limit)
-        )
+    count_limit = meta.m_prime + meta.strata_count
+    checks.append(AuditCheck("sampled_count", float(n_sampled), float(count_limit), n_sampled <= count_limit))
     checks += _geometry(ORIGIN_AFFINE, affine, -1.0, 1.0)
     n_affine = int(affine.sum())
     checks.append(
         AuditCheck("affine_count", float(n_affine), float(MAX_AFFINE_UNITS), n_affine <= MAX_AFFINE_UNITS)
     )
-    return AuditReport(
-        checks=tuple(checks),
-        sampled_count=n_sampled,
-        affine_count=n_affine,
-        within_budget=net.unit_count <= meta.m_requested,
-        passed=all(c.passed for c in checks),
-    )
+    return AuditReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -556,11 +557,37 @@ class TestSupError:
         net = ShallowNetwork(1, Units.empty(1))
         with pytest.raises(ValueError):
             sup_error(net, t, rj.default_grid(1, rj.TORUS))
+        with pytest.raises(ValueError, match="cube grid"):
+            rj.grid_error(t, rj.default_grid(1, rj.TORUS))
 
     def test_reproducible(self, cos_target):
         net = rj.construct(cos_target, 2, 128, seed=7)
         grid = rj.default_grid(1, rj.CUBE)
         assert sup_error(net, cos_target, grid) == sup_error(net, cos_target, grid)
+
+    @pytest.mark.parametrize("d, per_axis", [(1, 513), (2, 65), (3, 17)])
+    def test_grid_error_is_the_max_of_evaluate(self, d, per_axis):
+        """One ``grid_error`` closure serves every network on its grid, with
+        the bytes of ``sup_error`` and of the maximum over ``evaluate``."""
+        target = {1: rj.make_decay_target(1, 3.2, 16, seed=11), 2: rj.make_decay_target(2, 4.2, 8, seed=7),
+                  3: rj.make_decay_target(3, 3.2, 6, seed=5)}[d]
+        grid = rj.EvaluationGrid(d, per_axis, rj.CUBE)
+        error = rj.grid_error(target, grid)
+        tvals = rj.grid_values(target, grid).ravel()
+        for m in (16, 256, 2048):
+            for seed in (1, 2):
+                net = rj.construct(target, 2, m, seed)
+                direct = float(np.abs(tvals - evaluate(net, grid.points())).max())
+                assert error(net).hex() == sup_error(net, target, grid).hex() == direct.hex(), (m, seed)
+
+    def test_grid_error_rejects_other_dimension(self):
+        target = rj.make_decay_target(2, 4.2, 8, seed=7)
+        for d in (1, 3):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                rj.grid_error(target, rj.EvaluationGrid(d, 9, rj.CUBE))
+        error = rj.grid_error(target, rj.EvaluationGrid(2, 9, rj.CUBE))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            error(ShallowNetwork(1, Units.empty(1)))
 
 
 class TestLipschitz:
@@ -610,7 +637,7 @@ class TestAudit:
         rep = audit(rj.construct(cos_target, 2, 128, seed=2))
         assert rep.passed
         assert rep.check("sampled_alpha_l1").observed <= 1.0
-        assert rep.affine_count <= MAX_AFFINE_UNITS
+        assert rep.check("affine_count").observed <= MAX_AFFINE_UNITS
 
     def test_flags_alpha_violation(self):
         meta = NetworkMeta(v=1.0, bandwidth=1, v2=1.0, m_requested=64, m_prime=16, strata_count=1)
@@ -674,8 +701,40 @@ class TestAudit:
         t = rj.make_trig_poly(1, {0: 1.0})
         rep = audit(rj.construct(t, 2, 32, seed=0))
         assert rep.passed
-        assert rep.sampled_count == 0
-        assert rep.within_budget
+        assert rep.check("sampled_count").observed == 0
+        assert rep.check("width").passed
+
+    def test_width_fails_above_m_requested(self, cos_target):
+        """A width-m network has at most m units; the audit used to report
+        this as ``within_budget`` without failing."""
+        net = rj.construct(cos_target, 2, 128, seed=2)
+        over = ShallowNetwork(net.d, net.units, replace(net.meta, m_requested=net.unit_count - 1))
+        rep = audit(over)
+        assert not rep.passed
+        assert [c.name for c in rep.checks if not c.passed] == ["width"]
+        assert (rep.check("width").observed, rep.check("width").limit) == (net.unit_count, net.unit_count - 1)
+        assert audit(ShallowNetwork(net.d, net.units, replace(net.meta, m_requested=net.unit_count))).passed
+
+    @pytest.mark.parametrize("dropped", [None, "strata_count", "m_prime"])
+    def test_repeated_rows_fail(self, corpus, dropped):
+        """decay2 at m=256 with its sampled rows repeated 4x has 503 units.
+        With strata_count or m_prime left out of the header it used to load
+        and pass the audit, which skipped its sampled_count check."""
+        net = rj.construct(dict(corpus)["decay2"], 2, 256, seed=7)
+        schema, header, columns, *rows = dumps_network(net).splitlines()
+        rows = [r for r in rows if r.endswith(",sampled")] * 4 + [r for r in rows if r.endswith(",affine")]
+        header = header.replace(f" m={net.unit_count} ", f" m={len(rows)} ").replace(
+            f" sampled_count={net.meta.sampled_count}", f" sampled_count={4 * net.meta.sampled_count}"
+        )
+        if dropped is not None:
+            header = re.sub(f" {dropped}=[0-9]+", "", header)
+        repeated = loads_network("\n".join([schema, header, columns, *rows]) + "\n")
+        assert (repeated.unit_count, repeated.meta.m_requested) == (503, 256)
+        if dropped is None:
+            assert [c.name for c in audit(repeated).checks if not c.passed] == ["width", "sampled_count"]
+        else:
+            with pytest.raises(ValueError, match="audit requires construction metadata"):
+                audit(repeated)
 
     def test_requires_metadata(self):
         net = simple_net([(np.array([0.1]), 1.0, 0.5, "sampled")], d=1)
@@ -685,6 +744,7 @@ class TestAudit:
     def test_check_names_and_order(self, cos_target):
         rep = audit(rj.construct(cos_target, 2, 128, seed=2))
         assert [c.name for c in rep.checks] == [
+            "width",
             "sampled_alpha_l1",
             "sampled_bias_low",
             "sampled_bias_high",
