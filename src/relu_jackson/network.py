@@ -233,21 +233,28 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
         xr = x_rest[l0 : l0 + step]
         n = xr.shape[0]
         # a unit left out adds only to end bins, so every kept bin gets the same terms in the same order
-        sloped = np.flatnonzero(_kept_sloped(a_t[:, :n_sloped], biases[:n_sloped], xr, ends))
-        kp, ks = np.searchsorted(sloped, n_pos), len(sloped)  # kept rising units, kept sloped units
-        kept = np.concatenate((sloped, flat_cols))
-        c = np.zeros((n, len(kept)))
+        keep = _kept_sloped(a_t[:, :n_sloped], biases[:n_sloped], xr, ends)
+        if keep.all():  # the units as they are, without gathers
+            kp, ks = n_pos, n_sloped  # kept rising units, kept sloped units
+            a_k, b_k, scale_k, beta_a_k, betas_k = a_t, biases, scale, beta_a, betas[:n_sloped]
+        else:
+            sloped = np.flatnonzero(keep)
+            kp, ks = np.searchsorted(sloped, n_pos), len(sloped)
+            kept = np.concatenate((sloped, flat_cols))
+            a_k, b_k = [row[kept] for row in a_t[:-1]], biases[kept]  # a row at a time: cheaper than a_t[:-1, kept]
+            scale_k, beta_a_k, betas_k = scale[sloped], beta_a[sloped], betas[sloped]
+        c = np.zeros((n, b_k.shape[0]))
         for j in range(xr.shape[1]):
-            c += xr[:, j : j + 1] * a_t[j][kept]
-        c -= biases[kept]
+            c += xr[:, j : j + 1] * a_k[j]
+        c -= b_k
         # a_last > 0: active for t > -c/|a_last|; a_last < 0: for t' > -c/|a_last| on the mirrored line.
         # Bin k = #(t <= key) on its own line: active at points k.., the last bin dropped; falling bins follow.
-        key = -c[:, :ks] / scale[sloped]
+        key = -c[:, :ks] / scale_k
         k = np.concatenate((_sorted_bins(t_pad, key[:, :kp]), _sorted_bins(mirror_pad, key[:, kp:]) + bins), axis=1)
         k += (np.arange(n) * 2 * bins)[:, None]
         k = k.ravel()
-        s_a = np.bincount(k, np.broadcast_to(beta_a[sloped], (n, ks)).ravel(), n * 2 * bins).reshape(n, 2, bins)
-        s_c = np.bincount(k, (betas[sloped] * c[:, :ks]).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_a = np.bincount(k, np.broadcast_to(beta_a_k, (n, ks)).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        s_c = np.bincount(k, (betas_k * c[:, :ks]).ravel(), n * 2 * bins).reshape(n, 2, bins)
         s_a, s_c = np.cumsum(s_a, axis=2), np.cumsum(s_c, axis=2)
         # the falling sums are read back in reverse point order
         slope = s_a[:, 0, :size] + s_a[:, 1, size - 1 :: -1]

@@ -107,7 +107,9 @@ class SamplingDensity:
     ``alpha_k = k / (pi |k|_1)`` the unit direction each frequency
     contributes.  ``masses[j]`` is the unnormalized mass of frequency j with
     the shift integrated out; ``v`` is the total mass, i.e. the estimator
-    scale.
+    scale.  The rest is what every plain draw reads: ``cum``, the running
+    sum of ``masses``, and ``f_lo``/``f_hi``, the |cos| primitive at each
+    frequency's phase at t = 0 and at t = SHIFT_LIMIT.
     """
 
     image: FourierTarget
@@ -118,10 +120,15 @@ class SamplingDensity:
     alphas: np.ndarray
     masses: np.ndarray
     v: float
+    cum: np.ndarray
+    f_lo: np.ndarray
+    f_hi: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.magnitudes, self.phases, self.l1, self.omegas, self.alphas, self.masses):
-            arr.setflags(write=False)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def mode_count(self) -> int:
@@ -177,6 +184,9 @@ def build_density(image: FourierTarget) -> SamplingDensity:
         alphas=alphas,
         masses=masses,
         v=v,
+        cum=np.cumsum(masses),
+        f_lo=_abs_cos_primitive(omegas * 0.0 + phases),
+        f_hi=_abs_cos_primitive(omegas * SHIFT_LIMIT + phases),
     )
 
 
@@ -225,6 +235,13 @@ class SamplingPlan:
     i + 1).  Per stratum: shift bin, direction cell (one row of ``cell``),
     atom sign, mass, share of the total mass, fractional allocation
     ``target_count`` and draw count.
+
+    The rest holds the seed-independent part of every draw, so that
+    ``stratified_sample`` does only the work that depends on the seed.  Per
+    piece: ``piece_f_lo`` and ``piece_f_hi``, the |cos| primitive at both
+    ends.  Per draw, strata in order and each repeated by its count: the
+    stratum index ``draw_stratum``, the stratum's last piece ``draw_last``,
+    the unit weight ``draw_beta`` and the unit origin ``origins``.
     """
 
     m: int
@@ -244,6 +261,12 @@ class SamplingPlan:
     share: np.ndarray
     target_count: np.ndarray
     count: np.ndarray
+    piece_f_lo: np.ndarray
+    piece_f_hi: np.ndarray
+    draw_stratum: np.ndarray
+    draw_last: np.ndarray
+    draw_beta: np.ndarray
+    origins: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -257,7 +280,7 @@ class SamplingPlan:
 
     @property
     def total_count(self) -> int:
-        return int(self.count.sum())
+        return self.draw_stratum.shape[0]
 
     @property
     def shares_total(self) -> float:
@@ -419,6 +442,14 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     within = np.minimum(running - before[piece_stratum], 1.0)
     within[ptr[1:] - 1] = 1.0
 
+    # The seed-independent part of each draw: per piece the primitive at both
+    # ends (taken above at its cut points), and per draw its stratum, the
+    # stratum's last piece and the unit weight beta = v * m_i / (m' * n_i) * s.
+    first_cut = piece[order]
+    stratum_sign = sign[order[starts]]
+    draw_stratum = np.repeat(np.arange(starts.shape[0]), count)
+    beta = density.v * target_count / (m_prime * count) * stratum_sign
+
     plan = SamplingPlan(
         m=m,
         m_prime=m_prime,
@@ -432,11 +463,17 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
         cum=piece_stratum + within,
         bin_index=bins[order[starts]],
         cell=cells[mode[order[starts]]],
-        sign=sign[order[starts]],
+        sign=stratum_sign,
         mass=stratum_mass,
         share=share,
         target_count=target_count,
         count=count,
+        piece_f_lo=primitive[first_cut],
+        piece_f_hi=primitive[first_cut + 1],
+        draw_stratum=draw_stratum,
+        draw_last=ptr[draw_stratum + 1] - 1,
+        draw_beta=np.repeat(beta, count),
+        origins=np.full(draw_stratum.shape[0], ORIGIN_SAMPLED, dtype="<U7"),
     )
     # Ceiling rounding adds less than one draw per stratum.
     assert plan.total_count <= plan.m_prime + plan.strata_count
@@ -447,18 +484,20 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _invert_shift(omega, b, lo, hi, u):
+def _invert_shift(omega, b, lo, hi, f_lo, f_hi, u):
     """Inverse-CDF draw of t with density |cos(omega*t + b)| on [lo, hi].
 
-    The antiderivative F rises by 2 per half-period of the phase, so the
+    ``f_lo`` and ``f_hi`` are the |cos| primitive F at both ends,
+    ``F(omega*lo + b)`` and ``F(omega*hi + b)``, which the plan and the
+    density hold.  F rises by 2 per half-period of the phase, so the
     half-period holding the drawn level y is floor((y + 1) / 2), and arcsin
     inverts F inside it.  The interval may span any number of half-periods.
     """
-    f_lo = _abs_cos_primitive(omega * lo + b)
-    f_hi = _abs_cos_primitive(omega * hi + b)
     y = f_lo + u * (f_hi - f_lo)
     branch = np.floor((y + 1.0) / 2.0)
-    phi = branch * np.pi + np.arcsin(np.clip(y - 2.0 * branch, -1.0, 1.0))
+    # min/max has np.clip's bytes at the bounds +-1 and costs less; t keeps np.clip,
+    # which with a scalar bound 0.0 (the plain draw) keeps a -0.0 that np.maximum makes 0.0
+    phi = branch * np.pi + np.arcsin(np.minimum(np.maximum(y - 2.0 * branch, -1.0), 1.0))
     return np.clip((phi - b) / omega, lo, hi)
 
 
@@ -472,22 +511,24 @@ def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -
     its own by advancing the stream to that row's counter, without drawing
     the strata before it.  Each atom (t, k) becomes the unit
     ``beta * relu(alpha_k . x - t)`` with ``beta = v * m_i / (m' * n_i) * s``.
+    Everything that does not depend on the seed is read from the plan.
     """
     _validate_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     u = rng.random((plan.total_count, 2))
-    stratum = np.repeat(np.arange(plan.strata_count), plan.count)
-    pick = np.searchsorted(plan.cum, stratum + u[:, 0], side="right")
-    pick = np.minimum(pick, plan.ptr[stratum + 1] - 1)
+    pick = np.searchsorted(plan.cum, plan.draw_stratum + u[:, 0], side="right")
+    pick = np.minimum(pick, plan.draw_last)
     mode = plan.piece_mode[pick]
-    t = _invert_shift(density.omegas[mode], density.phases[mode], plan.piece_lo[pick], plan.piece_hi[pick], u[:, 1])
-    beta = density.v * plan.target_count / (plan.m_prime * plan.count) * plan.sign
-    return Units(
-        alphas=density.alphas[mode],
-        betas=np.repeat(beta, plan.count),
-        biases=t,
-        origins=np.full(t.shape[0], ORIGIN_SAMPLED, dtype="<U7"),
+    t = _invert_shift(
+        density.omegas[mode],
+        density.phases[mode],
+        plan.piece_lo[pick],
+        plan.piece_hi[pick],
+        plan.piece_f_lo[pick],
+        plan.piece_f_hi[pick],
+        u[:, 1],
     )
+    return Units(alphas=density.alphas[mode], betas=plan.draw_beta, biases=t, origins=plan.origins)
 
 
 def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
@@ -498,12 +539,12 @@ def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
         raise ValueError("empty density: the image has no oscillatory modes")
     _validate_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _PLAIN_STREAM_TAG)))
-    cum = np.cumsum(density.masses)
     u = rng.random((n, 2))
+    cum = density.cum
     mode = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1], side="right"), density.mode_count - 1)
     omega = density.omegas[mode]
     b = density.phases[mode]
-    t = _invert_shift(omega, b, 0.0, SHIFT_LIMIT, u[:, 1])
+    t = _invert_shift(omega, b, 0.0, SHIFT_LIMIT, density.f_lo[mode], density.f_hi[mode], u[:, 1])
     s = -np.sign(np.cos(omega * t + b))
     return Units(
         alphas=density.alphas[mode],
@@ -581,7 +622,11 @@ class Preparation:
 
 
 def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None) -> Preparation:
-    """Smooth the target, then build its density, plan and affine units."""
+    """Smooth the target, then build its density, plan and affine units.
+
+    Raises ``ValueError`` when the plan's draws and the affine units exceed
+    the width m, as they can at the smallest widths (decay2 at m = 8 has 11).
+    """
     if r < 1:
         raise ValueError("order must be >= 1")
     if m < 8:
@@ -591,6 +636,13 @@ def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None)
         raise ValueError("bandwidth must be >= 1")
     image = apply_jackson(target, n, r)
     density = build_density(image)
+    plan = None if density.is_degenerate else build_strata(density, m)
+    affine = affine_units(image)
+    # the audit's width check, made before any seed is drawn
+    if plan is not None and plan.total_count + len(affine) > m:
+        raise ValueError(
+            f"width m={m} cannot hold the plan's {plan.total_count} draws and {len(affine)} affine units"
+        )
     return Preparation(
         d=target.d,
         r=r,
@@ -598,8 +650,8 @@ def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None)
         bandwidth=n,
         v2=variation(image, 2),
         density=density,
-        plan=None if density.is_degenerate else build_strata(density, m),
-        affine=affine_units(image),
+        plan=plan,
+        affine=affine,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
-from relu_jackson import sampler
+from relu_jackson import network, sampler
 from relu_jackson.network import (
     MAX_AFFINE_UNITS,
     ORIGIN_AFFINE,
@@ -468,6 +468,34 @@ class TestBlockPruning:
         got = _evaluate_lines(net.units, x_rest, t)
         singles = [_evaluate_lines(net.units, x_rest[i : i + 1], t) for i in range(x_rest.shape[0])]
         assert got.tobytes() == np.concatenate(singles).tobytes()
+
+    @pytest.mark.parametrize(
+        "target, m, per_axis", [((1, 3.2, 16, 11), 4096, 4096), ((2, 4.2, 8, 7), 256, 129)], ids=["decay1", "decay2"]
+    )
+    def test_block_keeping_every_unit_reads_them_ungathered(self, monkeypatch, target, m, per_axis):
+        """A block that keeps every sloped unit reads the unit arrays as they
+        are; gathering them through the kept indices, as a block that leaves
+        units out does, gives the same bytes."""
+        d, s, k_max, target_seed = target
+        net = rj.construct(rj.make_decay_target(d, s, k_max, seed=target_seed), 2, m, 1)
+        x_rest, t = _line_layout(rj.default_grid(d, rj.CUBE, per_axis).points())
+        kept_sloped, every = network._kept_sloped, []
+
+        def spy(*args):
+            keep = kept_sloped(*args)
+            every.append(bool(keep.all()))
+            return keep
+
+        monkeypatch.setattr(network, "_kept_sloped", spy)
+        direct = _evaluate_lines(net.units, x_rest, t)
+        assert every and all(every)
+
+        class Gathered(np.ndarray):
+            def all(self, *args, **kwargs):
+                return False
+
+        monkeypatch.setattr(network, "_kept_sloped", lambda *args: kept_sloped(*args).view(Gathered))
+        assert _evaluate_lines(net.units, x_rest, t).tobytes() == direct.tobytes()
 
     def test_leaves_out_many_units(self):
         # on the d = 2 sweep grid, blocks of lines leave out a large share of the (line, unit) pairs

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -31,6 +32,32 @@ from relu_jackson.sampler import (
 def cos_image():
     # coefficients 1/4 at +-1, i.e. (1/2) cos x
     return rj.apply_jackson(rj.make_trig_poly(1, {1: 0.5, -1: 0.5}), 1, 1)
+
+
+#: (d, smoothness, k_max, target seed), width and bandwidth (None: the
+#: selection rule) of the pinned plans
+PLAN_TARGETS = {
+    "decay1": ((1, 3.2, 16, 11), 4096, 512),
+    "decay2": ((2, 4.2, 8, 7), 4096, 64),
+    "decay3": ((3, 3.2, 6, 5), 4096, None),
+}
+
+
+def pinned_preparation(name):
+    """(density, plan) of a pinned plan, or of the unbiasedness check's cos plan at m=128."""
+    if name == "cos":
+        target, m, n = rj.make_trig_poly(1, {1: 0.5, -1: 0.5}), 128, None
+    else:
+        (d, s, k_max, target_seed), m, n = PLAN_TARGETS[name]
+        target = rj.make_decay_target(d, s, k_max, seed=target_seed)
+    n = select_bandwidth(m, target.d, 2) if n is None else n
+    dens = build_density(rj.apply_jackson(target, n, 2))
+    return dens, build_strata(dens, m)
+
+
+def _digest(a):
+    """sha256 of an array's dtype, shape and bytes."""
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
 
 
 class TestIdentityResidual:
@@ -112,6 +139,17 @@ class TestBuildDensity:
     def test_degenerate_flag(self):
         img = rj.apply_jackson(rj.make_trig_poly(1, {0: 1.0}), 4, 2)
         assert build_density(img).is_degenerate
+
+    def test_draw_constants(self, corpus):
+        """The density's running mass and its primitives at t = 0 and at
+        t = SHIFT_LIMIT are those a plain draw used to compute, bit for bit."""
+        for name, t in corpus:
+            dens = build_density(rj.apply_jackson(t, 8, 2))
+            assert dens.cum.tobytes() == np.cumsum(dens.masses).tobytes(), name
+            f_lo = _abs_cos_primitive(dens.omegas * 0.0 + dens.phases)
+            f_hi = _abs_cos_primitive(dens.omegas * SHIFT_LIMIT + dens.phases)
+            assert dens.f_lo.tobytes() == f_lo.tobytes(), name
+            assert dens.f_hi.tobytes() == f_hi.tobytes(), name
 
 
 class TestBuildStrata:
@@ -274,25 +312,42 @@ class TestBuildStrata:
         },
     }
 
-    @pytest.mark.parametrize(
-        "name, target, m, n",
-        [
-            ("decay1", (1, 3.2, 16, 11), 4096, 512),
-            ("decay2", (2, 4.2, 8, 7), 4096, 64),
-            ("decay3", (3, 3.2, 6, 5), 4096, None),
-        ],
-        ids=["decay1", "decay2", "decay3"],
-    )
-    def test_plan_bytes_pinned(self, name, target, m, n):
-        d, s, k_max, seed = target
-        t = rj.make_decay_target(d, s, k_max, seed=seed)
-        n = select_bandwidth(m, d, 2) if n is None else n
-        plan = build_strata(build_density(rj.apply_jackson(t, n, 2)), m)
-        digests = {}
-        for field in self.PLAN_DIGESTS[name]:
-            a = getattr(plan, field)
-            digests[field] = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+    @pytest.mark.parametrize("name", list(PLAN_TARGETS))
+    def test_plan_bytes_pinned(self, name):
+        _, plan = pinned_preparation(name)
+        digests = {field: _digest(getattr(plan, field)) for field in self.PLAN_DIGESTS[name]}
         assert digests == self.PLAN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", [*PLAN_TARGETS, "cos"])
+    def test_draw_constants(self, name):
+        """The plan's per-piece primitives are F(omega*lo + b) and
+        F(omega*hi + b) bit for bit, and its per-draw arrays are the
+        stratum values repeated by the draw counts."""
+        dens, plan = pinned_preparation(name)
+        omega, b = dens.omegas[plan.piece_mode], dens.phases[plan.piece_mode]
+        assert plan.piece_f_lo.tobytes() == _abs_cos_primitive(omega * plan.piece_lo + b).tobytes()
+        assert plan.piece_f_hi.tobytes() == _abs_cos_primitive(omega * plan.piece_hi + b).tobytes()
+        stratum = np.repeat(np.arange(plan.strata_count), plan.count)
+        assert plan.draw_stratum.tolist() == stratum.tolist()
+        assert plan.draw_last.tolist() == (plan.ptr[stratum + 1] - 1).tolist()
+        beta = dens.v * plan.target_count / (plan.m_prime * plan.count) * plan.sign
+        assert plan.draw_beta.tobytes() == np.repeat(beta, plan.count).tobytes()
+        assert plan.origins.tolist() == ["sampled"] * plan.total_count
+        assert plan.total_count == int(plan.count.sum())
+
+    def test_arrays_read_only(self, cos_image):
+        """Every array of the density and the plan, the draw constants included, is read-only."""
+        dens = build_density(cos_image)
+        plan = build_strata(dens, 64)
+        draw_constants = (
+            (dens, {"cum", "f_lo", "f_hi"}),
+            (plan, {"piece_f_lo", "piece_f_hi", "draw_stratum", "draw_last", "draw_beta", "origins"}),
+        )
+        for obj, names in draw_constants:
+            arrays = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+            arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+            assert names <= arrays.keys()
+            assert not [name for name, a in arrays.items() if a.flags.writeable]
 
     def test_rejects(self, cos_image):
         dens = build_density(cos_image)
@@ -395,7 +450,9 @@ class TestStratifiedSample:
             cum = np.cumsum(st.piece_mass)
             pick = np.minimum(np.searchsorted(cum / cum[-1], u[:, 0], side="right"), len(cum) - 1)
             mode = st.mode_index[pick]
-            t = _invert_shift(dens.omegas[mode], dens.phases[mode], st.piece_lo[pick], st.piece_hi[pick], u[:, 1])
+            omega, b, lo, hi = dens.omegas[mode], dens.phases[mode], st.piece_lo[pick], st.piece_hi[pick]
+            f_lo, f_hi = _abs_cos_primitive(omega * lo + b), _abs_cos_primitive(omega * hi + b)
+            t = _invert_shift(omega, b, lo, hi, f_lo, f_hi, u[:, 1])
             block = slice(start, start + st.count)
             assert np.array_equal(units.biases[block], t)
             assert np.array_equal(units.alphas[block], dens.alphas[mode])
@@ -412,7 +469,9 @@ class TestStratifiedSample:
             u_plain = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _PLAIN_STREAM_TAG))).random((n, 2))
             cum = np.cumsum(dens.masses)
             mode = np.searchsorted(cum, u_plain[:, 0] * cum[-1], side="right")
-            t = _invert_shift(dens.omegas[mode], dens.phases[mode], 0.0, 1.0 / np.pi, u_plain[:, 1])
+            omega, b, limit = dens.omegas[mode], dens.phases[mode], 1.0 / np.pi
+            f_lo, f_hi = _abs_cos_primitive(omega * 0.0 + b), _abs_cos_primitive(omega * limit + b)
+            t = _invert_shift(omega, b, 0.0, limit, f_lo, f_hi, u_plain[:, 1])
             assert np.array_equal(plain_sample(dens, n, seed).biases, t)
             u_strat = _stratified_stream(seed, 0, n)
             assert not np.isin(u_strat, u_plain).any()
@@ -488,6 +547,98 @@ class TestPlainSample:
         dens = build_density(cos_image)
         with pytest.raises(ValueError):
             plain_sample(dens, 0, 1)
+
+
+class TestSampleBytesPinned:
+    """sha256 of the sampled units' alphas, betas and biases (dtype, shape,
+    then bytes), recorded before the plan and the density held each draw's
+    seed-independent constants: moving work out of the draw moves no byte.
+    decay1-3 are the plans of ``test_plan_bytes_pinned`` at seed 1; cos is
+    the unbiasedness check's m=128 plan at seeds 0-3.  Plain draws take the
+    plan's draw count.  Recorded on x86-64 with NumPy 2.4."""
+
+    DIGESTS = {
+        ("decay1", "stratified", 1): (
+            "ee701fd34015ac6ff3de03fa84906fcb05349c0c23138b298dd25146c196b539",
+            "29c89c7bf572513057471ab224029b5b509222a2b9bf2551831c4afb5251e97c",
+            "61b628587d5613686283efc5ab3878e69cf7b53880660ca3ee63a25532e4d3d2",
+        ),
+        ("decay1", "plain", 1): (
+            "2328a03c60deff4fa1ee5a59d5475864fa1cbd12e37ef58d45c7b64182b65c55",
+            "328c3133260c0be40f13524f00b0d51895bdf32a3115f83d389797c6a5f2d730",
+            "1347d4be1ae402585f148437bd9de46645b413dac97d224a0e6efeb2fdc3562e",
+        ),
+        ("decay2", "stratified", 1): (
+            "eeb927c0273660ab151dc98d5641798bfcb453f7c05d2715dcc7c15a75a1106e",
+            "d51733230e88712edc69c774d04475192334584c6d679c1808819a6a6a26942c",
+            "61647cf7144bbc4f85478754af53a1f74cdf114722c8af28ba0adbeceae33495",
+        ),
+        ("decay2", "plain", 1): (
+            "10fd3e000420f33494a519d12406f1b7813b7bc6260c8f61e1dc452f0994e2f6",
+            "d4bdc3a91d0996d871c3cfb470597847d029f63c09f9722911215c5a21ede6d6",
+            "4559f0837492599f30e931da508704dbb969aa1b8afe734481e6509d9bdd6ef7",
+        ),
+        ("decay3", "stratified", 1): (
+            "be30e56523b144bc9fad87c24ad479c9e0c353a8b3807bbc58d3ea9dac9fb835",
+            "9e9a7b881d125f794ff129acbb4a10db985b9b8fd75ca705680011509dfa904e",
+            "c1106e79652863a83121e07169af40793555ab41b3cae72adc3ce46013fd6349",
+        ),
+        ("decay3", "plain", 1): (
+            "af6c23d7d3ca6d020d2062724d165a6e87139653843e2ed3c4752d473326bf85",
+            "40617de917b4a3260ffa9aa8c08eee39abc3c534043e748991ebcbedfb802ae9",
+            "0cebcb50d4b57dfebef2b9e707247ab496dd62eb6792d6d3ec0ae402fba5a499",
+        ),
+        ("cos", "stratified", 0): (
+            "54b2e8b7c33ab63439e3d59e7a1956826a8188b1e2e9e51c2cb343c861da3243",
+            "1ac337f494aa7a518cb0388a1f7ad629e1a8f7f9d0d61f1cebb5e7dccd8ecf3d",
+            "495de8049e53418d5dc1cb157c01b784c532aef69192203cc3cd4e5358ea34f6",
+        ),
+        ("cos", "plain", 0): (
+            "164575c3946cfac820d0abb278718561f7de5df96c80e9744b5b97621df3154a",
+            "c1b0c02dee79e3cc6c18add4d38e6e2f5872d841e0ce2eed70e12554fb7d35ca",
+            "98d5ba3c42d7a79c478ac2d4d7594e85b311c4ab9317da52b914be51bf18e763",
+        ),
+        ("cos", "stratified", 1): (
+            "54b2e8b7c33ab63439e3d59e7a1956826a8188b1e2e9e51c2cb343c861da3243",
+            "1ac337f494aa7a518cb0388a1f7ad629e1a8f7f9d0d61f1cebb5e7dccd8ecf3d",
+            "491535d835e376502b971070bb2eafbab66e52a72c8eae9281e82144905f9e35",
+        ),
+        ("cos", "plain", 1): (
+            "fbb8c4058fe75eba99d84b1e06cbca1a6df46c3fbc902448c35cab4e41c6784a",
+            "c1b0c02dee79e3cc6c18add4d38e6e2f5872d841e0ce2eed70e12554fb7d35ca",
+            "f833e1e2c35eed6664f60aa82c7cbbc4efb60727d7d59c718a78b72184cee1d7",
+        ),
+        ("cos", "stratified", 2): (
+            "54b2e8b7c33ab63439e3d59e7a1956826a8188b1e2e9e51c2cb343c861da3243",
+            "1ac337f494aa7a518cb0388a1f7ad629e1a8f7f9d0d61f1cebb5e7dccd8ecf3d",
+            "d8c1c5133ff6e898f643be37a66bb4732e1d46a8bbbb064faa7f2b8414f15a33",
+        ),
+        ("cos", "plain", 2): (
+            "ac6047fff56d01cc0a9232862917c02b8eb9c353f9b616b200984ab96236843d",
+            "c1b0c02dee79e3cc6c18add4d38e6e2f5872d841e0ce2eed70e12554fb7d35ca",
+            "a5878c57b42340fc3cd0951fd49abe0f3d86b14f3e978b05fee7b2621a281251",
+        ),
+        ("cos", "stratified", 3): (
+            "54b2e8b7c33ab63439e3d59e7a1956826a8188b1e2e9e51c2cb343c861da3243",
+            "1ac337f494aa7a518cb0388a1f7ad629e1a8f7f9d0d61f1cebb5e7dccd8ecf3d",
+            "ff76f3a62a7d7d7dd149b78186b0c1268c9a62074ee09f0e52d031bb8ac9bb60",
+        ),
+        ("cos", "plain", 3): (
+            "d04a4ad5c18ffe043232f93d96cc67c374e0228b3d57e321930ed2242cf587d4",
+            "c1b0c02dee79e3cc6c18add4d38e6e2f5872d841e0ce2eed70e12554fb7d35ca",
+            "42dc016faf6b89fdeaf034c28af2c3d18134433bac68eb0d04a67f6f372fd2d9",
+        ),
+    }
+
+    @pytest.mark.parametrize("name, method, seed", list(DIGESTS), ids=[f"{n}-{m}-{s}" for n, m, s in DIGESTS])
+    def test_sample_bytes_pinned(self, name, method, seed):
+        dens, plan = pinned_preparation(name)
+        if method == "stratified":
+            units = stratified_sample(plan, dens, seed)
+        else:
+            units = plain_sample(dens, plan.total_count, seed)
+        digests = tuple(_digest(a) for a in (units.alphas, units.betas, units.biases))
+        assert digests == self.DIGESTS[name, method, seed]
 
 
 class TestAffineUnits:
@@ -633,6 +784,15 @@ class TestPrepareRealize:
         assert prep.bandwidth == select_bandwidth(128, 1, 2)
         assert prep.plan.m == 128 and len(prep.affine) == 3
         assert prep.v2 == rj.variation(prep.density.image, 2)
+
+    def test_width_that_cannot_fit_raises(self, corpus):
+        """decay2 at m=8 has 8 draws and 3 affine units; it used to construct
+        a network that failed its own width audit."""
+        decay2 = dict(corpus)["decay2"]
+        with pytest.raises(ValueError, match=r"m=8\b.* 8 draws and 3 affine units"):
+            construct(decay2, 2, 8, 1)
+        net = construct(decay2, 2, 16, 1)
+        assert net.unit_count <= 16 and rj.audit(net).passed
 
     def test_rejects(self, cos_target):
         with pytest.raises(ValueError, match="order"):
