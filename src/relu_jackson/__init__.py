@@ -29,9 +29,7 @@ from .jackson import (
 from .spectral import (
     SpectralLevels,
     build_levels,
-    coefficient_sum_bound_check,
     level_series,
-    level_sup_bound_check,
     level_sup_constant,
     parseval_residual,
     shell_sums,

@@ -26,7 +26,7 @@ from .harness import RateExperiment, load_config, run_jackson_rate, run_network_
 from .jackson import build_kernel, multiplier_from_kernel
 from .network import save_network
 from .sampler import construct, identity_residual
-from .spectral import build_levels, level_sup_constant
+from .spectral import build_levels
 from .targets import TORUS, _fmt, default_grid, holder_norm, load_target
 
 
@@ -55,15 +55,12 @@ def _cmd_kernel(args) -> int:
 def _cmd_spectral(args) -> int:
     target = load_target(args.target)
     grid = default_grid(target.d, TORUS, args.grid)
-    decomp = build_levels(target, args.r, args.L, grid)
-    holder = holder_norm(target, args.r, grid)
-    constant = level_sup_constant(target.d, args.r)
+    decomp = build_levels(target, args.r, args.L, grid, holder_norm(target, args.r, grid))
     lines = ["# schema=spectral@1", "level,sup_norm,shell_sum,parseval_residual,sup_bound_lhs,sup_bound_rhs"]
     for level in range(args.L + 1):
-        rhs = constant * holder * float(level + 1) ** target.d
         lines.append(
             f"{level},{_fmt(decomp.sup_norms[level])},{_fmt(decomp.shells[level])},"
-            f"{_fmt(decomp.parseval_residuals[level])},{_fmt(decomp.sup_norms[level])},{_fmt(rhs)}"
+            f"{_fmt(decomp.parseval_residuals[level])},{_fmt(decomp.sup_norms[level])},{_fmt(decomp.sup_bounds[level])}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,9 +146,9 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       value is ``S_a * t + S_c``.  Units with a zero last weight add the
       constant ``beta * max(c, 0)``.  A unit with a nonzero last weight that
       is zero at every point of a line has its breakpoint past the line's t,
-      in the end bin, which the cumulative sums drop.  Before a block of
-      lines is binned, ``_kept_sloped`` leaves out every such unit whose
-      breakpoint is in the end bin on every line of the block: it computes
+      in the end bin, which the cumulative sums drop.  In d >= 2, before a
+      block of lines is binned, ``_kept_sloped`` leaves out every such unit
+      whose breakpoint is in the end bin on every line of the block: it computes
       the breakpoint once, at the corner of the block's box that the unit
       rises toward, with the kernel's own operations.  A unit left out adds
       only to end bins, and the kept units keep their storage order, so
@@ -232,9 +233,10 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     for l0 in range(0, x_rest.shape[0], step):
         xr = x_rest[l0 : l0 + step]
         n = xr.shape[0]
-        # a unit left out adds only to end bins, so every kept bin gets the same terms in the same order
-        keep = _kept_sloped(a_t[:, :n_sloped], biases[:n_sloped], xr, ends)
-        if keep.all():  # the units as they are, without gathers
+        # a unit left out adds only to end bins, so every kept bin gets the same terms in the same order;
+        # in d = 1 (no x_rest column) the mask is skipped, as it costs more than binning those few units
+        keep = _kept_sloped(a_t[:, :n_sloped], biases[:n_sloped], xr, ends) if xr.shape[1] else None
+        if keep is None or keep.all():  # the units as they are, without gathers
             kp, ks = n_pos, n_sloped  # kept rising units, kept sloped units
             a_k, b_k, scale_k, beta_a_k, betas_k = a_t, biases, scale, beta_a, betas[:n_sloped]
         else:
@@ -380,8 +382,7 @@ def certified_sup_error(net: ShallowNetwork, target: FourierTarget, grid: Evalua
 # Audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     name: str
     observed: float
     limit: float

@@ -105,11 +105,12 @@ class SamplingDensity:
 
     ``b_k`` is the coefficient phase, ``w_k = pi |k|_1`` the phase slope, and
     ``alpha_k = k / (pi |k|_1)`` the unit direction each frequency
-    contributes.  ``masses[j]`` is the unnormalized mass of frequency j with
-    the shift integrated out; ``v`` is the total mass, i.e. the estimator
-    scale.  The rest is what every plain draw reads: ``cum``, the running
-    sum of ``masses``, and ``f_lo``/``f_hi``, the |cos| primitive at each
-    frequency's phase at t = 0 and at t = SHIFT_LIMIT.
+    contributes.  ``f_lo``/``f_hi`` are the |cos| primitive at each
+    frequency's phase at t = 0 and at t = SHIFT_LIMIT, and ``masses[j]`` is
+    the unnormalized mass of frequency j with the shift integrated out,
+    ``(f_hi - f_lo) / w_k`` times the atom weight; ``v`` is the total mass,
+    i.e. the estimator scale.  Every plain draw reads ``cum``, the running
+    sum of ``masses``, and the two primitives.
     """
 
     image: FourierTarget
@@ -139,13 +140,6 @@ class SamplingDensity:
         return self.mode_count == 0
 
 
-def _interval_abs_cos_integral(omega, b, lo, hi):
-    """Integral of |cos(omega*t + b)| over [lo, hi], vectorized."""
-    upper = _abs_cos_primitive(omega * hi + b)
-    lower = _abs_cos_primitive(omega * lo + b)
-    return (upper - lower) / omega
-
-
 def _atom_weight(magnitudes, l1):
     """Density weight 2 pi^2 |c(k)| |k|_1^2 of a frequency's |cos| shift profile.
 
@@ -173,7 +167,9 @@ def build_density(image: FourierTarget) -> SamplingDensity:
     l1 = np.abs(modes).sum(axis=1).astype(float)
     omegas = np.pi * l1
     alphas = modes / (np.pi * l1[:, None])
-    masses = _atom_weight(magnitudes, l1) * _interval_abs_cos_integral(omegas, phases, 0.0, SHIFT_LIMIT)
+    f_lo = _abs_cos_primitive(omegas * 0.0 + phases)
+    f_hi = _abs_cos_primitive(omegas * SHIFT_LIMIT + phases)
+    masses = _atom_weight(magnitudes, l1) * ((f_hi - f_lo) / omegas)
     v = math.fsum(masses.tolist())
     return SamplingDensity(
         image=image,
@@ -185,8 +181,8 @@ def build_density(image: FourierTarget) -> SamplingDensity:
         masses=masses,
         v=v,
         cum=np.cumsum(masses),
-        f_lo=_abs_cos_primitive(omegas * 0.0 + phases),
-        f_hi=_abs_cos_primitive(omegas * SHIFT_LIMIT + phases),
+        f_lo=f_lo,
+        f_hi=f_hi,
     )
 
 

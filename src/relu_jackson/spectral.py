@@ -5,7 +5,7 @@ and weights each coefficient by ``|k|_1^r``.  Its sup-norm grows only
 polylogarithmically in the truncation level for smooth targets, which is what
 makes the downstream sampling construction work; this module computes the
 levels, the dyadic shell sums they partition into, Parseval residuals, and
-the explicit sup-norm bound check.
+both sides of each level's explicit sup-norm and coefficient-sum bounds.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import (
-    EvaluationGrid,
-    FourierTarget,
-    _require_resolved,
-    grid_values,
-    holder_norm,
-    sup_norm,
-)
+from .targets import EvaluationGrid, FourierTarget, _require_resolved, grid_values
 
 
 def level_series(target: FourierTarget, level: int, r: int) -> FourierTarget:
@@ -89,55 +82,22 @@ def shell_sums(target: FourierTarget, r: int, levels: int) -> np.ndarray:
     return np.array(sums)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 def level_sup_constant(d: int, r: int) -> float:
     """Explicit constant (3/pi + 6)^d * d^r in the level sup-norm bound."""
     return (3.0 / math.pi + 6.0) ** d * float(d) ** r
 
 
-def level_sup_bound_check(
-    target: FourierTarget,
-    r: int,
-    level: int,
-    grid: EvaluationGrid,
-    holder: float | None = None,
-) -> BoundReport:
-    """Check sup|level series| <= (3/pi+6)^d d^r * holder_norm * (level+1)^d.
-
-    Both sides are evaluated on the same resolved grid; ``holder`` may be
-    passed in to amortize the norm across a sweep over levels.
-    """
-    _require_resolved(target, grid)
-    lhs = sup_norm(level_series(target, level, r), grid)
-    if holder is None:
-        holder = holder_norm(target, r, grid)
-    rhs = level_sup_constant(target.d, r) * holder * float(level + 1) ** target.d
-    return BoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs)
-
-
-def coefficient_sum_bound_check(
-    target: FourierTarget, r: int, level: int, grid: EvaluationGrid
-) -> BoundReport:
-    """Check sum|coeffs of level series| <= (2^(level+1)+1)^(d/2) * sup|level series|.
-
-    This is the Cauchy-Schwarz/Parseval step that converts coefficient mass
-    into a sup-norm, assertable per level because supports are finite.
-    """
-    series = level_series(target, level, r)
-    lhs = variation(series, 0)
-    rhs = (2.0 ** (level + 1) + 1.0) ** (target.d / 2.0) * sup_norm(series, grid)
-    return BoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs)
-
-
 @dataclass(frozen=True)
 class SpectralLevels:
-    """Level decomposition of a target: series, norms, and shell sums."""
+    """Level decomposition of a target: series, norms, shell sums and both level bounds.
+
+    ``sup_bounds[l]`` is the right side ``(3/pi+6)^d d^r * holder * (l+1)^d``
+    of the level sup-norm bound on ``sup_norms[l]``.  ``coefficient_sums[l]``
+    is the coefficient mass of series l, and ``coefficient_bounds[l] =
+    (2^(l+1)+1)^(d/2) * sup_norms[l]`` bounds it: the Cauchy-Schwarz/Parseval
+    step over the level's at most ``(2^(l+1)+1)^d`` frequencies, which
+    converts coefficient mass into a sup-norm.
+    """
 
     r: int
     levels: int
@@ -145,18 +105,31 @@ class SpectralLevels:
     sup_norms: np.ndarray
     shells: np.ndarray
     parseval_residuals: np.ndarray
+    sup_bounds: np.ndarray
+    coefficient_sums: np.ndarray
+    coefficient_bounds: np.ndarray
 
 
-def build_levels(target: FourierTarget, r: int, levels: int, grid: EvaluationGrid) -> SpectralLevels:
-    """Level series 0..levels with their grid sup-norms and Parseval
-    residuals, both read from one evaluation of each series on the grid."""
+def build_levels(
+    target: FourierTarget, r: int, levels: int, grid: EvaluationGrid, holder: float
+) -> SpectralLevels:
+    """Level series 0..levels with every per-level quantity: the grid
+    sup-norms and Parseval residuals, both read from one evaluation of each
+    series on the grid, the shell sums and both level bounds.
+
+    ``holder`` is ``holder_norm(target, r, grid)``, the Hoelder norm in the
+    sup-norm bound.  The grid must resolve the target, and so every level
+    series, whose frequencies are a subset of the target's.
+    """
+    _require_resolved(target, grid)
+    d = target.d
     series = tuple(level_series(target, level, r) for level in range(levels + 1))
     sup_norms, residuals = [], []
     for s in series:
-        _require_resolved(s, grid)
         vals = grid_values(s, grid)
         sup_norms.append(float(np.abs(vals).max()))
         residuals.append(_parseval_gap(s, vals))
+    constant = level_sup_constant(d, r)
     return SpectralLevels(
         r=r,
         levels=levels,
@@ -164,4 +137,9 @@ def build_levels(target: FourierTarget, r: int, levels: int, grid: EvaluationGri
         sup_norms=np.array(sup_norms),
         shells=shell_sums(target, r, levels),
         parseval_residuals=np.array(residuals),
+        sup_bounds=np.array([constant * holder * float(level + 1) ** d for level in range(levels + 1)]),
+        coefficient_sums=np.array([variation(s, 0) for s in series]),
+        coefficient_bounds=np.array(
+            [(2.0 ** (level + 1) + 1.0) ** (d / 2.0) * sup for level, sup in enumerate(sup_norms)]
+        ),
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
+from relu_jackson import cli
 from relu_jackson.cli import main
 from relu_jackson.jackson import build_kernel, multiplier_from_kernel
 
@@ -57,12 +58,45 @@ def test_spectral_rows(target_file, capsys):
     assert float(level0[3]) < 1e-10
 
 
+def test_spectral_reads_holder_norm_and_levels_once(target_file, monkeypatch, capsys):
+    """The CLI prints what ``build_levels`` returns, bound sides included,
+    from one Hoelder norm and one level build."""
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for name in ("holder_norm", "build_levels"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["spectral", "--target", target_file, "--r", "2", "--L", "3"]) == 0
+    assert calls == ["holder_norm", "build_levels"]
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+    target = rj.load_target(target_file)
+    grid = rj.default_grid(1, rj.TORUS)
+    decomp = rj.build_levels(target, 2, 3, grid, rj.holder_norm(target, 2, grid))
+    assert [float(row[5]) for row in rows] == decomp.sup_bounds.tolist()
+
+
 #: sha256 of the spectral and jackson-rate CSVs for decay2 (d=2, s=4.2,
 #: k_max=8, seed 7) at r=2 on the default 512^2 grid, recorded with the torus
 #: grid values taken by a full ``np.fft.ifftn``: a change to the torus
 #: transform that moves a byte of these CSVs fails here.
 SPECTRAL_DECAY2_SHA256 = "b2a2060cceae0a41e28bee351a966915a5b06ed8f129089f3aae2ba34cb6a27c"
 JACKSON_RATE_DECAY2_SHA256 = "6f5810f1108673366f6b4662abf1c17b4335f0cc588eef61edd6095b0b34b709"
+
+#: sha256 of the spectral CSVs at r=2, L=4 for decay1 (d=1, s=3.2, k_max=16,
+#: seed 11) on the default grid and decay3 (d=3, s=3.2, k_max=6, seed 5) on a
+#: 16^3 grid, recorded while the CLI computed the bound's right side itself.
+SPECTRAL_SHA256 = {
+    (1, 3.2, 16, 11, None): "928ad8e30818545d57f522f9e6e57091126bd06aed163b90d50c5b478771c8ba",
+    (3, 3.2, 6, 5, 16): "d1671f24bbdaac74f98da07abac04a4fe06a40de3c0722fbc553d729a6c5ad33",
+}
 
 
 def test_spectral_and_jackson_rate_bytes_pinned(tmp_path):
@@ -74,6 +108,16 @@ def test_spectral_and_jackson_rate_bytes_pinned(tmp_path):
     assert main(["jackson-rate", *common, "--sweep", "2,4,8,16", "--out", str(jackson)]) == 0
     assert hashlib.sha256(spectral.read_bytes()).hexdigest() == SPECTRAL_DECAY2_SHA256
     assert hashlib.sha256(jackson.read_bytes()).hexdigest() == JACKSON_RATE_DECAY2_SHA256
+
+
+@pytest.mark.parametrize("key", SPECTRAL_SHA256, ids=["decay1", "decay3"])
+def test_spectral_bytes_pinned(tmp_path, key):
+    d, s, k_max, seed, grid = key
+    target, out = tmp_path / "target.txt", tmp_path / "spectral.csv"
+    rj.save_target(rj.make_decay_target(d, s, k_max, seed=seed), target)
+    flags = ["--grid", str(grid)] if grid else []
+    assert main(["spectral", "--target", str(target), "--r", "2", "--L", "4", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SPECTRAL_SHA256[key]
 
 
 def test_construct_roundtrip_and_determinism(target_file, tmp_path):

@@ -6,9 +6,7 @@ import pytest
 import relu_jackson as rj
 from relu_jackson.spectral import (
     build_levels,
-    coefficient_sum_bound_check,
     level_series,
-    level_sup_bound_check,
     level_sup_constant,
     parseval_residual,
     shell_sums,
@@ -119,18 +117,22 @@ class TestShellSums:
             assert abs(math.fsum(sums) - total) <= 1e-13 * max(1.0, total), name
 
 
+def levels_of(t, r, levels, grid=None):
+    grid = grid or torus_grid(t)
+    return build_levels(t, r, levels, grid, rj.holder_norm(t, r, grid))
+
+
 class TestLevelSupBound:
     def test_constant_passes(self):
-        t = rj.make_trig_poly(1, {0: 1.0})
-        rep = level_sup_bound_check(t, 2, 0, torus_grid(t))
-        assert rep.passed and rep.lhs == 0.0
+        decomp = levels_of(rj.make_trig_poly(1, {0: 1.0}), 2, 0)
+        assert decomp.sup_norms[0] == 0.0
+        assert decomp.sup_norms[0] <= decomp.sup_bounds[0]
 
     def test_cos_explicit_sides(self):
-        t = rj.make_trig_poly(1, {1: 0.5, -1: 0.5})
-        rep = level_sup_bound_check(t, 2, 0, torus_grid(t))
-        assert rep.lhs == pytest.approx(1.0, abs=1e-9)
-        assert rep.rhs == pytest.approx(3.0 / np.pi + 6.0, abs=1e-9)
-        assert rep.passed
+        decomp = levels_of(rj.make_trig_poly(1, {1: 0.5, -1: 0.5}), 2, 0)
+        assert decomp.sup_norms[0] == pytest.approx(1.0, abs=1e-9)
+        assert decomp.sup_bounds[0] == pytest.approx(3.0 / np.pi + 6.0, abs=1e-9)
+        assert decomp.sup_norms[0] <= decomp.sup_bounds[0]
 
     def test_constant_value(self):
         assert level_sup_constant(1, 2) == pytest.approx(3 / np.pi + 6)
@@ -138,36 +140,32 @@ class TestLevelSupBound:
 
     def test_corpus_sweep_small(self, corpus):
         for name, t in corpus:
-            grid = torus_grid(t)
-            holder = rj.holder_norm(t, 2, grid)
-            for level in (0, 3):
-                rep = level_sup_bound_check(t, 2, level, grid, holder=holder)
-                assert rep.passed, (name, level, rep)
+            decomp = levels_of(t, 2, 3)
+            assert np.all(decomp.sup_norms <= decomp.sup_bounds), (name, decomp.sup_norms, decomp.sup_bounds)
 
 
 class TestCoefficientSumBound:
     def test_corpus(self, corpus):
         for name, t in corpus:
-            grid = torus_grid(t)
-            for level in (0, 2, 4):
-                rep = coefficient_sum_bound_check(t, 2, level, grid)
-                assert rep.passed, (name, level, rep)
+            decomp = levels_of(t, 2, 4)
+            sums, bounds = decomp.coefficient_sums, decomp.coefficient_bounds
+            assert np.all(sums <= bounds), (name, sums, bounds)
 
     def test_sides_for_cos(self):
-        t = rj.make_trig_poly(1, {1: 0.5, -1: 0.5})
-        rep = coefficient_sum_bound_check(t, 2, 0, torus_grid(t))
-        assert rep.lhs == pytest.approx(1.0)
-        assert rep.rhs == pytest.approx(np.sqrt(3.0), abs=1e-9)
+        decomp = levels_of(rj.make_trig_poly(1, {1: 0.5, -1: 0.5}), 2, 0)
+        assert decomp.coefficient_sums[0] == pytest.approx(1.0)
+        assert decomp.coefficient_bounds[0] == pytest.approx(np.sqrt(3.0), abs=1e-9)
 
 
 def test_build_levels_consistency():
     t = rj.make_decay_target(1, 3.2, 8, seed=11)
     grid = torus_grid(t)
-    decomp = build_levels(t, 2, 4, grid)
+    decomp = levels_of(t, 2, 4, grid)
     assert len(decomp.series) == 5
     assert decomp.sup_norms[0] == pytest.approx(rj.sup_norm(level_series(t, 0, 2), grid))
     assert np.all(decomp.parseval_residuals < 1e-10)
     assert decomp.shells == pytest.approx(shell_sums(t, 2, 4))
+    assert decomp.coefficient_sums.tolist() == [variation(s, 0) for s in decomp.series]
 
 
 def test_build_levels_evaluates_each_series_once(monkeypatch):
@@ -177,6 +175,7 @@ def test_build_levels_evaluates_each_series_once(monkeypatch):
     grid = rj.default_grid(2, rj.TORUS, 64)
     sups = [rj.sup_norm(level_series(t, level, 2), grid) for level in range(4)]
     gaps = [parseval_residual(level_series(t, level, 2), grid) for level in range(4)]
+    holder = rj.holder_norm(t, 2, grid)
     calls = []
     raw = rj.targets._grid_values_raw
 
@@ -185,7 +184,7 @@ def test_build_levels_evaluates_each_series_once(monkeypatch):
         return raw(*args)
 
     monkeypatch.setattr(rj.targets, "_grid_values_raw", counting)
-    decomp = build_levels(t, 2, 3, grid)
+    decomp = build_levels(t, 2, 3, grid, holder)
     assert len(calls) == 4
     assert decomp.sup_norms.tolist() == sups
     assert decomp.parseval_residuals.tolist() == gaps
@@ -194,4 +193,4 @@ def test_build_levels_evaluates_each_series_once(monkeypatch):
 def test_build_levels_requires_resolving_grid():
     t = rj.make_decay_target(1, 3.2, 8, seed=11)
     with pytest.raises(ValueError, match="does not resolve"):
-        build_levels(t, 2, 3, rj.default_grid(1, rj.TORUS, 16))
+        build_levels(t, 2, 3, rj.default_grid(1, rj.TORUS, 16), 1.0)
