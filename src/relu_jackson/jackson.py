@@ -58,7 +58,7 @@ class JacksonKernel1D:
     def grid_values(self, points: int) -> np.ndarray:
         """Kernel values on the uniform torus grid of ``points >= 2`` points starting at -pi."""
         ks = np.arange(-self.degree, self.degree + 1)
-        return _grid_values_raw(1, ks[:, None], self.a_tilde, EvaluationGrid(1, points)).real
+        return _grid_values_raw(1, ks[:, None], self.a_tilde, EvaluationGrid(1, points))
 
 
 @functools.lru_cache(maxsize=None)

@@ -425,33 +425,37 @@ def audit(net: ShallowNetwork) -> AuditReport:
     meta = net.meta
     if meta is None or None in (meta.v2, meta.m_requested, meta.m_prime, meta.strata_count):
         raise ValueError("audit requires construction metadata")
-    sampled = net.units.origins == ORIGIN_SAMPLED
-    affine = net.units.origins == ORIGIN_AFFINE
-    n_sampled = int(sampled.sum())
+    u = net.units
+    # One column per unit: |alpha|_1, -bias, bias, |beta|.  The row maxima
+    # over an origin's columns are all its extremes, from one reduction.
+    table = np.empty((4, len(u)))
+    np.abs(u.alphas).sum(axis=1, out=table[0])
+    np.negative(u.biases, out=table[1])
+    table[2] = u.biases
+    np.abs(u.betas, out=table[3])
 
-    def _max_or(x, default=0.0):
-        return float(x.max()) if x.size else default
+    def _extremes(origin):
+        """Count, largest |alpha|_1, lowest and highest bias and largest
+        |beta| over the units of one origin; 0.0 for an origin without units."""
+        columns = table.compress(u.origins == origin, axis=1)
+        if not columns.size:
+            return 0, 0.0, 0.0, 0.0, 0.0
+        norm_max, neg_lo, hi, beta_max = columns.max(axis=1).tolist()
+        return columns.shape[1], norm_max, -neg_lo, hi, beta_max
 
-    def _min_or(x, default=0.0):
-        return float(x.min()) if x.size else default
-
-    alpha_norms = np.abs(net.units.alphas).sum(axis=1)
-
-    def _geometry(origin, mask, floor, ceiling):
+    def _geometry(origin, norm_max, lo, hi, floor, ceiling):
         """|alpha|_1 <= 1 and bias in [floor, ceiling] on the units of one origin."""
-        norm_max = _max_or(alpha_norms[mask])
-        lo, hi = _min_or(net.units.biases[mask]), _max_or(net.units.biases[mask])
         return [
             AuditCheck(f"{origin}_alpha_l1", norm_max, 1.0, norm_max <= 1.0 + _ALPHA_TOL),
             AuditCheck(f"{origin}_bias_low", lo, floor, lo >= floor - _BIAS_TOL),
             AuditCheck(f"{origin}_bias_high", hi, ceiling, hi <= ceiling + _BIAS_TOL),
         ]
 
+    n_sampled, norm_max, lo, hi, beta_max = _extremes(ORIGIN_SAMPLED)
     width = net.unit_count
     checks = [AuditCheck("width", float(width), float(meta.m_requested), width <= meta.m_requested)]
-    checks += _geometry(ORIGIN_SAMPLED, sampled, 0.0, SHIFT_LIMIT)
+    checks += _geometry(ORIGIN_SAMPLED, norm_max, lo, hi, 0.0, SHIFT_LIMIT)
     beta_bound = 8.0 * math.pi * meta.v2 / meta.m_requested
-    beta_max = _max_or(np.abs(net.units.betas[sampled]))
     checks.append(
         AuditCheck(
             "sampled_beta",
@@ -470,8 +474,8 @@ def audit(net: ShallowNetwork) -> AuditReport:
     )
     count_limit = meta.m_prime + meta.strata_count
     checks.append(AuditCheck("sampled_count", float(n_sampled), float(count_limit), n_sampled <= count_limit))
-    checks += _geometry(ORIGIN_AFFINE, affine, -1.0, 1.0)
-    n_affine = int(affine.sum())
+    n_affine, norm_max, lo, hi, _ = _extremes(ORIGIN_AFFINE)
+    checks += _geometry(ORIGIN_AFFINE, norm_max, lo, hi, -1.0, 1.0)
     checks.append(
         AuditCheck("affine_count", float(n_affine), float(MAX_AFFINE_UNITS), n_affine <= MAX_AFFINE_UNITS)
     )

@@ -274,34 +274,51 @@ def _cube_basis(k_max: int, axis: np.ndarray) -> np.ndarray:
 
 
 def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
-    """Complex values on the full grid, shape (G,)*d.
+    """Real part of the coefficient sum on the full grid, shape (G,)*d.
 
-    On the torus the values are the inverse DFT of the folded spectrum, taken
-    one axis at a time from the last, as ``np.fft.ifftn`` does.  A line along
-    axis j is transformed only if it sits at an occupied index (one that some
-    ``k mod G`` takes) on every axis before j; every other line holds only
-    zeros.  Each transformed line has the input it has inside ``ifftn``, and
-    pocketfft transforms each line on its own, so the bytes are those of
-    ``ifftn(spectrum) * G**d``.
+    On the torus the values are a real inverse DFT of a half spectrum.  Since
+    ``Re(c e^{i theta}) = Re(conj(c) e^{-i theta})``, a mode whose last index
+    ``k_d mod G`` lies above ``G//2`` is moved to ``-k`` with the conjugate
+    coefficient, so every last index lies in ``0..G//2``.  The coefficients
+    on indices strictly between 0 and G/2 are halved, since ``irfft`` counts
+    each of them twice; index 0 and, for even G, the Nyquist index G/2 are
+    counted once.  Complex inverse DFTs run over axes d-2 .. 0, a line along
+    axis j only if it sits at an occupied index (one that some ``k mod G``
+    takes) on every axis before j and on the last axis; every other line
+    holds only zeros.  One ``irfft`` along the last axis finishes.  All transforms are
+    unnormalized (``norm="forward"``), so the values are the sums themselves.
+    The result agrees with ``ifftn(spectrum).real * G**d`` to rounding, not
+    to the byte.
+
+    On the cube the values are contracted one axis at a time against
+    per-axis exponentials; their bytes are the real parts of that sum.
     """
     g = grid.points_per_axis
     if modes.shape[0] == 0:
-        return np.zeros((g,) * d, dtype=np.complex128)
+        return np.zeros((g,) * d)
     if grid.domain == TORUS:
         # Exact sampling via the DFT: grid starts at -pi, which contributes a
-        # (-1)^{sum k_j} twist relative to the standard [0, 2*pi) transform.
+        # (-1)^{sum k_j} twist relative to the standard [0, 2*pi) transform;
+        # -k has the twist of k.
+        twisted = coeffs * np.where(modes.sum(axis=1) % 2 == 0, 1.0, -1.0)
+        upper = modes[:, -1] % g > g // 2
+        modes = np.where(upper[:, None], -modes, modes)
+        twisted = np.where(upper, twisted.conj(), twisted)
+        last = modes[:, -1] % g
+        twisted = np.where((last > 0) & (2 * last != g), 0.5 * twisted, twisted)
         # The coefficients go into a box over the occupied indices of each
         # axis; add.at sums modes that alias to one index in row order.
-        twist = np.where(modes.sum(axis=1) % 2 == 0, 1.0, -1.0)
         occupied, slots = zip(*(np.unique(col, return_inverse=True) for col in (modes % g).T))
         vals = np.zeros(tuple(idx.size for idx in occupied), dtype=np.complex128)
-        np.add.at(vals, slots, coeffs * twist)
+        np.add.at(vals, slots, twisted)
+        # The last axis only widens to its largest occupied index; irfft
+        # reads the missing indices up to G//2 as zeros.
         for j in reversed(range(d)):
-            wide = np.zeros(vals.shape[:j] + (g,) + vals.shape[j + 1 :], dtype=np.complex128)
+            size = g if j < d - 1 else int(occupied[j][-1]) + 1
+            wide = np.zeros(vals.shape[:j] + (size,) + vals.shape[j + 1 :], dtype=np.complex128)
             wide[(slice(None),) * j + (occupied[j],)] = vals
-            vals = np.fft.ifft(wide, axis=j, out=wide)
-        vals *= g**d
-        return vals
+            vals = wide if j == d - 1 else np.fft.ifft(wide, axis=j, norm="forward", out=wide)
+        return np.fft.irfft(vals, n=g, axis=-1, norm="forward")
     # Cube grids are not commensurate with the period; contract one axis at a
     # time against per-axis exponentials instead.
     k_max = int(np.abs(modes).max())
@@ -312,20 +329,24 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
     vals = box
     for _ in range(d):
         vals = np.einsum("i...,ig->...g", vals, basis)
-    return vals
+    return vals.real
 
 
 def grid_values(target: FourierTarget, grid: EvaluationGrid) -> np.ndarray:
     """Real values of the target on the full grid, shape (G,)*d."""
     if grid.d != target.d:
         raise ValueError("grid dimension mismatch")
-    return _grid_values_raw(target.d, target.modes, target.coeffs, grid).real
+    return _grid_values_raw(target.d, target.modes, target.coeffs, grid)
 
 
 def imag_residual_on_grid(target: FourierTarget, grid: EvaluationGrid) -> float:
-    """Largest imaginary residue left by the coefficient sum; near zero for valid targets."""
-    vals = _grid_values_raw(target.d, target.modes, target.coeffs, grid)
-    return float(np.abs(vals.imag).max()) if vals.size else 0.0
+    """Largest imaginary residue left by the coefficient sum; near zero for valid targets.
+
+    ``Im sum c e^{ikx} = Re sum (-i c) e^{ikx}``, so the residue comes from the
+    real-valued grid transform of the coefficients times ``-i``.
+    """
+    vals = _grid_values_raw(target.d, target.modes, -1j * target.coeffs, grid)
+    return float(np.abs(vals).max()) if vals.size else 0.0
 
 
 def sup_norm(target: FourierTarget, grid: EvaluationGrid) -> float:
@@ -371,7 +392,7 @@ def holder_norm(target: FourierTarget, r: int, grid: EvaluationGrid) -> float:
             if a:
                 weights = weights * (1j * kf[:, j]) ** a
         vals = _grid_values_raw(target.d, target.modes, target.coeffs * weights, grid)
-        best = max(best, float(np.abs(vals.real).max()))
+        best = max(best, float(np.abs(vals).max()))
     return best
 
 

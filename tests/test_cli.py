@@ -85,17 +85,17 @@ def test_spectral_reads_holder_norm_and_levels_once(target_file, monkeypatch, ca
 
 #: sha256 of the spectral and jackson-rate CSVs for decay2 (d=2, s=4.2,
 #: k_max=8, seed 7) at r=2 on the default 512^2 grid, recorded with the torus
-#: grid values taken by a full ``np.fft.ifftn``: a change to the torus
+#: grid values taken by the half-spectrum irfft: a change to the torus
 #: transform that moves a byte of these CSVs fails here.
-SPECTRAL_DECAY2_SHA256 = "b2a2060cceae0a41e28bee351a966915a5b06ed8f129089f3aae2ba34cb6a27c"
+SPECTRAL_DECAY2_SHA256 = "3b561ec0ba9281f9d746eeffacc12360407171656778cebd2c3315624b605b79"
 JACKSON_RATE_DECAY2_SHA256 = "6f5810f1108673366f6b4662abf1c17b4335f0cc588eef61edd6095b0b34b709"
 
 #: sha256 of the spectral CSVs at r=2, L=4 for decay1 (d=1, s=3.2, k_max=16,
 #: seed 11) on the default grid and decay3 (d=3, s=3.2, k_max=6, seed 5) on a
-#: 16^3 grid, recorded while the CLI computed the bound's right side itself.
+#: 16^3 grid, recorded with the half-spectrum irfft.
 SPECTRAL_SHA256 = {
-    (1, 3.2, 16, 11, None): "928ad8e30818545d57f522f9e6e57091126bd06aed163b90d50c5b478771c8ba",
-    (3, 3.2, 6, 5, 16): "d1671f24bbdaac74f98da07abac04a4fe06a40de3c0722fbc553d729a6c5ad33",
+    (1, 3.2, 16, 11, None): "b01ec5661934715ef8265ee3413d65fb118b26b9f888cf8e73df76355edd7265",
+    (3, 3.2, 6, 5, 16): "f5cb3098e386f52d020c24c6af6d1539f452d62098dbaac530858f80045e8e0d",
 }
 
 
