@@ -324,7 +324,10 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def lipschitz_bound(net: ShallowNetwork) -> float:
-    """Upper bound on the sup-norm gradient: sum |beta| * |alpha|_1 (0.0 with no units)."""
+    """Lipschitz constant of the network in the sup-norm of x: sum |beta| * |alpha|_1 (0.0 with no units).
+
+    Each unit changes by at most ``|beta| |alpha . (x - y)| <= |beta| |alpha|_1 |x - y|_inf``.
+    """
     terms = np.abs(net.units.betas) * np.abs(net.units.alphas).sum(axis=1)
     return math.fsum(terms.tolist())
 
@@ -368,13 +371,16 @@ class ErrorCertificate:
 def certified_sup_error(net: ShallowNetwork, target: FourierTarget, grid: EvaluationGrid) -> ErrorCertificate:
     """Bound on the sup-norm error over the whole cube, from the grid and both Lipschitz sums.
 
-    The network's sum is ``lipschitz_bound``, over every unit: a constructed
+    Both sums are Lipschitz constants in the sup-norm of x, and every cube
+    point lies within ``spacing / 2`` of a grid point in each coordinate, so
+    ``bound = grid max + (L_target + L_network) * spacing / 2``.  The
+    network's sum is ``lipschitz_bound``, over every unit: a constructed
     network has no unit that is zero on the whole cube.
     """
     grid_max = sup_error(net, target, grid)
-    lt = variation(target, 1)  # sum |c(k)| * |k|_1 bounds the target's gradient sup-norm
+    lt = variation(target, 1)  # sum |c(k)| * |k|_1, since |k . (x - y)| <= |k|_1 |x - y|_inf
     ln = lipschitz_bound(net)
-    bound = grid_max + (lt + ln) * grid.spacing * net.d / 2.0
+    bound = grid_max + (lt + ln) * grid.spacing / 2.0
     return ErrorCertificate(grid_max=grid_max, lipschitz_target=lt, lipschitz_network=ln, bound=bound)
 
 

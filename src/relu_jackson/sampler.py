@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .network import (
     Units,
 )
 from .spectral import variation
-from .targets import FourierTarget
+from .targets import FourierTarget, _distinct_rows
 
 # Stream tag of the unstratified sampler: its PCG64 stream is keyed by
 # (seed, tag), apart from the stratified sampler's Philox stream, which is
@@ -190,59 +191,41 @@ def build_density(image: FourierTarget) -> SamplingDensity:
 # Stratification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Stratum:
-    """One cell of the proportionate-allocation partition.
+class Stratum(NamedTuple):
+    """One stratum of a plan: read-only slices of its flat piece arrays, and its draw count."""
 
-    A stratum fixes a shift bin of width at most epsilon/(d+1), a direction
-    cell of the same side length, and the value of the atom sign
-    ``s = -sgn(cos(w t + b))``.  Its atoms are (frequency, sub-interval)
-    pairs on which ``s`` is constant, so any two atoms give ReLU features
-    within epsilon of each other uniformly over the cube.
-    """
-
-    bin_index: int
-    t_lo: float
-    t_hi: float
-    cell: tuple[int, ...]
-    sign: float
     mode_index: np.ndarray
     piece_lo: np.ndarray
     piece_hi: np.ndarray
     piece_mass: np.ndarray
-    mass: float
-    share: float
-    target_count: float
     count: int
-
-    def __post_init__(self):
-        for arr in (self.mode_index, self.piece_lo, self.piece_hi, self.piece_mass):
-            arr.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """Proportionate-allocation plan as flat (CSR) arrays.
+    """Proportionate-allocation plan as per-piece arrays and per-stratum counts.
 
-    Stratum i owns pieces ``ptr[i]:ptr[i+1]``.  Per piece: the frequency
-    index ``piece_mode``, the shift sub-interval ``[piece_lo, piece_hi]``,
-    its mass, and ``cum``, the cumulative mass normalised within the stratum
-    and offset by the stratum index (so stratum i's pieces end at exactly
-    i + 1).  Per stratum: shift bin, direction cell (one row of ``cell``),
-    atom sign, mass, share of the total mass, fractional allocation
-    ``target_count`` and draw count.
+    Stratum i owns pieces ``ptr[i]:ptr[i+1]``.  A stratum fixes a shift bin
+    and a direction cell, both of side ``delta``, and the atom sign
+    ``s = -sgn(cos(w t + b))``, so any two of its atoms give ReLU features
+    within epsilon of each other uniformly over the cube
+    (``allocation_width``).  Per piece: the frequency index
+    ``piece_mode``, the shift sub-interval ``[piece_lo, piece_hi]``, its
+    mass, and ``cum``, the cumulative mass normalised within the stratum and
+    offset by the stratum index (so stratum i's pieces end at exactly
+    i + 1).  Per stratum: the draw count ``count``.
 
     The rest holds the seed-independent part of every draw, so that
     ``stratified_sample`` does only the work that depends on the seed.  Per
     piece: ``piece_f_lo`` and ``piece_f_hi``, the |cos| primitive at both
     ends.  Per draw, strata in order and each repeated by its count: the
     stratum index ``draw_stratum``, the stratum's last piece ``draw_last``,
-    the unit weight ``draw_beta`` and the unit origin ``origins``.
+    the unit weight ``draw_beta`` (which carries the stratum's atom sign)
+    and the unit origin ``origins``.
     """
 
     m: int
     m_prime: int
-    epsilon: float
     delta: float
     ptr: np.ndarray
     piece_mode: np.ndarray
@@ -250,12 +233,6 @@ class SamplingPlan:
     piece_hi: np.ndarray
     piece_mass: np.ndarray
     cum: np.ndarray
-    bin_index: np.ndarray
-    cell: np.ndarray
-    sign: np.ndarray
-    mass: np.ndarray
-    share: np.ndarray
-    target_count: np.ndarray
     count: np.ndarray
     piece_f_lo: np.ndarray
     piece_f_hi: np.ndarray
@@ -278,42 +255,13 @@ class SamplingPlan:
     def total_count(self) -> int:
         return self.draw_stratum.shape[0]
 
-    @property
-    def shares_total(self) -> float:
-        return math.fsum(self.share.tolist())
-
     @cached_property
     def strata(self) -> tuple[Stratum, ...]:
         """Per-stratum view of the flat arrays, built on first access."""
-        edges = _bin_edges(self.delta)
         ptr = self.ptr.tolist()
         return tuple(
-            Stratum(
-                bin_index=b,
-                t_lo=float(edges[b]),
-                t_hi=float(edges[b + 1]),
-                cell=tuple(cell),
-                sign=sign,
-                mode_index=self.piece_mode[lo:hi],
-                piece_lo=self.piece_lo[lo:hi],
-                piece_hi=self.piece_hi[lo:hi],
-                piece_mass=self.piece_mass[lo:hi],
-                mass=mass,
-                share=share,
-                target_count=target_count,
-                count=count,
-            )
-            for b, cell, sign, mass, share, target_count, count, lo, hi in zip(
-                self.bin_index.tolist(),
-                self.cell.tolist(),
-                self.sign.tolist(),
-                self.mass.tolist(),
-                self.share.tolist(),
-                self.target_count.tolist(),
-                self.count.tolist(),
-                ptr[:-1],
-                ptr[1:],
-            )
+            Stratum(self.piece_mode[lo:hi], self.piece_lo[lo:hi], self.piece_hi[lo:hi], self.piece_mass[lo:hi], count)
+            for lo, hi, count in zip(ptr[:-1], ptr[1:], self.count.tolist())
         )
 
 
@@ -326,11 +274,6 @@ def allocation_width(m: int, d: int) -> tuple[float, float]:
     """(epsilon, delta): the oscillation budget and the cell side per axis."""
     eps = 2.0 * (d + 1) * math.pi ** (-1.0 + 1.0 / d) / _m_prime(m) ** (1.0 / d)
     return eps, eps / (d + 1)
-
-
-def _bin_edges(delta: float) -> np.ndarray:
-    """Shift-bin edges j*delta, clipped at SHIFT_LIMIT."""
-    return np.minimum(delta * np.arange(math.ceil(SHIFT_LIMIT / delta) + 1), SHIFT_LIMIT)
 
 
 def _cos_zero_shifts(omega, b):
@@ -368,8 +311,8 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     if m < 8:
         raise ValueError("width must be >= 8")
     m_prime = _m_prime(m)
-    eps, delta = allocation_width(m, density.image.d)
-    edges = _bin_edges(delta)
+    _, delta = allocation_width(m, density.image.d)
+    edges = np.minimum(delta * np.arange(math.ceil(SHIFT_LIMIT / delta) + 1), SHIFT_LIMIT)
     cells = np.floor(density.alphas / delta).astype(np.int64)
 
     # One row per frequency; each row's shift range [0, SHIFT_LIMIT] is cut
@@ -404,14 +347,9 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     # Strata in (bin, cell, s) order: one integer key per piece, with the
     # direction cells ranked lexicographically (so the key stays below
     # 2 * n_edges * modes at any d), and a stable sort that keeps the
-    # (frequency, shift) order of the pieces inside each stratum.  A cell's
-    # rank counts the changes of row among the lexicographically sorted cells.
-    by_cell = np.lexsort(cells.T[::-1])
-    sorted_cells = cells[by_cell]
-    changes = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-    cell_rank = np.empty(by_cell.shape[0], dtype=np.int64)
-    cell_rank[by_cell] = np.concatenate(([0], np.cumsum(changes)))
-    key = (bins * (cell_rank.max() + 1) + cell_rank[mode]) * 2 + (sign > 0.0)
+    # (frequency, shift) order of the pieces inside each stratum.
+    distinct_cells, cell_rank = _distinct_rows(cells)
+    key = (bins * distinct_cells.shape[0] + cell_rank[mode]) * 2 + (sign > 0.0)
     kept = np.flatnonzero((sign != 0.0) & (mass > 0.0))
     order = kept[np.argsort(key[kept], kind="stable")]
     key = key[order]
@@ -449,7 +387,6 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     plan = SamplingPlan(
         m=m,
         m_prime=m_prime,
-        epsilon=eps,
         delta=delta,
         ptr=ptr,
         piece_mode=mode[order],
@@ -457,12 +394,6 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
         piece_hi=hi[order],
         piece_mass=piece_mass,
         cum=piece_stratum + within,
-        bin_index=bins[order[starts]],
-        cell=cells[mode[order[starts]]],
-        sign=stratum_sign,
-        mass=stratum_mass,
-        share=share,
-        target_count=target_count,
         count=count,
         piece_f_lo=primitive[first_cut],
         piece_f_hi=primitive[first_cut + 1],

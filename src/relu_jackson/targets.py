@@ -155,11 +155,27 @@ def _target(d: int, modes: np.ndarray, coeffs: np.ndarray, smoothness: float) ->
     return FourierTarget(d=d, modes=modes[keep], coeffs=coeffs[keep], smoothness=smoothness)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, and each row's rank among them.
+
+    What ``np.unique(rows, axis=0, return_inverse=True)`` returns, from one
+    lexsort, the row-change flags and a running count instead of an argsort
+    of the rows as structured records.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    rank = np.empty(order.shape[0], dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return ordered[new], rank
+
+
 def _require_hermitian(modes: np.ndarray, coeffs: np.ndarray, subject: str) -> None:
     """Raise naming the first row k (of distinct ones) with ``|c(k) - conj(c(-k))|`` above the tolerance."""
     # the sorted union of the k and the -k, so -union[i] is union[-1 - i]
-    union, where = np.unique(np.concatenate([modes, -modes]), axis=0, return_inverse=True)
-    where = where.ravel()[: modes.shape[0]]
+    union, where = _distinct_rows(np.concatenate([modes, -modes]))
+    where = where[: modes.shape[0]]
     full = np.zeros(union.shape[0], dtype=np.complex128)
     full[where] = coeffs
     tol = _HERMITIAN_TOL * max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
@@ -225,8 +241,7 @@ def difference(a: FourierTarget, b: FourierTarget) -> FourierTarget:
     """Coefficient-wise a - b."""
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    modes, where = np.unique(np.concatenate([a.modes, b.modes]), axis=0, return_inverse=True)
-    where = where.ravel()
+    modes, where = _distinct_rows(np.concatenate([a.modes, b.modes]))
     coeffs = np.zeros(modes.shape[0], dtype=np.complex128)
     # Assign a, then subtract b: each side's modes are distinct, and an
     # assignment keeps the sign of a zero part where adding to 0 would not.

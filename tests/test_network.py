@@ -663,6 +663,24 @@ class TestLipschitz:
         for x in (pts, grid.points()):
             assert np.abs(rj.evaluate(target, x) - evaluate(net, x)).max() <= cert.bound
 
+    @pytest.mark.parametrize(
+        "d,target_args,m,points",
+        [(2, (4.2, 8, 7), 1024, 33), (3, (3.2, 6, 5), 256, 9)],
+    )
+    def test_certificate_half_spacing(self, d, target_args, m, points):
+        """Both Lipschitz sums are constants for the sup-norm of x, and every
+        cube point lies within spacing / 2 of a grid point in each
+        coordinate: the fill-in is (L_f + L_net) * spacing / 2, with no
+        factor d, and random points stay under it."""
+        target = rj.make_decay_target(d, *target_args[:2], seed=target_args[2])
+        net = rj.construct(target, 2, m, seed=1)
+        grid = rj.EvaluationGrid(d, points, rj.CUBE)
+        cert = certified_sup_error(net, target, grid)
+        assert cert.lipschitz_target == variation(target, 1)
+        assert cert.bound == cert.grid_max + (cert.lipschitz_target + cert.lipschitz_network) * grid.spacing / 2.0
+        pts = np.random.default_rng(d).uniform(-1.0, 1.0, size=(4000, d))
+        assert np.abs(rj.evaluate(target, pts) - evaluate(net, pts)).max() <= cert.bound
+
 
 class TestAudit:
     def test_constructed_network_passes(self, cos_target):

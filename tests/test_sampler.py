@@ -157,12 +157,13 @@ class TestBuildStrata:
         dens = build_density(cos_image)
         plan = build_strata(dens, 64)
         assert plan.m_prime == 16
-        assert plan.epsilon == pytest.approx(0.25)  # 2*(d+1)*pi^0 / 16
+        assert allocation_width(64, 1)[0] == pytest.approx(0.25)  # epsilon = 2*(d+1)*pi^0 / 16
         assert plan.delta == pytest.approx(0.125)
-        assert plan.shares_total == pytest.approx(1.0, abs=1e-12)
-        for st in plan.strata:
-            assert st.t_hi - st.t_lo <= plan.delta + 1e-15
-            assert st.count == math.ceil(st.target_count)
+        share = _stratum_masses(plan) / dens.v
+        assert math.fsum(share.tolist()) == pytest.approx(1.0, abs=1e-12)
+        _, t_lo, t_hi = _stratum_keys(plan, dens)
+        assert np.all(t_hi - t_lo <= plan.delta + 1e-15)
+        assert plan.count.tolist() == [math.ceil(c) for c in (plan.m_prime * share).tolist()]
         assert plan.total_count <= plan.m_prime + plan.strata_count
 
     def test_cos_plan_under_nominal_budget(self, cos_image):
@@ -174,13 +175,16 @@ class TestBuildStrata:
     def test_sign_constant_per_stratum(self, cos_image):
         dens = build_density(rj.apply_jackson(rj.make_decay_target(1, 3.2, 16, 11), 12, 2))
         plan = build_strata(dens, 64)
-        for st in plan.strata:
+        keys, t_lo, t_hi = _stratum_keys(plan, dens)
+        for st, (_, cell, sign), lo, hi in zip(plan.strata, keys, t_lo, t_hi):
             mids = 0.5 * (st.piece_lo + st.piece_hi)
             sgn = -np.sign(np.cos(dens.omegas[st.mode_index] * mids + dens.phases[st.mode_index]))
-            assert np.all(sgn == st.sign)
-            assert np.all(st.piece_lo >= st.t_lo - 1e-15)
-            assert np.all(st.piece_hi <= st.t_hi + 1e-15)
-            assert st.t_lo >= 0.0 and st.t_hi <= SHIFT_LIMIT
+            assert np.all(sgn == sign)
+            cells = np.floor(dens.alphas[st.mode_index] / plan.delta)
+            assert np.all(cells == cell)
+            assert np.all(st.piece_lo >= lo - 1e-15)
+            assert np.all(st.piece_hi <= hi + 1e-15)
+            assert lo >= 0.0 and hi <= SHIFT_LIMIT
 
     def test_within_stratum_oscillation(self):
         t = rj.make_decay_target(2, 4.2, 4, seed=7)
@@ -199,7 +203,7 @@ class TestBuildStrata:
             worst = max(
                 float(np.abs(a - b).max()) for i, a in enumerate(feats) for b in feats[i + 1 :]
             )
-            assert worst <= plan.epsilon + 1e-12
+            assert worst <= allocation_width(64, 2)[0] + 1e-12
             checked += 1
         assert checked > 0
 
@@ -221,12 +225,13 @@ class TestBuildStrata:
         expected = _reference_strata(dens, m)
         assert plan.strata_count == len(expected)
         assert plan.ptr[-1] == sum(len(ref["modes"]) for ref in expected)
-        for st, ref in zip(plan.strata, expected):
-            assert (st.bin_index, st.cell, st.sign) == ref["key"]
+        keys, _, _ = _stratum_keys(plan, dens)
+        for st, key, mass, ref in zip(plan.strata, keys, _stratum_masses(plan), expected):
+            assert key == ref["key"]
             assert np.array_equal(st.mode_index, ref["modes"])
             assert np.array_equal(st.piece_lo, ref["lo"]) and np.array_equal(st.piece_hi, ref["hi"])
             assert np.all(np.abs(st.piece_mass - ref["mass"]) <= np.spacing(ref["mass"]))
-            assert abs(st.mass - ref["total"]) <= np.spacing(ref["total"])
+            assert abs(mass - ref["total"]) <= np.spacing(ref["total"])
             assert st.count == math.ceil(plan.m_prime * ref["total"] / dens.v)
 
     def test_cumulative_masses(self, corpus):
@@ -256,14 +261,17 @@ class TestBuildStrata:
             assert np.count_nonzero(plan.piece_hi[mine] == 0.25) == 1
             assert np.unique(bounds).tolist() == edges
         # the sign of cos changes at the edge on the k = 1 row only
-        signs = np.repeat(plan.sign, np.diff(plan.ptr))
+        keys, _, _ = _stratum_keys(plan, dens)
+        signs = np.repeat([sign for _, _, sign in keys], np.diff(plan.ptr))
         assert len(set(signs[plan.piece_mode == 1].tolist())) == 2
         assert len(set(signs[plan.piece_mode == 0].tolist())) == 1
 
     # sha256 of each plan array (dtype, shape, then bytes), recorded on
     # x86-64 with NumPy 2.4: any change of a plan byte, such as a reordering
     # of strata or pieces, fails here.  The float arrays also depend on
-    # NumPy's float64 cos and sin.
+    # NumPy's float64 cos and sin.  The draw arrays were recorded while the
+    # plan still held its per-stratum sign, mass, share and fractional count:
+    # draw_beta carries the sign and the fractional count.
     PLAN_DIGESTS = {
         "decay1": {
             "ptr": "1d708e67e55328617f4c77ca34e27ae29f86b949423df327ca290d442d41a3de",
@@ -272,13 +280,12 @@ class TestBuildStrata:
             "piece_hi": "92e2abba253b35e2b2bbc12e366fe645debc3cd92894a56b270320835c2ff6ec",
             "piece_mass": "0c2a10f93c3b126af1402b583d0ffe8062632a8b867f2ce7b3f25d3f8660a6e0",
             "cum": "957f8339998cd463c39d64ac61afe1108615e6e734a3848aeb6a2cdb627fa780",
-            "bin_index": "9298028ceffef7b4e7ca34bebe13bfcfe84cc1d14d6749ca9788ee43fb42bb68",
-            "cell": "140d7f98b7d937c4e89a4f7cef9bea2c108598d7220df4c20aa80d8f8b69e040",
-            "sign": "7e85ec7db2b723791d2be8da270c32e50bec70f118269de024f37ed8d029a671",
-            "mass": "17e5b23ce1f9d291cf3de9565dec39496dc9c4abe931b0bad5c6d980dd0992ba",
-            "share": "100b06b22279ab7e7f6ddd47c355500150d63e0c104a909023d9f79d0762a193",
-            "target_count": "3a07f4effb3f4bb462f65466e908e796769e872856c11552d07742e69524c338",
             "count": "d010d2254eb39027c92b3865b4aae33ab3cd8e8854e3a4bccf4ab72fa119e8fb",
+            "piece_f_lo": "7131cb61ef7a24070169a1406b6d8cb3359b08b3a2c2f628c1cc1ca2eda8a38a",
+            "piece_f_hi": "aef8136df1c8d1292adf60a926981257946f12dece6c5c9fab1baeb6aedbcbd7",
+            "draw_stratum": "b28b71692b819c8cc5708d1d53de75d1a4d798f389a5a41e9b97438e2fed977a",
+            "draw_last": "c87cc36567e47549c3c72f94321db1dea58b8c5cb458e88a52d8a7dcad44550f",
+            "draw_beta": "29c89c7bf572513057471ab224029b5b509222a2b9bf2551831c4afb5251e97c",
         },
         "decay2": {
             "ptr": "5759dd238cb68f31b6e162d789d99b1689f9ada862d8ae5d39b9bb1767d6c140",
@@ -287,13 +294,12 @@ class TestBuildStrata:
             "piece_hi": "8071ba48a124e0430459c3b219e52a6a2208feb9a41e8de4cedb96784ac9c48d",
             "piece_mass": "778686cc2f832c13f4f399ea1fcd72974d04c05c303ee239a18ca19ce20ab1fd",
             "cum": "df17e056e85c9c5b840674755c4da65f25a37aa45a1a300a09be923593a29107",
-            "bin_index": "84bb8a987fddc482d79e7f93b5ed500a58de3754713e806635fb6d370cd3edef",
-            "cell": "30fc2f50e1c962081851e514e88eb633cea851b81d0c9382d4ea86fd981aac3b",
-            "sign": "cdbe4249975cbd35bbe05cd9307b21dc427b7e699e2e663c97dc8f23110f0e1b",
-            "mass": "4fd15cd713042f8946461929a333b30609dac2ab5378ff56fc973a91bd047353",
-            "share": "558c24b0f412be8c83c11fc402017e68cb66cc636f0c94ff674a7e149ad16c42",
-            "target_count": "e919de08480fe35261d8d501855ea20519a81242b03ac3dde0f1607163593b61",
             "count": "29380ba8998653d1c0c1e9d24e61dc6dfb8d9e15e38904dba1b0932c3ce5eb5d",
+            "piece_f_lo": "577d7dd08c9eee4df5abc9bf62568c909466442c5606d91278538566f567ed72",
+            "piece_f_hi": "20087ced9f4f4ecac4b36ba2dfec1f86816d6ee31cce4e33e42850d1aab5a5e2",
+            "draw_stratum": "ffa9b4b00de49e829f25457a6257637616fca2c4cd01a0041d661fae61277800",
+            "draw_last": "5ea6122676c5f525dd2f011c9467de4d7a33fafb4d81a6d1bf65d97dbd3b699e",
+            "draw_beta": "d51733230e88712edc69c774d04475192334584c6d679c1808819a6a6a26942c",
         },
         "decay3": {
             "ptr": "5a8fcde45d6006b6928512cf9ef805745e113d93e70f781f88388b53d0538c07",
@@ -302,13 +308,12 @@ class TestBuildStrata:
             "piece_hi": "976d9a155607a88f1a884c659b0cca5716974779c2b978c1fed768ec2f14548d",
             "piece_mass": "3b92876ef344a9270b9b66a3778e4dde2728e34b7d0a502774f9fc26be6b85ff",
             "cum": "fea6dd303fb85e64556d16b7111ad0e04ab7f730ff879721b1b1fc9d41808bc9",
-            "bin_index": "e3d13a2137f6ae534fa51d1f7267ccf96530bec89c4dd00f7128eec194d0e248",
-            "cell": "afea05e4b1b5e53737a700c69a05d3723f92f2e22c4e992c473f48dabb98ac93",
-            "sign": "7bdb7fd7efd9b5907d27ff58eba1efe2c645bc70d7e375c958b5c095df91df9d",
-            "mass": "e0117d022551aa47805d4aa02a24d68ee9fa2047e00a8b725e032027636f29e3",
-            "share": "94fca5f182893c0445e08038aa0d1f6ef729a6ad0dc0d189eb774f2e2bb0380c",
-            "target_count": "0667ad723a243348724b3c7c62badd7f9f1014e511001c76c872d5668ad64695",
             "count": "91b53064c155b6ba7d5cad407f31f64a7310c8a1aac27e5db212fac5bc6dcbfd",
+            "piece_f_lo": "a40f9f9af62589ca6d0b517dae47ae1370c4d0163348ee543f44b4cec9b40f13",
+            "piece_f_hi": "d5791d0bed25e77e08ab1ce6e2324d294d2d47fc065cdb004b8e94e4efe29801",
+            "draw_stratum": "9a87482ad6aeb02f014c341cc336487548902ca08c7c82dac3feda70dbe101c7",
+            "draw_last": "a2f451ce08c56e7df2056a15b97c13f9d7d5d277ab34b5199ef1d2078634a887",
+            "draw_beta": "9e9a7b881d125f794ff129acbb4a10db985b9b8fd75ca705680011509dfa904e",
         },
     }
 
@@ -330,7 +335,13 @@ class TestBuildStrata:
         stratum = np.repeat(np.arange(plan.strata_count), plan.count)
         assert plan.draw_stratum.tolist() == stratum.tolist()
         assert plan.draw_last.tolist() == (plan.ptr[stratum + 1] - 1).tolist()
-        beta = dens.v * plan.target_count / (plan.m_prime * plan.count) * plan.sign
+        # beta = v * m_i / (m' * n_i) * s, with the fsum mass m_i and the sign s
+        # of cos at the midpoint of the stratum's first piece
+        target_count = plan.m_prime * (_stratum_masses(plan) / dens.v)
+        first = plan.ptr[:-1]
+        mid = 0.5 * (plan.piece_lo[first] + plan.piece_hi[first])
+        sign = -np.sign(np.cos(omega[first] * mid + b[first]))
+        beta = dens.v * target_count / (plan.m_prime * plan.count) * sign
         assert plan.draw_beta.tobytes() == np.repeat(beta, plan.count).tobytes()
         assert plan.origins.tolist() == ["sampled"] * plan.total_count
         assert plan.total_count == int(plan.count.sum())
@@ -374,6 +385,33 @@ def test_cos_zero_shifts_ascend_within_each_row():
     assert np.bincount(row, minlength=50).tolist() == np.maximum(expected, 0).astype(int).tolist()
 
 
+def _reference_edges(delta):
+    """Shift-bin edges j*delta, clipped at 1/pi."""
+    limit = 1.0 / math.pi
+    return np.minimum(delta * np.arange(math.ceil(limit / delta) + 1), limit)
+
+
+def _stratum_keys(plan, dens):
+    """Per stratum, its key (bin, cell, sign) and its bin's edges t_lo, t_hi.
+
+    The bin and the direction cell are those of the stratum's first piece on
+    the delta grid; the atom sign is the sign of its first draw weight.
+    """
+    first = plan.ptr[:-1]
+    edges = _reference_edges(plan.delta)
+    bins = np.searchsorted(edges, plan.piece_lo[first], side="right") - 1
+    cells = np.floor(dens.alphas[plan.piece_mode[first]] / plan.delta).astype(np.int64)
+    signs = np.sign(plan.draw_beta[np.cumsum(plan.count) - plan.count])
+    keys = [(b, tuple(c), s) for b, c, s in zip(bins.tolist(), cells.tolist(), signs.tolist())]
+    return keys, edges[bins], edges[bins + 1]
+
+
+def _stratum_masses(plan):
+    """Exactly rounded stratum masses: the fsum of each stratum's piece masses."""
+    ptr = plan.ptr.tolist()
+    return np.array([math.fsum(plan.piece_mass[i:j].tolist()) for i, j in zip(ptr[:-1], ptr[1:])])
+
+
 def _reference_strata(dens, m):
     """Strata of a width-m plan built by a plain loop over both ridge signs z
     and every mode, shifts on [0, 1/pi], bucketed in a dict and ordered by
@@ -386,7 +424,7 @@ def _reference_strata(dens, m):
     """
     _, delta = allocation_width(m, dens.image.d)
     limit = 1.0 / math.pi
-    edges = np.minimum(delta * np.arange(math.ceil(limit / delta) + 1), limit)
+    edges = _reference_edges(delta)
     # (|k|_1, alpha_k) names k; alpha_k alone does not (in d = 1 every k > 0 has alpha_k = 1/pi)
     named = {(l1, tuple(a)): j for j, (l1, a) in enumerate(zip(dens.l1.tolist(), dens.alphas.tolist()))}
     bucket = {}
@@ -513,11 +551,12 @@ class TestStratifiedSample:
         dens = build_density(cos_image)
         plan = build_strata(dens, 256)
         units = stratified_sample(plan, dens, 5)
+        _, t_lo, t_hi = _stratum_keys(plan, dens)
         offset = 0
-        for st in plan.strata:
+        for st, lo, hi in zip(plan.strata, t_lo, t_hi):
             block = units.biases[offset : offset + st.count]
-            assert np.all(block >= st.t_lo - 1e-12)
-            assert np.all(block <= st.t_hi + 1e-12)
+            assert np.all(block >= lo - 1e-12)
+            assert np.all(block <= hi + 1e-12)
             offset += st.count
 
 

@@ -11,6 +11,7 @@ from relu_jackson.targets import (
     EvaluationGrid,
     FourierTarget,
     _cube_basis,
+    _distinct_rows,
     _grid_values_raw,
     dumps_target,
     imag_residual_on_grid,
@@ -521,3 +522,14 @@ def test_difference():
     b = rj.make_trig_poly(1, {1: 0.25, -1: 0.25, 0: 1.0})
     d = rj.difference(a, b)
     assert d.as_dict() == {(1,): 0.25, (-1,): 0.25, (0,): -1.0}
+
+
+@pytest.mark.parametrize("n,d,spread", [(0, 2, 3), (1, 1, 3), (60, 1, 5), (300, 2, 3), (400, 3, 2), (100, 4, 40)])
+def test_distinct_rows_match_unique(n, d, spread):
+    """The distinct rows and the ranks are what ``np.unique(..., axis=0,
+    return_inverse=True)`` returns, bit for bit, negative entries included."""
+    rows = np.random.default_rng(n + d).integers(-spread, spread + 1, size=(n, d))
+    distinct, rank = _distinct_rows(rows)
+    expected, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, expected) and distinct.dtype == expected.dtype
+    assert np.array_equal(rank, inverse.ravel())
