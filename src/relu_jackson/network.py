@@ -15,7 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import variation
-from .targets import CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _as_points, _fmt, _read_header, grid_values
+from .targets import (
+    CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _as_points, _fmt, _max_abs, _read_header, grid_values,
+)
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_AFFINE = "affine"
@@ -129,26 +131,30 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     - Dense: units are reduced in storage order through fixed-size blocks.
     - Lines: along a line the network is piecewise linear in the last
       coordinate t.  All lines are evaluated together, in blocks of lines,
-      with no sort: ``c = a_rest . x_rest - bias`` is summed coordinate by
-      coordinate in index order, each unit's breakpoint is placed in its
-      bin among the shared t by ``_sorted_bins`` (a guess as if t were
-      evenly spaced, checked exactly against the neighbouring t, and a
-      ``searchsorted`` of only the keys whose check fails), and
-      ``beta * a_last`` and ``beta * c`` are summed into the bins by
-      ``bincount``, in unit storage order.  A unit with ``a_last > 0`` is
-      active above its breakpoint tau and takes the bin ``#(t <= tau)``; one
-      with ``a_last < 0`` is active above ``-tau = -c / |a_last|`` on the
-      mirrored line ``t' = -t[::-1]`` and takes the bin ``#(t' <= -tau)``
-      there; negation is exact, so that bin is ``len(t) - #(t < tau)``.  One
-      forward cumulative sum, the mirrored bins read back in reverse point
-      order (the terms and order of a sum from the end of t), gives each
-      point the sums ``S_a`` and ``S_c`` over its active units, and its
-      value is ``S_a * t + S_c``.  Units with a zero last weight add the
-      constant ``beta * max(c, 0)``.  A unit with a nonzero last weight that
-      is zero at every point of a line has its breakpoint past the line's t,
-      in the end bin, which the cumulative sums drop.  In d >= 2, before a
-      block of lines is binned, ``_kept_sloped`` leaves out every such unit
-      whose breakpoint is in the end bin on every line of the block: it computes
+      with no sort.  The units with a nonzero last weight form one
+      contiguous block, rising units (``a_last > 0``) first, then falling
+      ones, each group in storage order.  For them ``c = a_rest . x_rest -
+      bias`` is summed coordinate by coordinate in index order, each unit's
+      breakpoint is placed in its bin among the shared t by
+      ``_sorted_bins`` (a guess as if t were evenly spaced, checked exactly
+      against the neighbouring t, and a ``searchsorted`` of only the keys
+      whose check fails), and ``beta * a_last`` and ``beta * c`` are summed
+      into the bins by ``bincount``, in that order, into the real and the
+      imaginary parts of one complex array.  A rising unit is active above
+      its breakpoint tau and takes the bin ``#(t <= tau)``; a falling one is
+      active above ``-tau = c / -|a_last|`` on the mirrored line ``t' =
+      -t[::-1]`` and takes the bin ``#(t' <= -tau)`` there; negation is
+      exact, so that bin is ``len(t) - #(t < tau)``.  One forward complex
+      cumulative sum, whose additions are the two real ones, the mirrored
+      bins read back in reverse point order (the terms and order of a sum
+      from the end of t), gives each point the sums ``S_a`` and ``S_c``
+      over its active units, and its value is ``S_a * t + S_c``.  Units
+      with a zero last weight add the constant ``beta * max(c, 0)``, summed
+      on its own.  A unit with a nonzero last weight that is zero at every
+      point of a line has its breakpoint past the line's t, in the end bin,
+      which the cumulative sums drop.  In d >= 2, before a block of lines
+      is binned, ``_kept_sloped`` leaves out every such unit whose
+      breakpoint is in the end bin on every line of the block: it computes
       the breakpoint once, at the corner of the block's box that the unit
       rises toward, with the kernel's own operations.  A unit left out adds
       only to end bins, and the kept units keep their storage order, so
@@ -218,52 +224,72 @@ def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarr
     a_last = units.alphas[:, -1]
     pos, neg, flat = (np.flatnonzero(m) for m in (a_last > 0.0, a_last < 0.0, a_last == 0.0))
     # storage order within each group, so bincount adds units in that order
-    perm = np.concatenate((pos, neg, flat))
-    a_t, betas, biases = units.alphas[perm].T.copy(), units.betas[perm], units.biases[perm]  # a_t[j]: coordinate j
-    n_pos, n_sloped = len(pos), len(pos) + len(neg)
-    scale, beta_a = np.abs(a_t[-1, :n_sloped]), betas[:n_sloped] * a_t[-1, :n_sloped]
+    sloped = np.concatenate((pos, neg))
+    a_s, b_s, betas_s = units.alphas[sloped].T.copy(), units.biases[sloped], units.betas[sloped]  # a_s[j]: coordinate j
+    a_f, b_f, betas_f = units.alphas[flat, :-1].T.copy(), units.biases[flat], units.betas[flat]
+    n_pos, n_sloped = len(pos), len(sloped)
+    neg_scale, beta_a = -np.abs(a_s[-1]), betas_s * a_s[-1]
     ends = np.full(n_sloped, -t[0])
     ends[:n_pos] = t[-1]
-    flat_cols = np.arange(n_sloped, len(perm))  # never left out: their constants are summed pairwise
     size, bins = len(t), len(t) + 1
     t_pad = np.concatenate(([-np.inf], t, [np.inf]))
     mirror_pad = -t_pad[::-1]  # the mirrored line t' = -t[::-1], padded the same way
     out = np.empty((x_rest.shape[0], size))
-    step = max(1, _CELL_BLOCK // max(len(perm), 1))
+    step = max(1, _CELL_BLOCK // max(len(units), 1))
     for l0 in range(0, x_rest.shape[0], step):
         xr = x_rest[l0 : l0 + step]
         n = xr.shape[0]
         # a unit left out adds only to end bins, so every kept bin gets the same terms in the same order;
         # in d = 1 (no x_rest column) the mask is skipped, as it costs more than binning those few units
-        keep = _kept_sloped(a_t[:, :n_sloped], biases[:n_sloped], xr, ends) if xr.shape[1] else None
+        keep = _kept_sloped(a_s, b_s, xr, ends) if xr.shape[1] else None
         if keep is None or keep.all():  # the units as they are, without gathers
             kp, ks = n_pos, n_sloped  # kept rising units, kept sloped units
-            a_k, b_k, scale_k, beta_a_k, betas_k = a_t, biases, scale, beta_a, betas[:n_sloped]
+            a_k, b_k, neg_scale_k, beta_a_k, betas_k = a_s, b_s, neg_scale, beta_a, betas_s
         else:
-            sloped = np.flatnonzero(keep)
-            kp, ks = np.searchsorted(sloped, n_pos), len(sloped)
-            kept = np.concatenate((sloped, flat_cols))
-            a_k, b_k = [row[kept] for row in a_t[:-1]], biases[kept]  # a row at a time: cheaper than a_t[:-1, kept]
-            scale_k, beta_a_k, betas_k = scale[sloped], beta_a[sloped], betas[sloped]
-        c = np.zeros((n, b_k.shape[0]))
-        for j in range(xr.shape[1]):
-            c += xr[:, j : j + 1] * a_k[j]
-        c -= b_k
+            kept = np.flatnonzero(keep)
+            kp, ks = np.searchsorted(kept, n_pos), len(kept)
+            a_k = [row[kept] for row in a_s[:-1]]  # a row at a time: cheaper than a_s[:-1, kept]
+            b_k, neg_scale_k, beta_a_k, betas_k = b_s[kept], neg_scale[kept], beta_a[kept], betas_s[kept]
+        c = _line_offsets(xr, a_k, b_k)
         # a_last > 0: active for t > -c/|a_last|; a_last < 0: for t' > -c/|a_last| on the mirrored line.
         # Bin k = #(t <= key) on its own line: active at points k.., the last bin dropped; falling bins follow.
-        key = -c[:, :ks] / scale_k
-        k = np.concatenate((_sorted_bins(t_pad, key[:, :kp]), _sorted_bins(mirror_pad, key[:, kp:]) + bins), axis=1)
+        key = c / neg_scale_k
+        k = np.empty((n, ks), dtype=np.intp)
+        _sorted_bins(t_pad, key[:, :kp], out=k[:, :kp])
+        _sorted_bins(mirror_pad, key[:, kp:], out=k[:, kp:])
+        k[:, kp:] += bins
         k += (np.arange(n) * 2 * bins)[:, None]
         k = k.ravel()
-        s_a = np.bincount(k, np.broadcast_to(beta_a_k, (n, ks)).ravel(), n * 2 * bins).reshape(n, 2, bins)
-        s_c = np.bincount(k, (betas_k * c[:, :ks]).ravel(), n * 2 * bins).reshape(n, 2, bins)
-        s_a, s_c = np.cumsum(s_a, axis=2), np.cumsum(s_c, axis=2)
+        c *= betas_k
+        # S_a in the real parts, S_c in the imaginary ones: one complex cumulative sum makes both real ones
+        sums = np.empty((n, 2, bins), dtype=np.complex128)
+        sums.real = np.bincount(k, np.broadcast_to(beta_a_k, (n, ks)).ravel(), n * 2 * bins).reshape(n, 2, bins)
+        sums.imag = np.bincount(k, c.ravel(), n * 2 * bins).reshape(n, 2, bins)
+        np.cumsum(sums, axis=2, out=sums)
+        s_a, s_c = sums.real, sums.imag
+        constant = np.sum(betas_f * np.maximum(_line_offsets(xr, a_f, b_f), 0.0), axis=1)
         # the falling sums are read back in reverse point order
         slope = s_a[:, 0, :size] + s_a[:, 1, size - 1 :: -1]
+        slope *= t
         offset = s_c[:, 0, :size] + s_c[:, 1, size - 1 :: -1]
-        constant = np.sum(betas[n_sloped:] * np.maximum(c[:, ks:], 0.0), axis=1)
-        out[l0 : l0 + n] = slope * t + (offset + constant[:, None])
+        offset += constant[:, None]
+        np.add(slope, offset, out=out[l0 : l0 + n])
     return out
+
+
+def _line_offsets(x_rest: np.ndarray, a_rest, biases: np.ndarray) -> np.ndarray:
+    """``c = a_rest . x_rest - bias`` (lines, units), summed coordinate by coordinate in index order.
+
+    a_rest holds the units' first d - 1 direction coordinates by coordinate
+    (at least d - 1 rows; later rows are not read).
+    """
+    if not x_rest.shape[1]:
+        return np.negative(np.broadcast_to(biases, (x_rest.shape[0], len(biases))))
+    c = x_rest[:, :1] * a_rest[0]
+    for j in range(1, x_rest.shape[1]):
+        c += x_rest[:, j : j + 1] * a_rest[j]
+    c -= biases
+    return c
 
 
 def _kept_sloped(a_t: np.ndarray, biases: np.ndarray, x_rest: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -291,16 +317,20 @@ def _kept_sloped(a_t: np.ndarray, biases: np.ndarray, x_rest: np.ndarray, ends: 
         return ~(-c / np.abs(a_t[-1]) >= ends)
 
 
-def _sorted_bins(t_pad: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.searchsorted(t, q, side="right")`` for a non-decreasing t, given as ``t_pad = [-inf, *t, inf]``.
 
     Each key's bin k is guessed as if t were evenly spaced from ``t[0]`` to
     ``t[-1]`` and checked: ``t_pad[k] <= q < t_pad[k+1]``.  Only the keys
-    that fail the check are searched, so the bins are exact on any
-    non-decreasing t.  Keys are clipped to half a step beyond t before the
-    guess, so no guess overflows or leaves ``[0, len(t)]``.  A t too short,
-    flat or wide for an arithmetic guess is searched directly.
+    that fail the check are searched, and when every guess passes there is
+    no search, so the bins are exact on any non-decreasing t.  Keys are
+    clipped to half a step beyond t before the guess, so no guess overflows
+    or leaves ``[0, len(t)]``.  A t too short, flat or wide for an
+    arithmetic guess is searched directly.  The bins are written into out
+    (an intp array of q's shape, which may be a view) when it is given, and
+    returned.
     """
+    k = np.empty(q.shape, dtype=np.intp) if out is None else out
     t = t_pad[1:-1]
     size = len(t)
     t0, t1 = float(t[0]), float(t[-1])
@@ -309,16 +339,18 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray) -> np.ndarray:
     lo, hi, origin = t0 - 0.5 * step, t1 + 0.5 * step, t0 - step
     # rounding is monotone, so (hi - origin) * inv bounds every clipped key's guess
     if not (hi - origin) * inv < size + 1:
-        return np.searchsorted(t, q, side="right")
+        k[...] = np.searchsorted(t, q, side="right")
+        return k
     guess = np.clip(q, lo, hi)
     guess -= origin
     guess *= inv  # its floor is the bin of an evenly spaced t
     # a NaN key casts to any integer; the clipped gathers keep it in range, and it fails the check
     with np.errstate(invalid="ignore"):
-        k = guess.astype(np.intp)
-    below, above = np.take(t_pad, k, mode="clip"), np.take(t_pad[1:], k, mode="clip")
-    bad = np.flatnonzero(~((below <= q) & (q < above)))
-    if bad.size:
+        np.copyto(k, guess, casting="unsafe")
+    ok = np.take(t_pad, k, mode="clip") <= q
+    ok &= q < np.take(t_pad[1:], k, mode="clip")
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         k.flat[bad] = np.searchsorted(t, q.flat[bad], side="right")
     return k
 
@@ -353,7 +385,8 @@ def grid_error(target: FourierTarget, grid: EvaluationGrid) -> Callable[[Shallow
     def error(net: ShallowNetwork) -> float:
         if net.d != target.d:
             raise ValueError("dimension mismatch")
-        return float(np.abs(tvals - _evaluate_points(net.units, pts, lines)).max())
+        diff = _evaluate_points(net.units, pts, lines)
+        return _max_abs(np.subtract(tvals, diff, out=diff))
 
     return error
 

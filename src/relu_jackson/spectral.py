@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import EvaluationGrid, FourierTarget, _require_resolved, grid_values
+from .targets import EvaluationGrid, FourierTarget, _max_abs, _require_resolved, grid_values
 
 
 def level_series(target: FourierTarget, level: int, r: int) -> FourierTarget:
@@ -127,7 +127,7 @@ def build_levels(
     sup_norms, residuals = [], []
     for s in series:
         vals = grid_values(s, grid)
-        sup_norms.append(float(np.abs(vals).max()))
+        sup_norms.append(_max_abs(vals))
         residuals.append(_parseval_gap(s, vals))
     constant = level_sup_constant(d, r)
     return SpectralLevels(

@@ -123,18 +123,30 @@ def _key(k) -> tuple[int, ...]:
     return tuple(int(x) for x in k)
 
 
-def _frequencies(keys: list, d: int) -> np.ndarray:
-    """The keys as an (n, d) int64 array.
+def _frequencies(keys, d: int) -> np.ndarray:
+    """The keys, n rows of d integers, as an (n, d) int64 array.
 
     Each |k|_1 must be below 2**62, so that -k and the int64 sums of |k_j|
-    fit as well.  d may not exceed ``MAX_DIMENSION``.
+    fit as well.  The bound is checked on the whole array at once, and a
+    ``ValueError`` names the first key that breaks it, one beyond int64
+    included.  d may not exceed ``MAX_DIMENSION``.
     """
     if d > MAX_DIMENSION:
         raise ValueError(f"dimension d={d} is above {MAX_DIMENSION}, the most axes a grid of values can have")
-    for key in keys:
-        if sum(map(abs, key)) >= 2**62:
-            raise ValueError(f"frequency k={_key(key)} is out of range: |k|_1 must be below 2**62")
-    return np.array(keys, dtype=np.int64).reshape(len(keys), d)
+    try:
+        modes = np.asarray(keys, dtype=np.int64).reshape(len(keys), d)
+    except OverflowError:  # a key beyond int64, so beyond the bound: found in the given order
+        bad = next(key for key in keys if sum(map(abs, key)) >= 2**62)
+    else:
+        # |k_j| as uint64 is exact, also for -2**63; capped at 2**62, no running sum wraps
+        l1 = np.zeros(modes.shape[0], dtype=np.uint64)
+        for column in modes.T:
+            l1 = np.minimum(l1 + np.abs(column).view(np.uint64), 2**62)
+        beyond = np.flatnonzero(l1 == 2**62)
+        if not beyond.size:
+            return modes
+        bad = modes[beyond[0]]
+    raise ValueError(f"frequency k={_key(bad)} is out of range: |k|_1 must be below 2**62")
 
 
 def _target(d: int, modes: np.ndarray, coeffs: np.ndarray, smoothness: float) -> FourierTarget:
@@ -354,6 +366,15 @@ def grid_values(target: FourierTarget, grid: EvaluationGrid) -> np.ndarray:
     return _grid_values_raw(target.d, target.modes, target.coeffs, grid)
 
 
+def _max_abs(values: np.ndarray) -> float:
+    """``float(np.abs(values).max())`` without a second array: ``max(max v, -min v)``.
+
+    Negation is exact, so the float is the same; a NaN propagates through
+    both reductions, and a grid of zeros of either sign gives +0.0.
+    """
+    return max(float(values.max()), -float(values.min())) + 0.0
+
+
 def imag_residual_on_grid(target: FourierTarget, grid: EvaluationGrid) -> float:
     """Largest imaginary residue left by the coefficient sum; near zero for valid targets.
 
@@ -361,13 +382,13 @@ def imag_residual_on_grid(target: FourierTarget, grid: EvaluationGrid) -> float:
     real-valued grid transform of the coefficients times ``-i``.
     """
     vals = _grid_values_raw(target.d, target.modes, -1j * target.coeffs, grid)
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    return _max_abs(vals) if vals.size else 0.0
 
 
 def sup_norm(target: FourierTarget, grid: EvaluationGrid) -> float:
     """Grid maximum of |target|."""
     vals = grid_values(target, grid)
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    return _max_abs(vals) if vals.size else 0.0
 
 
 def _require_resolved(target: FourierTarget, grid: EvaluationGrid):
@@ -407,7 +428,7 @@ def holder_norm(target: FourierTarget, r: int, grid: EvaluationGrid) -> float:
             if a:
                 weights = weights * (1j * kf[:, j]) ** a
         vals = _grid_values_raw(target.d, target.modes, target.coeffs * weights, grid)
-        best = max(best, float(np.abs(vals).max()))
+        best = max(best, _max_abs(vals))
     return best
 
 
@@ -484,9 +505,16 @@ def loads_target(text: str) -> FourierTarget:
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d + 2:
             raise ValueError(f"bad coefficient line: {ln!r}")
-    modes = _frequencies([[int(p) for p in parts[:d]] for parts in rows], d)
-    values = np.array([[float(p) for p in parts[d:]] for parts in rows]).reshape(len(rows), 2)
-    coeffs = values.view(np.complex128).ravel()
+    # one conversion per kind, from strided slices of one token list (with no row, d is not bounded by a line)
+    tokens, width = [p for parts in rows for p in parts], d + 2
+    try:
+        modes = _frequencies(np.array([tokens[j::width] for j in range(d)], dtype=np.int64).T if rows else [], d)
+        values = np.array([tokens[d::width], tokens[d + 1 :: width]], dtype=float).T
+    except (ValueError, OverflowError):
+        # token by token, in reading order, to name the first malformed or out-of-range one
+        modes = _frequencies([[int(p) for p in parts[:d]] for parts in rows], d)
+        values = np.array([[float(p) for p in parts[d:]] for parts in rows])
+    coeffs = np.ascontiguousarray(values).reshape(len(rows), 2).view(np.complex128).ravel()
     target = _target(d, modes, coeffs, header["r"])
     _require_hermitian(modes, coeffs, "stored coefficients are")
     return target

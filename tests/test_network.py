@@ -367,6 +367,46 @@ class TestLinePath:
         digest = hashlib.sha256(f"{out.dtype.str}{out.shape}".encode() + out.tobytes()).hexdigest()
         assert digest == self.LINE_DIGESTS[name]
 
+    #: sha256 of dtype, shape and bytes of ``_evaluate_lines`` on inputs the
+    #: pins above miss: units whose ``c`` is zero in d = 1 (bias 0.0, next to
+    #: the constant unit), a d = 2 network without flat units, one of falling
+    #: units only, and decay3 on a shrunken grid, where most units are left
+    #: out of most blocks of lines.
+    CORNER_DIGESTS = {
+        "d1_zero_c": "1b6babf647aa9f859c3f9ba22359d0059fe7f7a08d83ba6e684ae6728eeaefac",
+        "d2_no_flat": "56a3ed10f8321565d8907006eff7e894fe2fcab97c9100d564161b55658f30be",
+        "d2_falling": "c067ca399f4662e202effb498f9871773b99f776f3ddd44420d2833ceb9c929b",
+        "decay3_x0.25": "c004b445a4114a43f7c7fd1be7a0daa5c6eb7ef0359e686952f21ec180dc4574",
+    }
+
+    @staticmethod
+    def corner_input(name):
+        rng = np.random.default_rng(96)
+        if name == "decay3_x0.25":
+            net = rj.construct(rj.make_decay_target(3, 3.2, 6, seed=5), 2, 4096, 5)
+            return (net.units, *_line_layout(rj.default_grid(3, rj.CUBE, 33).points() * 0.25))
+        d = 1 if name == "d1_zero_c" else 2
+        alphas = rng.normal(size=(200, d))
+        alphas /= np.pi * np.abs(alphas).sum(axis=1, keepdims=True)
+        if name == "d2_falling":
+            alphas[:, -1] = -np.abs(alphas[:, -1])
+        rows = [(a, rng.normal(), rng.random() / np.pi, ORIGIN_SAMPLED) for a in alphas]
+        if d == 1:
+            rows += [
+                (np.array([1.0 / np.pi]), 1.25, 0.0, ORIGIN_SAMPLED),
+                (np.array([-1.0 / np.pi]), -0.5, 0.0, ORIGIN_SAMPLED),
+                (np.zeros(1), 0.75, -1.0, ORIGIN_AFFINE),
+            ]
+        units = Units.build(d, rows)
+        assert bool((units.alphas[:, -1] == 0.0).any()) is (d == 1)
+        return (units, *_line_layout(rj.EvaluationGrid(d, 257 if d == 1 else 129, rj.CUBE).points()))
+
+    @pytest.mark.parametrize("name", ["d1_zero_c", "d2_no_flat", "d2_falling", "decay3_x0.25"])
+    def test_corner_bytes_pinned(self, name):
+        out = _evaluate_lines(*self.corner_input(name))
+        digest = hashlib.sha256(f"{out.dtype.str}{out.shape}".encode() + out.tobytes()).hexdigest()
+        assert digest == self.CORNER_DIGESTS[name]
+
     @pytest.mark.parametrize("axis", ["even", "cubed"])
     def test_mirrored_line_keeps_the_bytes(self, axis):
         # negating a_last and t swaps the sign groups: each group is binned on the line the other
@@ -535,6 +575,12 @@ class TestSortedBins:
         want = np.searchsorted(t, q, side="right")
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tolist() == want.tolist()
+        # into a view of a wider array, as the line kernel bins each sign group: only the view is written
+        wide = np.full(q.shape[:-1] + (q.shape[-1] + 3,), -7, dtype=np.intp)
+        out = wide[..., 1:-2]
+        assert _sorted_bins(padded(t), q, out=out) is out
+        assert out.tolist() == want.tolist()
+        assert (wide[..., :1] == -7).all() and (wide[..., -2:] == -7).all()
 
     @staticmethod
     def edge_keys(t):

@@ -13,6 +13,7 @@ from relu_jackson.targets import (
     _cube_basis,
     _distinct_rows,
     _grid_values_raw,
+    _max_abs,
     dumps_target,
     imag_residual_on_grid,
     loads_target,
@@ -105,6 +106,12 @@ class TestMakeTrigPoly:
         was -9.2e18 and build_density dropped the mode."""
         with pytest.raises(ValueError, match=rf"frequency k=\({k[0]}, {k[1]}\) is out of range"):
             rj.make_trig_poly(2, {k: 0.5, tuple(-x for x in k): 0.5})
+
+    def test_l1_norm_of_many_columns_does_not_wrap(self):
+        # 64 entries of 2**58 sum to 2**64, which an uncapped uint64 sum would wrap to 0
+        k = (2**58,) * MAX_DIMENSION
+        with pytest.raises(ValueError, match=rf"frequency k=\({2**58}, {2**58}, .*\) is out of range"):
+            rj.make_trig_poly(MAX_DIMENSION, {(0,) * MAX_DIMENSION: 1.0, k: 0.5, tuple(-x for x in k): 0.5})
 
     @pytest.mark.parametrize("d", [65, 10**400], ids=["65", "400_digits"])
     def test_rejects_dimension_above_the_axis_limit(self, d):
@@ -208,6 +215,24 @@ class TestEvaluation:
         for name, t in corpus:
             grid = torus_grid(t)
             assert imag_residual_on_grid(t, grid) < 1e-12, name
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.5, -2.0, 1.0]),
+            np.array([-0.0, 0.0]),
+            np.array([-0.0, -0.0]),
+            np.array([0.0, 0.0]),
+            np.array([1.0, np.nan, -3.0]),
+            np.array([-np.inf, 2.0]),
+            np.random.default_rng(4).normal(size=(33, 17)),
+        ],
+        ids=["mixed", "signed_zeros", "negative_zeros", "zeros", "nan", "infinite", "grid"],
+    )
+    def test_max_abs_is_the_abs_max(self, values):
+        got, want = _max_abs(values), float(np.abs(values).max())
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.array([want]).tobytes() or (math.isnan(got) and math.isnan(want))
 
     @pytest.mark.parametrize("name", ["cos", "decay1", "sin2d", "decay2"])
     @pytest.mark.parametrize("shift", [1e-6, 1e-6j])
@@ -469,6 +494,20 @@ class TestSerialization:
         k = 2**62
         with pytest.raises(ValueError, match=rf"frequency k=\({k}, {k}\) is out of range"):
             loads_target(f"d=2 r=2\n0 0 1 0\n{k} {k} 0.5 0\n{-k} {-k} 0.5 0\n")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 0\n4611686018427387904 x 0\n1.5 1 0\n", "invalid literal for int"),
+            ("0 1 x\n4611686018427387904 1 0\n", "frequency k=\\(4611686018427387904,\\) is out of range"),
+            ("0 1 0\n2 1 y\n1 x 0\n", "could not convert string to float: 'y'"),
+        ],
+        ids=["frequency_tokens_first", "range_before_values", "values_in_reading_order"],
+    )
+    def test_names_the_first_bad_token_in_reading_order(self, body, message):
+        # every frequency token is read before the range check, and both before any value token
+        with pytest.raises(ValueError, match=message):
+            loads_target(f"d=1 r=2\n{body}")
 
     @pytest.mark.parametrize("frequencies", ["", "0 1 0\n"], ids=["no_frequency_line", "one_frequency_line"])
     def test_rejects_huge_dimension(self, frequencies):
