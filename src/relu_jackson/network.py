@@ -16,7 +16,8 @@ import numpy as np
 
 from .spectral import variation
 from .targets import (
-    CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _as_points, _fmt, _max_abs, _read_header, grid_values,
+    CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _as_points, _fmt, _max_abs, _read_header, _read_rows,
+    grid_values,
 )
 
 ORIGIN_SAMPLED = "sampled"
@@ -30,6 +31,10 @@ _CELL_BLOCK = 32768  # lines x units per block of the line path
 #: Ceiling on exact affine units: two for the linear part, one for the
 #: constant, as ``affine_units`` builds them.
 MAX_AFFINE_UNITS = 3
+
+#: Smallest width m that ``construct`` accepts, and the floor of a network
+#: header's ``m_requested``.
+MIN_WIDTH = 8
 
 #: Largest shift (bias) of a sampled unit.  Every sampled direction has
 #: ``|alpha|_1 = 1/pi``, so ``alpha . x <= 1/pi`` on the cube and a unit with a
@@ -531,9 +536,13 @@ def audit(net: ShallowNetwork) -> AuditReport:
 #: ``NetworkMeta`` field of that name (N is ``bandwidth``).
 _NETWORK_HEADER = {
     "d": (int, 1, True), "m": (int, 0, True), "v": (float, 0.0, True), "N": (int, 1, True),
-    "v2": (float, 0.0, False), "r": (int, 1, False), "seed": (int, 0, False), "m_requested": (int, 8, False),
+    "v2": (float, 0.0, False), "r": (int, 1, False), "seed": (int, 0, False), "m_requested": (int, MIN_WIDTH, False),
     "m_prime": (int, 0, False), "strata_count": (int, 0, False), "sampled_count": (int, 0, False),
 }
+
+
+def _column_line(d: int) -> str:
+    return ",".join([f"alpha_{j + 1}" for j in range(d)] + ["beta", "bias", "origin"])
 
 
 def dumps_network(net: ShallowNetwork) -> str:
@@ -549,7 +558,7 @@ def dumps_network(net: ShallowNetwork) -> str:
     lines = [
         "# schema=network@2",
         "# " + " ".join(header),
-        ",".join([f"alpha_{j+1}" for j in range(net.d)] + ["beta", "bias", "origin"]),
+        _column_line(net.d),
     ]
     u = net.units
     columns = [[_fmt(x) for x in col] for col in (*u.alphas.T.tolist(), u.betas.tolist(), u.biases.tolist())]
@@ -575,22 +584,21 @@ def loads_network(text: str) -> ShallowNetwork:
         raise ValueError(f"network header has d={d}; it must be <= {MAX_DIMENSION}")
     m = header.pop("m")
     meta = NetworkMeta(bandwidth=header.pop("N"), **header)
+    if lines[2] != _column_line(d):
+        raise ValueError(f"network column line {lines[2]!r} is not {_column_line(d)!r}")
     rows = [ln for ln in lines[3:] if ln]
-    fields = [ln.split(",") for ln in rows]
-    for ln, parts in zip(rows, fields):
-        if len(parts) != d + 3:
-            raise ValueError(f"bad unit row: {ln!r}")
-        if parts[d + 2] not in _ORIGINS:
-            raise ValueError(f"unknown origin {parts[d + 2]!r} in unit row: {ln!r}")
-    values = np.array([[float(p) for p in parts[: d + 2]] for parts in fields]).reshape(len(rows), d + 2)
+    numbers, origins = _read_rows(rows, ",", "bad unit row", d + 2, d + 3)
+    for ln, origin in zip(rows, origins):
+        if origin not in _ORIGINS:
+            raise ValueError(f"unknown origin {origin!r} in unit row: {ln!r}")
+    values = np.array(numbers, dtype=float).reshape(len(rows), d + 2)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite value in unit row: {rows[np.argmin(finite)]!r}")
-    origins = np.array([parts[d + 2] for parts in fields], dtype="<U7")
-    units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), origins)
+    units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), np.array(origins, dtype="<U7"))
     if len(units) != m:
         raise ValueError("unit count does not match header")
-    if meta.sampled_count not in (None, int(np.sum(origins == ORIGIN_SAMPLED))):
+    if meta.sampled_count not in (None, origins.count(ORIGIN_SAMPLED)):
         raise ValueError(f"network header has sampled_count={meta.sampled_count}, not the sampled row count")
     return ShallowNetwork(d, units, meta)
 

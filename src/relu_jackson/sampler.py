@@ -25,6 +25,7 @@ import numpy as np
 
 from .jackson import apply_jackson
 from .network import (
+    MIN_WIDTH,
     ORIGIN_AFFINE,
     ORIGIN_SAMPLED,
     SHIFT_LIMIT,
@@ -308,8 +309,8 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     """
     if density.is_degenerate:
         raise ValueError("empty density: the image has no oscillatory modes")
-    if m < 8:
-        raise ValueError("width must be >= 8")
+    if m < MIN_WIDTH:
+        raise ValueError(f"width must be >= {MIN_WIDTH}")
     m_prime = _m_prime(m)
     _, delta = allocation_width(m, density.image.d)
     edges = np.minimum(delta * np.arange(math.ceil(SHIFT_LIMIT / delta) + 1), SHIFT_LIMIT)
@@ -556,8 +557,8 @@ def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None)
     """
     if r < 1:
         raise ValueError("order must be >= 1")
-    if m < 8:
-        raise ValueError("width must be >= 8")
+    if m < MIN_WIDTH:
+        raise ValueError(f"width must be >= {MIN_WIDTH}")
     n = bandwidth if bandwidth is not None else select_bandwidth(m, target.d, r)
     if n < 1:
         raise ValueError("bandwidth must be >= 1")

@@ -123,8 +123,8 @@ def _key(k) -> tuple[int, ...]:
     return tuple(int(x) for x in k)
 
 
-def _frequencies(keys, d: int) -> np.ndarray:
-    """The keys, n rows of d integers, as an (n, d) int64 array.
+def _frequencies(tokens, d: int) -> np.ndarray:
+    """The tokens, n keys of d integers flat in reading order, as an (n, d) int64 array.
 
     Each |k|_1 must be below 2**62, so that -k and the int64 sums of |k_j|
     fit as well.  The bound is checked on the whole array at once, and a
@@ -134,9 +134,9 @@ def _frequencies(keys, d: int) -> np.ndarray:
     if d > MAX_DIMENSION:
         raise ValueError(f"dimension d={d} is above {MAX_DIMENSION}, the most axes a grid of values can have")
     try:
-        modes = np.asarray(keys, dtype=np.int64).reshape(len(keys), d)
+        modes = np.array(tokens, dtype=np.int64).reshape(-1, d)
     except OverflowError:  # a key beyond int64, so beyond the bound: found in the given order
-        bad = next(key for key in keys if sum(map(abs, key)) >= 2**62)
+        bad = next(k for k in np.array(tokens, dtype=object).reshape(-1, d) if sum(abs(int(x)) for x in k) >= 2**62)
     else:
         # |k_j| as uint64 is exact, also for -2**63; capped at 2**62, no running sum wraps
         l1 = np.zeros(modes.shape[0], dtype=np.uint64)
@@ -207,7 +207,7 @@ def make_trig_poly(d: int, coeffs) -> FourierTarget:
     keys = [_key((k,) if np.isscalar(k) else k) for k in coeffs]
     if any(len(key) != d for key in keys):
         raise ValueError(f"frequency {next(k for k in keys if len(k) != d)} does not have dimension {d}")
-    modes = _frequencies(keys, d)
+    modes = _frequencies([x for key in keys for x in key], d)
     values = np.array([complex(c) for c in coeffs.values()], dtype=np.complex128)
     target = _target(d, modes, values, SMOOTHNESS_UNLIMITED)  # also rejects bad rows
     _require_hermitian(modes, values, "coefficient map is")
@@ -495,26 +495,28 @@ def _order(text: str) -> float:
 _TARGET_HEADER = {"d": (int, 1, True), "r": (_order, 0, True)}
 
 
+def _read_rows(lines: list[str], sep: str | None, what: str, *ends: int) -> list[list[str]]:
+    """Fields ``0:ends[0]``, ``ends[0]:ends[1]``, ... of the lines split on ``sep`` (``None``: whitespace).
+
+    Each kind comes flat in reading order, in which one ``np.array`` call converts it, naming the first bad field
+    in ``int()``'s or ``float()``'s message.  A ``ValueError`` names the first line without ``ends[-1]`` fields.
+    """
+    rows = [ln.split(sep) for ln in lines]
+    for ln, parts in zip(lines, rows):
+        if len(parts) != ends[-1]:
+            raise ValueError(f"{what}: {ln!r}")
+    return [[p for parts in rows for p in parts[start:stop]] for start, stop in zip((0, *ends), ends)]
+
+
 def loads_target(text: str) -> FourierTarget:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty target description")
     header = _read_header(lines[0], _TARGET_HEADER, "target")
     d = header["d"]
-    rows = [ln.split() for ln in lines[1:]]
-    for ln, parts in zip(lines[1:], rows):
-        if len(parts) != d + 2:
-            raise ValueError(f"bad coefficient line: {ln!r}")
-    # one conversion per kind, from strided slices of one token list (with no row, d is not bounded by a line)
-    tokens, width = [p for parts in rows for p in parts], d + 2
-    try:
-        modes = _frequencies(np.array([tokens[j::width] for j in range(d)], dtype=np.int64).T if rows else [], d)
-        values = np.array([tokens[d::width], tokens[d + 1 :: width]], dtype=float).T
-    except (ValueError, OverflowError):
-        # token by token, in reading order, to name the first malformed or out-of-range one
-        modes = _frequencies([[int(p) for p in parts[:d]] for parts in rows], d)
-        values = np.array([[float(p) for p in parts[d:]] for parts in rows])
-    coeffs = np.ascontiguousarray(values).reshape(len(rows), 2).view(np.complex128).ravel()
+    keys, values = _read_rows(lines[1:], None, "bad coefficient line", d, d + 2)
+    modes = _frequencies(keys, d)
+    coeffs = np.array(values, dtype=float).view(np.complex128)
     target = _target(d, modes, coeffs, header["r"])
     _require_hermitian(modes, coeffs, "stored coefficients are")
     return target

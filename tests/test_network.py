@@ -975,6 +975,42 @@ class TestSerialization:
             loads_network("\n".join(lines + [row]) + "\n")
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0.5,1,y,sampled", "x,1,0.25,sampled"], "could not convert string to float: 'y'"),
+            (["0.5,1,0.25,sampled", "0.5,1,sampled"], "bad unit row: '0.5,1,sampled'"),
+            (["0.5,1,0.25,sampled", "0.5,1,0.25,affine,"], "bad unit row: '0.5,1,0.25,affine,'"),
+            (["0.5,1,0.25,bogus", "0.5,1,sampled"], "bad unit row: '0.5,1,sampled'"),
+            (["0.5,x,0.25,sampled", "0.5,1,0.25,bogus"], "unknown origin 'bogus'"),
+            (["0.5,1,nan,sampled", "0.5,y,0.25,sampled"], "could not convert string to float: 'y'"),
+        ],
+        ids=["values_in_reading_order", "short_row", "long_row", "width_first", "origin_second", "number_third"],
+    )
+    def test_names_the_first_bad_row_in_reading_order(self, rows, message):
+        """Each check runs over every row before the next: field count, origin, number, finiteness.
+        Within a check the first faulty row or field in reading order is named."""
+        text = "\n".join(["# schema=network@2", "# d=1 m=2 v=2 N=3", "alpha_1,beta,bias,origin", *rows]) + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            loads_network(text)
+
+    @pytest.mark.parametrize(
+        "columns", ["alpha_1,bias,beta,origin", "hello world", None], ids=["swapped", "not_columns", "missing"]
+    )
+    def test_rejects_wrong_column_line(self, cos_target, columns):
+        """The column line was never read: beta,bias swapped loaded each unit
+        with its beta and bias exchanged, any text loaded, and without the line
+        the first unit row took its place and the count did not match."""
+        lines = dumps_network(rj.construct(cos_target, 2, 64, seed=1)).splitlines()
+        assert lines[2] == "alpha_1,beta,bias,origin"
+        if columns is None:
+            del lines[2]  # the first unit row now stands where the column line belongs
+        else:
+            lines[2] = columns
+        named = f"network column line {lines[2]!r} is not 'alpha_1,beta,bias,origin'"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            loads_network("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("N", "0"),
