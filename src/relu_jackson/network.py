@@ -586,7 +586,7 @@ def loads_network(text: str) -> ShallowNetwork:
     meta = NetworkMeta(bandwidth=header.pop("N"), **header)
     if lines[2] != _column_line(d):
         raise ValueError(f"network column line {lines[2]!r} is not {_column_line(d)!r}")
-    rows = [ln for ln in lines[3:] if ln]
+    rows = [ln for ln in lines[3:] if ln.strip()]
     numbers, origins = _read_rows(rows, ",", "bad unit row", d + 2, d + 3)
     for ln, origin in zip(rows, origins):
         if origin not in _ORIGINS:

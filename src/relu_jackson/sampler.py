@@ -495,7 +495,7 @@ def affine_part(image: FourierTarget) -> tuple[np.ndarray, float]:
     if image.mode_count == 0:
         return np.zeros(image.d), 0.0
     w = -np.einsum("m,md->d", image.coeffs.imag, image.modes.astype(float))
-    c = math.fsum(float(x) for x in image.coeffs.real)
+    c = math.fsum(image.coeffs.real.tolist())
     return w, c
 
 

@@ -44,7 +44,7 @@ def parseval_residual(series: FourierTarget, grid: EvaluationGrid) -> float:
 def _parseval_gap(series: FourierTarget, vals: np.ndarray) -> float:
     """The Parseval residual from the series' values on a resolved grid."""
     grid_mean = float(np.sum(vals * vals)) / vals.size
-    coeff_side = math.fsum(float(x) for x in np.abs(series.coeffs) ** 2)
+    coeff_side = math.fsum((np.abs(series.coeffs) ** 2).tolist())
     return abs(grid_mean - coeff_side)
 
 
@@ -59,7 +59,7 @@ def variation(series: FourierTarget, q: float) -> float:
     l1 = np.abs(series.modes).sum(axis=1).astype(float)
     weights = l1**q  # 0^0 == 1 keeps q = 0 meaningful at k = 0
     terms = np.abs(series.coeffs) * weights
-    return math.fsum(float(t) for t in terms)
+    return math.fsum(terms.tolist())
 
 
 def shell_sums(target: FourierTarget, r: int, levels: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def shell_sums(target: FourierTarget, r: int, levels: int) -> np.ndarray:
         lo = 2 ** (level - 1)
         hi = 2**level
         mask = (sup > lo) & (sup <= hi)
-        sums.append(math.fsum(float(t) for t in terms[mask]))
+        sums.append(math.fsum(terms[mask].tolist()))
     return np.array(sums)
 
 

@@ -31,6 +31,7 @@ SMOOTHNESS_UNLIMITED = math.inf
 MAX_DIMENSION = 64
 
 _HERMITIAN_TOL = 1e-12
+_CELL_BLOCK = 8192  # frequencies x points per block of the cube's last axis
 
 
 @dataclass(frozen=True)
@@ -289,24 +290,16 @@ def evaluate(target: FourierTarget, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _cube_basis(k_max: int, axis: np.ndarray) -> np.ndarray:
-    """``exp(i k x)`` with rows k = -k_max..k_max and columns x on the axis.
-
-    Only the rows k >= 0 are exponentiated.  Row -k is the conjugate of row
-    k: its argument is the exact negation, and cos is even and sin odd, so
-    the bytes are those of the direct ``exp``.
-    """
-    half = np.exp(1j * np.arange(k_max + 1, dtype=float)[:, None] * axis[None, :])
-    return np.concatenate((half[:0:-1].conj(), half))
-
-
 def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
     """Real part of the coefficient sum on the full grid, shape (G,)*d.
 
-    On the torus the values are a real inverse DFT of a half spectrum.  Since
-    ``Re(c e^{i theta}) = Re(conj(c) e^{-i theta})``, a mode whose last index
-    ``k_d mod G`` lies above ``G//2`` is moved to ``-k`` with the conjugate
-    coefficient, so every last index lies in ``0..G//2``.  The coefficients
+    Since ``Re(c e^{i theta}) = Re(conj(c) e^{-i theta})``, for any c,
+    Hermitian or not, a mode may move to ``-k`` with the conjugate
+    coefficient.  On the torus each mode whose last index ``k_d mod G`` lies
+    above ``G//2`` moves, on the cube each mode with ``k_d < 0``.
+
+    On the torus the values are then a real inverse DFT of a half spectrum:
+    every last index lies in ``0..G//2``.  The coefficients
     on indices strictly between 0 and G/2 are halved, since ``irfft`` counts
     each of them twice; index 0 and, for even G, the Nyquist index G/2 are
     counted once.  Complex inverse DFTs run over axes d-2 .. 0, a line along
@@ -317,20 +310,26 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
     The result agrees with ``ifftn(spectrum).real * G**d`` to rounding, not
     to the byte.
 
-    On the cube the values are contracted one axis at a time against
-    per-axis exponentials; their bytes are the real parts of that sum.
+    On the cube the coefficients go into a box with rows ``-k_max..k_max``
+    on the first d - 1 axes and ``0..k_max`` on the last.  The first d - 1
+    axes are contracted one at a time against ``exp(i k x)``, whose rows
+    ``k >= 0`` come from one ``cos`` and one ``sin`` evaluation and whose rows
+    ``k < 0`` are their conjugates.  The last axis finishes in real
+    arithmetic, ``Re(A) cos(k x) - Im(A) sin(k x)``, over blocks of its
+    points; a block holds at most ``_CELL_BLOCK`` frequencies or outer points
+    times block points.  The result agrees with the complex sum over the
+    unfolded box to rounding, not to the byte.
     """
     g = grid.points_per_axis
     if modes.shape[0] == 0:
         return np.zeros((g,) * d)
+    fold = modes[:, -1] % g > g // 2 if grid.domain == TORUS else modes[:, -1] < 0
+    modes = np.where(fold[:, None], -modes, modes)
+    coeffs = np.where(fold, coeffs.conj(), coeffs)
     if grid.domain == TORUS:
         # Exact sampling via the DFT: grid starts at -pi, which contributes a
-        # (-1)^{sum k_j} twist relative to the standard [0, 2*pi) transform;
-        # -k has the twist of k.
+        # (-1)^{sum k_j} twist relative to the standard [0, 2*pi) transform.
         twisted = coeffs * np.where(modes.sum(axis=1) % 2 == 0, 1.0, -1.0)
-        upper = modes[:, -1] % g > g // 2
-        modes = np.where(upper[:, None], -modes, modes)
-        twisted = np.where(upper, twisted.conj(), twisted)
         last = modes[:, -1] % g
         twisted = np.where((last > 0) & (2 * last != g), 0.5 * twisted, twisted)
         # The coefficients go into a box over the occupied indices of each
@@ -346,17 +345,27 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
             wide[(slice(None),) * j + (occupied[j],)] = vals
             vals = wide if j == d - 1 else np.fft.ifft(wide, axis=j, norm="forward", out=wide)
         return np.fft.irfft(vals, n=g, axis=-1, norm="forward")
-    # Cube grids are not commensurate with the period; contract one axis at a
-    # time against per-axis exponentials instead.
+    # Cube grids are not commensurate with the period; add.at sums modes that
+    # meet in the folded box in row order.
     k_max = int(np.abs(modes).max())
-    shape = (2 * k_max + 1,) * d
-    box = np.zeros(shape, dtype=np.complex128)
-    box[tuple((modes + k_max).T)] = coeffs
-    basis = _cube_basis(k_max, grid.axis())
-    vals = box
-    for _ in range(d):
+    vals = np.zeros((2 * k_max + 1,) * (d - 1) + (k_max + 1,), dtype=np.complex128)
+    np.add.at(vals, (*(modes[:, :-1] + k_max).T, modes[:, -1]), coeffs)
+    axis, freqs = grid.axis(), np.arange(k_max + 1, dtype=float)[:, None]
+    if d > 1:
+        angle = freqs * axis
+        half = np.cos(angle) + 1j * np.sin(angle)
+        basis = np.concatenate((half[:0:-1].conj(), half))  # rows k = -k_max..k_max
+    for _ in range(d - 1):
         vals = np.einsum("i...,ig->...g", vals, basis)
-    return vals.real
+    # vals: (k_max + 1, G, ..., G); the last axis finishes in real arithmetic over blocks of its points
+    out = np.empty((g,) * d)
+    step = max(1, _CELL_BLOCK // max(k_max + 1, vals[0].size))
+    for g0 in range(0, g, step):
+        angle = freqs * axis[g0 : g0 + step]
+        block = out[..., g0 : g0 + step]
+        np.einsum("k...,kb->...b", vals.real, np.cos(angle), out=block)
+        block -= np.einsum("k...,kb->...b", vals.imag, np.sin(angle))
+    return out
 
 
 def grid_values(target: FourierTarget, grid: EvaluationGrid) -> np.ndarray:

@@ -200,17 +200,17 @@ HARNESS_CSV_PINS = {
         run_network_rate,
         RateExperiment("network-rate", _DECAY2, 2, (64, 128, 256, 512, 1024, 2048, 4096), (1, 2), 129,
                        bandwidth_exponent=0.5),
-        "839c39c09b789402d49fd5e0b98bd77111f11929ce2c810f99096ecf5bdefb6d",
+        "f11e4556602eb71600735e84449627223b3fb1d9310ff428de591fe3c8aaae6d",
     ),
     "sweep_d3": (
         run_network_rate,
         RateExperiment("network-rate", _DECAY3, 2, (512, 1024, 2048, 4096), (1,), 33),
-        "725e1ecbc433a81ee7ae04f46e5700b3bd9ab59cef50df1b152f744b4fc95b39",
+        "98b4e4676ada133f87e62634b04fb720fa662f5e5cfbd40592a4e8343ba53e7f",
     ),
     "paired_d2": (
         run_paired_mc,
         RateExperiment("paired-mc", _DECAY2, 2, seeds=(1, 2, 3), grid_points=129, bandwidth_exponent=0.5, m=1024),
-        "04ce51ddeb58e1b3a23432e083e6518ef61d1b56ac4454e023fe511bc9346504",
+        "88685032f39ca5d8cfa77108e13a0cdba34857065e7a5ae7a72adfe7bb034530",
     ),
 }
 

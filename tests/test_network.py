@@ -924,6 +924,16 @@ class TestSerialization:
         back = rj.load_network(path)
         assert dumps_network(back) == dumps_network(net)
 
+    def test_skips_whitespace_only_lines(self, cos_target):
+        """A body line of spaces failed as ``bad unit row: '  '``; the target reader skipped it."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        lines = dumps_network(net).splitlines()
+        spaced = "\n".join(lines[:4] + ["   "] + lines[4:] + [" \t"]) + "\n"
+        assert dumps_network(loads_network(spaced)) == dumps_network(net)
+        lines[-1] += " "  # an origin with a trailing space is still refused
+        with pytest.raises(ValueError, match=f"unknown origin '{lines[-1].split(',')[-1]}'"):
+            loads_network("\n".join(lines + ["  "]) + "\n")
+
     def test_rejects_corrupt(self):
         with pytest.raises(ValueError):
             loads_network("not,a,network\n")

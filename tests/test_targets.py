@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
+from relu_jackson import targets
 from relu_jackson.targets import (
     MAX_DIMENSION,
     EvaluationGrid,
     FourierTarget,
-    _cube_basis,
     _distinct_rows,
     _grid_values_raw,
     _max_abs,
@@ -270,8 +270,9 @@ def grid_values_by_ifftn(d, modes, coeffs, points):
     return np.fft.ifftn(spectrum) * points**d
 
 
-#: The torus transform's agreement with the real part of a full ifftn, in
-#: units of eps * sum |c|: a bound on the rounding of either sum.
+#: The grid transforms' agreement with their references (the real part of a
+#: full ifftn on the torus, of the complex sum over the unfolded box on the
+#: cube), in units of eps * sum |c|: a bound on the rounding of either sum.
 TRANSFORM_TOL = 16
 
 
@@ -351,12 +352,82 @@ class TestTorusTransform:
             self.assert_close(d, t.modes, t.coeffs * weights, points)
 
 
-@pytest.mark.parametrize("k_max, points", [(16, 4096), (8, 129), (6, 33), (200, 4096), (1, 2), (5, 3)])
-def test_cube_basis_matches_direct_exp(k_max, points):
+def grid_values_by_cube_exp(d, modes, coeffs, points):
+    """Reference: the coefficients in a box over -k_max..k_max on every axis, contracted one axis at
+    a time against the direct ``exp(i k x)``; the complex sum, before its real part is taken."""
+    k_max = int(np.abs(modes).max())
+    box = np.zeros((2 * k_max + 1,) * d, dtype=np.complex128)
+    np.add.at(box, tuple((modes + k_max).T), coeffs)
     axis = EvaluationGrid(1, points, rj.CUBE).axis()
-    freqs = np.arange(-k_max, k_max + 1, dtype=float)
-    direct = np.exp(1j * freqs[:, None] * axis[None, :])
-    assert _cube_basis(k_max, axis).tobytes() == direct.tobytes()
+    basis = np.exp(1j * np.arange(-k_max, k_max + 1, dtype=float)[:, None] * axis[None, :])
+    vals = box
+    for _ in range(d):
+        vals = np.einsum("i...,ig->...g", vals, basis)
+    return vals
+
+
+class TestCubeTransform:
+    """The cube branch moves each mode with ``k_d < 0`` to ``-k`` with the
+    conjugate coefficient, contracts the first d - 1 axes against complex
+    exponentials and finishes the last axis in real arithmetic over blocks of
+    its points; its values agree with the real part of the complex sum over
+    the unfolded box to ``TRANSFORM_TOL * eps * sum |c|``.  The coefficients
+    need not be Hermitian."""
+
+    def assert_close(self, d, modes, coeffs, points):
+        got = _grid_values_raw(d, modes, coeffs, EvaluationGrid(d, points, rj.CUBE))
+        want = grid_values_by_cube_exp(d, modes, coeffs, points).real
+        assert got.dtype == np.float64
+        assert got.shape == want.shape == (points,) * d
+        tol = TRANSFORM_TOL * np.finfo(float).eps * float(np.abs(coeffs).sum())
+        assert float(np.abs(got - want).max()) <= tol, (d, points)
+
+    # the corpus shapes (decay1-3), down to 2 points, and an odd count beyond a whole number of blocks
+    @pytest.mark.parametrize(
+        "d, s, k_max, points",
+        [(1, 3.2, 16, p) for p in (2, 3, 13, 17, 33, 129, 4096, 4097)]
+        + [(2, 4.2, 8, p) for p in (2, 3, 17, 33, 129)]
+        + [(3, 3.2, 6, p) for p in (2, 3, 13, 17, 33)]
+        + [(1, 3.2, 200, 4096)],  # many blocks of the last axis, the last one partial
+    )
+    def test_decay_target(self, d, s, k_max, points):
+        t = rj.make_decay_target(d, s, k_max, seed=3)
+        self.assert_close(d, t.modes, t.coeffs, points)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("last", [-3, 0, 3])
+    @pytest.mark.parametrize("points", [2, 9, 64])
+    def test_single_mode(self, d, last, points):
+        modes = np.array([[2, -1, last][-d:]])
+        self.assert_close(d, modes, np.array([0.3 + 0.7j]), points)
+
+    @pytest.mark.parametrize("d, k_max, points", [(1, 16, 4097), (2, 8, 129), (3, 6, 17)])
+    def test_non_hermitian(self, d, k_max, points):
+        # c(-k) is not conj(c(k)): a lost conjugate on a folded row or a lost Im part shows
+        t = rj.make_decay_target(d, d + 1.2, k_max, seed=5)
+        rng = np.random.default_rng(d)
+        coeffs = rng.normal(size=(t.mode_count, 2)) @ np.array([1.0, 1j])
+        self.assert_close(d, t.modes, coeffs, points)
+        self.assert_close(d, t.modes, -1j * t.coeffs, points)  # imag_residual_on_grid's input
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pairs_collide_after_the_fold(self, d):
+        # k and -k land on one row of the folded box, rows with k_d = 0 stay apart;
+        # the coefficients are not conjugates, so the sum depends on the conjugate and the order of adds
+        base = np.array([[1, 0, 2], [0, 3, 1], [2, 2, 0], [3, -1, -4]])[:, -d:]
+        modes = np.concatenate([base, -base, base])
+        coeffs = np.random.default_rng(d).normal(size=(modes.shape[0], 2)) @ np.array([1.0, 1e-3j])
+        for points in (2, 5, 33):
+            self.assert_close(d, modes, coeffs, points)
+
+    @pytest.mark.parametrize("d, k_max, points", [(1, 16, 4096), (2, 8, 129), (3, 6, 33)])
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch, d, k_max, points):
+        t = rj.make_decay_target(d, d + 1.2, k_max, seed=7)
+        grid = EvaluationGrid(d, points, rj.CUBE)
+        blocked = rj.grid_values(t, grid)
+        for cells in (1, 10**9):  # one point a block, and one block
+            monkeypatch.setattr(targets, "_CELL_BLOCK", cells)
+            assert rj.grid_values(t, grid).tobytes() == blocked.tobytes(), cells
 
 
 class TestHolderNorm:
