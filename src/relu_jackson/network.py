@@ -322,7 +322,7 @@ def _kept_sloped(a_t: np.ndarray, biases: np.ndarray, x_rest: np.ndarray, ends: 
         return ~(-c / np.abs(a_t[-1]) >= ends)
 
 
-def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``np.searchsorted(t, q, side="right")`` for a non-decreasing t, given as ``t_pad = [-inf, *t, inf]``.
 
     Each key's bin k is guessed as if t were evenly spaced from ``t[0]`` to
@@ -332,10 +332,8 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray | None = None
     clipped to half a step beyond t before the guess, so no guess overflows
     or leaves ``[0, len(t)]``.  A t too short, flat or wide for an
     arithmetic guess is searched directly.  The bins are written into out
-    (an intp array of q's shape, which may be a view) when it is given, and
-    returned.
+    (an intp array of q's shape, which may be a view), which is returned.
     """
-    k = np.empty(q.shape, dtype=np.intp) if out is None else out
     t = t_pad[1:-1]
     size = len(t)
     t0, t1 = float(t[0]), float(t[-1])
@@ -344,20 +342,20 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray | None = None
     lo, hi, origin = t0 - 0.5 * step, t1 + 0.5 * step, t0 - step
     # rounding is monotone, so (hi - origin) * inv bounds every clipped key's guess
     if not (hi - origin) * inv < size + 1:
-        k[...] = np.searchsorted(t, q, side="right")
-        return k
+        out[...] = np.searchsorted(t, q, side="right")
+        return out
     guess = np.clip(q, lo, hi)
     guess -= origin
     guess *= inv  # its floor is the bin of an evenly spaced t
     # a NaN key casts to any integer; the clipped gathers keep it in range, and it fails the check
     with np.errstate(invalid="ignore"):
-        np.copyto(k, guess, casting="unsafe")
-    ok = np.take(t_pad, k, mode="clip") <= q
-    ok &= q < np.take(t_pad[1:], k, mode="clip")
+        np.copyto(out, guess, casting="unsafe")
+    ok = np.take(t_pad, out, mode="clip") <= q
+    ok &= q < np.take(t_pad[1:], out, mode="clip")
     if not ok.all():
         bad = np.flatnonzero(~ok)
-        k.flat[bad] = np.searchsorted(t, q.flat[bad], side="right")
-    return k
+        out.flat[bad] = np.searchsorted(t, q.flat[bad], side="right")
+    return out
 
 
 def lipschitz_bound(net: ShallowNetwork) -> float:

@@ -299,16 +299,16 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
     above ``G//2`` moves, on the cube each mode with ``k_d < 0``.
 
     On the torus the values are then a real inverse DFT of a half spectrum:
-    every last index lies in ``0..G//2``.  The coefficients
-    on indices strictly between 0 and G/2 are halved, since ``irfft`` counts
-    each of them twice; index 0 and, for even G, the Nyquist index G/2 are
-    counted once.  Complex inverse DFTs run over axes d-2 .. 0, a line along
-    axis j only if it sits at an occupied index (one that some ``k mod G``
-    takes) on every axis before j and on the last axis; every other line
-    holds only zeros.  One ``irfft`` along the last axis finishes.  All transforms are
-    unnormalized (``norm="forward"``), so the values are the sums themselves.
-    The result agrees with ``ifftn(spectrum).real * G**d`` to rounding, not
-    to the byte.
+    every last index lies in ``0..L``, L the largest folded ``k_d mod G``,
+    at most ``G//2``.  The coefficients on indices strictly between 0 and
+    G/2 are halved, since ``irfft`` counts each of them twice; index 0 and,
+    for even G, the Nyquist index G/2 are counted once.  They are summed
+    into one dense box, G wide on axes 0 .. d-2 and L + 1 wide on the last.
+    Complex inverse DFTs run in place over axes d-2 .. 0, and one ``irfft``
+    along the last axis finishes; it reads the indices L+1 .. G//2 as zeros.
+    All transforms are unnormalized (``norm="forward"``), so the values are
+    the sums themselves.  The result agrees with
+    ``ifftn(spectrum).real * G**d`` to rounding, not to the byte.
 
     On the cube the coefficients go into a box with rows ``-k_max..k_max``
     on the first d - 1 axes and ``0..k_max`` on the last.  The first d - 1
@@ -330,20 +330,14 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
         # Exact sampling via the DFT: grid starts at -pi, which contributes a
         # (-1)^{sum k_j} twist relative to the standard [0, 2*pi) transform.
         twisted = coeffs * np.where(modes.sum(axis=1) % 2 == 0, 1.0, -1.0)
-        last = modes[:, -1] % g
+        index = modes % g
+        last = index[:, -1]
         twisted = np.where((last > 0) & (2 * last != g), 0.5 * twisted, twisted)
-        # The coefficients go into a box over the occupied indices of each
-        # axis; add.at sums modes that alias to one index in row order.
-        occupied, slots = zip(*(np.unique(col, return_inverse=True) for col in (modes % g).T))
-        vals = np.zeros(tuple(idx.size for idx in occupied), dtype=np.complex128)
-        np.add.at(vals, slots, twisted)
-        # The last axis only widens to its largest occupied index; irfft
-        # reads the missing indices up to G//2 as zeros.
-        for j in reversed(range(d)):
-            size = g if j < d - 1 else int(occupied[j][-1]) + 1
-            wide = np.zeros(vals.shape[:j] + (size,) + vals.shape[j + 1 :], dtype=np.complex128)
-            wide[(slice(None),) * j + (occupied[j],)] = vals
-            vals = wide if j == d - 1 else np.fft.ifft(wide, axis=j, norm="forward", out=wide)
+        # add.at sums modes that alias to one index in row order
+        vals = np.zeros((g,) * (d - 1) + (int(last.max()) + 1,), dtype=np.complex128)
+        np.add.at(vals, tuple(index.T), twisted)
+        for j in reversed(range(d - 1)):
+            np.fft.ifft(vals, axis=j, norm="forward", out=vals)
         return np.fft.irfft(vals, n=g, axis=-1, norm="forward")
     # Cube grids are not commensurate with the period; add.at sums modes that
     # meet in the folded box in row order.
@@ -390,14 +384,14 @@ def imag_residual_on_grid(target: FourierTarget, grid: EvaluationGrid) -> float:
     ``Im sum c e^{ikx} = Re sum (-i c) e^{ikx}``, so the residue comes from the
     real-valued grid transform of the coefficients times ``-i``.
     """
-    vals = _grid_values_raw(target.d, target.modes, -1j * target.coeffs, grid)
-    return _max_abs(vals) if vals.size else 0.0
+    if grid.d != target.d:
+        raise ValueError("grid dimension mismatch")
+    return _max_abs(_grid_values_raw(target.d, target.modes, -1j * target.coeffs, grid))
 
 
 def sup_norm(target: FourierTarget, grid: EvaluationGrid) -> float:
     """Grid maximum of |target|."""
-    vals = grid_values(target, grid)
-    return _max_abs(vals) if vals.size else 0.0
+    return _max_abs(grid_values(target, grid))
 
 
 def _require_resolved(target: FourierTarget, grid: EvaluationGrid):

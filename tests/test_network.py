@@ -571,8 +571,9 @@ class TestSortedBins:
 
     @staticmethod
     def assert_bins(t, q):
-        got = _sorted_bins(padded(t), q)
         want = np.searchsorted(t, q, side="right")
+        got = np.full(q.shape, -7, dtype=np.intp)
+        assert _sorted_bins(padded(t), q, out=got) is got
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tolist() == want.tolist()
         # into a view of a wider array, as the line kernel bins each sign group: only the view is written

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from itertools import product
@@ -216,6 +217,12 @@ class TestEvaluation:
             grid = torus_grid(t)
             assert imag_residual_on_grid(t, grid) < 1e-12, name
 
+    @pytest.mark.parametrize("grid", [EvaluationGrid(3, 17), EvaluationGrid(1, 33)], ids=["d3", "d1"])
+    @pytest.mark.parametrize("on_grid", [imag_residual_on_grid, rj.grid_values, rj.sup_norm])
+    def test_grid_dimension_is_checked(self, corpus, on_grid, grid):
+        with pytest.raises(ValueError, match="grid dimension mismatch"):
+            on_grid(dict(corpus)["decay2"], grid)
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -278,10 +285,10 @@ TRANSFORM_TOL = 16
 
 class TestTorusTransform:
     """The torus branch folds each conjugate pair onto the half spectrum
-    ``k_d mod G <= G//2``, inverse-transforms only the occupied lines and
-    finishes with one irfft; its values agree with the real part of a full
-    ifftn to ``TRANSFORM_TOL * eps * sum |c|``.  The coefficients need not
-    be Hermitian: the routine sums ``Re(c e^{ikx})`` for any c."""
+    ``k_d mod G <= G//2``, inverse-transforms one dense box over the other
+    axes and finishes with one irfft; its values agree with the real part
+    of a full ifftn to ``TRANSFORM_TOL * eps * sum |c|``.  The coefficients
+    need not be Hermitian: the routine sums ``Re(c e^{ikx})`` for any c."""
 
     def assert_close(self, d, modes, coeffs, points):
         got = _grid_values_raw(d, modes, coeffs, EvaluationGrid(d, points))
@@ -350,6 +357,59 @@ class TestTorusTransform:
                 if a:
                     weights = weights * (1j * kf[:, j]) ** a
             self.assert_close(d, t.modes, t.coeffs * weights, points)
+
+
+def random_torus_set(d, points, seed):
+    """40 seeded frequencies in ``[-3G, 3G]^d``, so most alias, with non-Hermitian complex coefficients."""
+    rng = np.random.default_rng(seed)
+    modes = rng.integers(-3 * points, 3 * points + 1, size=(40, d))
+    coeffs = rng.normal(size=(40, 2)) @ np.array([1.0, 1j])
+    return modes, coeffs
+
+
+#: sha256 of ``tobytes()`` of whole torus grids, recorded with the
+#: occupied-line transform that the dense half-spectrum box replaced: the
+#: corpus targets decay1-3 at their default and CLI grid sizes and some
+#: smaller, odd and even ones, and ``random_torus_set(d, G, 10 d + G)``
+#: for d = 1..4 on odd and even G.  A change to the torus transform that
+#: moves one byte of a grid fails here.
+TORUS_GRID_SHA256 = {
+    ("decay1", 4096): "da9fc209120235dd2ac825cb44294852449b9231506228a1b31907e1b0720385",
+    ("decay1", 33): "680f0cd03e4d073c0fb52e70cf952d7fa9508d8ed49b435e9f48551721f93bdd",
+    ("decay1", 17): "d8141e465f71b8294c9febf7f26123649c8cfb29904401131deed8f5d6c4ae4a",
+    ("decay2", 512): "9c8aa27295bc80d5e39af8828912c6f56040767761b4d44fec8a1083ca0add80",
+    ("decay2", 65): "afb7cb3fcd5e945235163b99eff23175d927cee8506041427867bc16a4bb8400",
+    ("decay2", 17): "27f9f79aa0767e35a8a786c1d6c7dc1bd21ae533c604053fd36bad236c464245",
+    ("decay2", 9): "0ffdf1d499fbf3be95fb80bee3e6c7ebb2c93b77a48339097725cc92cf354482",
+    ("decay3", 96): "ce5a136aa70a819dbd41b49d0f66f9ad8c1d4e55bbae2f90b2a0d191831d4c17",
+    ("decay3", 16): "b2a7e290f83b7027d1b14e48f65c25c6defee8062602aff7c64980493fe1100c",
+    ("decay3", 13): "4835f6cd2f0c633728c2958a3159b1d32840ccb62f5396bd88ab614742d05915",
+    ("decay3", 9): "38750fa68c186d818bc7b9cc6ae3f99b9c0d82d115438f2e88557ebd01da1763",
+    (1, 8): "969b2e1206636812f4afd8a93830995c9d24c3e1a348de0ada07d89c2eb52007",
+    (1, 9): "3aa47ee643d69c2a62a7daf54263d4cb13475b3a30ac3d0d3104a6c9707f7e75",
+    (2, 6): "9265c5580e00725fa6930660f6882c83195d728c1f4c113703ed4fcf8a0d9980",
+    (2, 7): "a01eb6e461da7446f81da3e76ad7e18ca8cc942a1671781fa4689096dd82abc1",
+    (3, 4): "1ed4e10b3c507d4ba05a553a29392d12c0a8fe3e7bcc4c9c6ffff10421de879d",
+    (3, 5): "f25a60a7a83b406fa89d47947042e07f9d67c7d5e4e0836ae233590def64e3cc",
+    (4, 3): "b81b9a22a1d81e258834dfa745b67e322634c26a343db8b2ffe86e9783e3f939",
+    (4, 4): "2a175f0712320383663c8a74cd7c11605364dd08b4cf092d49eab0d4e104ead6",
+}
+
+#: The corpus targets the pins name: (d, s, k_max, seed).
+CORPUS_ARGS = {"decay1": (1, 3.2, 16, 11), "decay2": (2, 4.2, 8, 7), "decay3": (3, 3.2, 6, 5)}
+
+
+@pytest.mark.parametrize("key", TORUS_GRID_SHA256, ids=lambda key: "-".join(map(str, key)))
+def test_torus_grid_bytes_pinned(key):
+    if key[0] in CORPUS_ARGS:
+        d, s, k_max, seed = CORPUS_ARGS[key[0]]
+        t = rj.make_decay_target(d, s, k_max, seed=seed)
+        modes, coeffs, points = t.modes, t.coeffs, key[1]
+    else:
+        d, points = key
+        modes, coeffs = random_torus_set(d, points, 10 * d + points)
+    vals = _grid_values_raw(d, modes, coeffs, EvaluationGrid(d, points))
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == TORUS_GRID_SHA256[key]
 
 
 def grid_values_by_cube_exp(d, modes, coeffs, points):
