@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: kernel, spectral, construct, jackson-rate, network-rate,
-paired-mc, verify-identity.  Every emitter writes CSV with a
-``# schema=<name>@<version>`` first line; ``--out`` writes to a file,
-otherwise the CSV goes to stdout.
+paired-mc, verify-identity.  Each handler returns the CSV text it makes,
+which starts with a ``# schema=<name>@<version>`` line, and ``main`` writes
+it once: to the file ``--out`` names (``--dump`` for ``kernel``), otherwise
+to stdout.  ``construct`` returns nothing, as it writes its network file
+itself.
 
 ``--config <path>`` names a file of ``key = value`` lines, and a config line
 is the flag it names: each line becomes ``--key=value`` right after the
@@ -18,6 +20,7 @@ are never abbreviated.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -42,17 +45,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> str:
     kernel = build_kernel(args.N, args.r)
     mult = multiplier_from_kernel(kernel)
     lines = ["# schema=kernel@1", "k,a_tilde,a_multiplier"]
     for k in range(-args.N, args.N + 1):
         lines.append(f"{k},{_fmt(kernel.coefficient(k))},{_fmt(mult.axis_coefficient(k))}")
-    _emit("\n".join(lines) + "\n", args.dump)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args) -> str:
     target = load_target(args.target)
     grid = default_grid(target.d, TORUS, args.grid)
     decomp = build_levels(target, args.r, args.L, grid, holder_norm(target, args.r, grid))
@@ -62,49 +64,32 @@ def _cmd_spectral(args) -> int:
             f"{level},{_fmt(decomp.sup_norms[level])},{_fmt(decomp.shells[level])},"
             f"{_fmt(decomp.parseval_residuals[level])},{_fmt(decomp.sup_norms[level])},{_fmt(decomp.sup_bounds[level])}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> None:
     target = load_target(args.target)
     method = "plain" if args.plain else "stratified"
     net = construct(target, args.r, args.m, args.seed, bandwidth=args.N, method=method)
     save_network(net, args.out)
-    return 0
 
 
-def _rate_experiment(args, mode: str) -> RateExperiment:
-    target = load_target(args.target)
-    return RateExperiment(
-        mode=mode,
-        target=target,
-        r=args.r,
-        sweep=tuple(getattr(args, "sweep", None) or ()),
-        seeds=tuple(getattr(args, "seed", None) or ()),
-        grid_points=args.grid,
-        bandwidth=getattr(args, "N", None),
-        bandwidth_exponent=getattr(args, "N_exponent", None),
-        m=getattr(args, "m", None),
+def _cmd_rate(args) -> str:
+    # built per call, so a runner replaced on this module (a tracing wrapper) is the one called
+    run = {"jackson-rate": run_jackson_rate, "network-rate": run_network_rate, "paired-mc": run_paired_mc}
+    flag = vars(args).get  # each of the three subcommands has only some of the flags
+    exp = RateExperiment(
+        mode=args.command, target=load_target(args.target), r=args.r, sweep=flag("sweep", ()), seeds=flag("seed", ()),
+        grid_points=args.grid, bandwidth=flag("N"), bandwidth_exponent=flag("N_exponent"), m=flag("m"),
     )
+    return run[args.command](exp)
 
 
-def _cmd_jackson_rate(args) -> int:
-    _emit(run_jackson_rate(_rate_experiment(args, "jackson-rate")), args.out)
-    return 0
-
-
-def _cmd_network_rate(args) -> int:
-    _emit(run_network_rate(_rate_experiment(args, "network-rate")), args.out)
-    return 0
-
-
-def _cmd_paired_mc(args) -> int:
-    _emit(run_paired_mc(_rate_experiment(args, "paired-mc")), args.out)
-    return 0
-
-
-def _cmd_verify_identity(args) -> int:
+def _cmd_verify_identity(args) -> str:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (math.isfinite(args.cmax) and args.cmax > 0):
+        raise ValueError(f"--cmax must be finite and positive, got {args.cmax}")
     rng = np.random.default_rng(args.seed)
     lines = ["# schema=identity@1", "sample,z,c,residual"]
     worst = 0.0
@@ -115,8 +100,7 @@ def _cmd_verify_identity(args) -> int:
         worst = max(worst, res)
         lines.append(f"{i},{_fmt(z)},{_fmt(c)},{_fmt(res)}")
     lines.append(f"# max_residual={_fmt(worst)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -142,7 +126,7 @@ def main(argv=None) -> int:
     p = command("kernel", _cmd_kernel, "emit kernel and multiplier coefficients")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--dump", help="output CSV path (default: stdout)")
+    p.add_argument("--dump", dest="out", metavar="DUMP", help="output CSV path (default: stdout)")
 
     p = command("spectral", _cmd_spectral, "per-level norms, shell sums, bound sides")
     common(p)
@@ -155,11 +139,11 @@ def main(argv=None) -> int:
     p.add_argument("--N", type=int, help="bandwidth override")
     p.add_argument("--plain", action="store_true", help="plain Monte Carlo instead of stratified")
 
-    p = command("jackson-rate", _cmd_jackson_rate, "smoothing error sweep over bandwidths")
+    p = command("jackson-rate", _cmd_rate, "smoothing error sweep over bandwidths")
     common(p)
     p.add_argument("--sweep", type=_int_list, required=True, help="comma-separated bandwidths")
 
-    p = command("network-rate", _cmd_network_rate, "network error sweep over widths")
+    p = command("network-rate", _cmd_rate, "network error sweep over widths")
     common(p)
     p.add_argument("--sweep", type=_int_list, required=True, help="comma-separated widths")
     p.add_argument("--seed", type=_int_list, required=True, help="comma-separated seeds")
@@ -171,7 +155,7 @@ def main(argv=None) -> int:
         help="bandwidth schedule N = floor(m**exponent) instead of the selection rule",
     )
 
-    p = command("paired-mc", _cmd_paired_mc, "stratified vs plain at one width, per seed")
+    p = command("paired-mc", _cmd_rate, "stratified vs plain at one width, per seed")
     common(p)
     p.add_argument("--m", type=int, required=True, help="unit budget for both arms")
     p.add_argument("--seed", type=_int_list, required=True, help="comma-separated seeds")
@@ -190,7 +174,10 @@ def main(argv=None) -> int:
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in load_config(path).items()]
         argv = argv[:1] + flags + argv[1:]
     args = parser.parse_args(argv)
-    return args.func(args)
+    text = args.func(args)
+    if text is not None:
+        _emit(text, args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -91,6 +91,8 @@ class RateExperiment:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.bandwidth is not None and self.bandwidth_exponent is not None:
             raise ValueError("give a fixed bandwidth or an exponent schedule, not both")
+        if self.bandwidth_exponent is not None and not math.isfinite(self.bandwidth_exponent):
+            raise ValueError(f"bandwidth_exponent must be finite, got {self.bandwidth_exponent}")
         if self.mode in ("jackson-rate", "network-rate"):
             if len(self.sweep) < 4:
                 raise ValueError("need at least 4 sweep points for a slope fit")
@@ -138,7 +140,10 @@ def run_jackson_rate(exp: RateExperiment) -> str:
 def _selected_bandwidth(exp: RateExperiment, m: int) -> int | None:
     """The fixed or scheduled bandwidth; None leaves the selection rule to ``prepare``."""
     if exp.bandwidth_exponent is not None:
-        return max(1, math.floor(m**exp.bandwidth_exponent))
+        try:
+            return max(1, math.floor(m**exp.bandwidth_exponent))
+        except OverflowError:
+            raise ValueError(f"bandwidth_exponent={exp.bandwidth_exponent} overflows m**exponent at m={m}") from None
     return exp.bandwidth
 
 

@@ -168,6 +168,7 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       constants are summed pairwise, and a pairwise sum's bytes depend on
       all of its terms.
 
+    A network with a NaN or infinite parameter always takes the dense path.
     Both orders are fixed, so results do not depend on the evaluation
     backend's threading; the two paths agree up to rounding.
     """
@@ -180,7 +181,12 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
 
 def _evaluate_points(units: Units, pts: np.ndarray, lines: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Values at pts (n, d), given ``lines = _line_layout(pts)`` (or None): the path ``evaluate`` takes."""
-    if lines is not None and _line_path_pays(len(units), pts.shape[0], lines[0].shape[0]):
+    # the line path bins finite breakpoints by the sign of a_last, and a unit with a NaN a_last has no sign
+    if (
+        lines is not None
+        and _line_path_pays(len(units), pts.shape[0], lines[0].shape[0])
+        and all(np.isfinite(a).all() for a in (units.alphas, units.biases, units.betas))
+    ):
         return _evaluate_lines(units, *lines).ravel()
     return _evaluate_dense(units, pts)
 

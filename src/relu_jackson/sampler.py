@@ -73,6 +73,8 @@ def identity_residual(z: float, c: float, panels: int) -> float:
     """
     if panels < 2:
         raise ValueError("panels must be >= 2")
+    if not (math.isfinite(z) and math.isfinite(c)):
+        raise ValueError(f"identity needs a finite z and c, got z={z}, c={c}")
     if abs(z) > c:
         raise ValueError("identity requires |z| <= c")
     lhs = cmath.exp(1j * z) - 1j * z - 1.0

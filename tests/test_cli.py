@@ -290,3 +290,81 @@ def test_module_entry_point_reads_config(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "# schema=kernel@1"
     assert len(lines) == 2 + 17
+
+
+#: Each subcommand that writes CSV, at a small size, and the flag that names its file.
+WRITERS = {
+    "kernel": (["kernel", "--N", "4", "--r", "2"], "--dump"),
+    "spectral": (["spectral", "--r", "2", "--L", "2", "--grid", "16"], "--out"),
+    "jackson-rate": (["jackson-rate", "--r", "2", "--sweep", "2,4,8,16", "--grid", "16"], "--out"),
+    "network-rate": (["network-rate", "--r", "2", "--sweep", "16,32,64,128", "--seed", "1,2", "--grid", "33"], "--out"),
+    "paired-mc": (["paired-mc", "--r", "2", "--m", "64", "--seed", "0,1", "--grid", "33"], "--out"),
+    "verify-identity": (["verify-identity", "--samples", "3", "--cmax", "4", "--panels", "64"], "--out"),
+}
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_stdout_and_file_get_the_same_bytes(target_file, tmp_path, capsys, command):
+    """``main`` writes each handler's text once: to stdout, or only to the named file."""
+    argv, flag = WRITERS[command]
+    if command not in ("kernel", "verify-identity"):
+        argv = [*argv, "--target", target_file]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("# schema=")
+    out = tmp_path / "out.csv"
+    assert main([*argv, flag, str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_construct_writes_nothing_to_stdout(target_file, tmp_path, capsys):
+    out = tmp_path / "net.csv"
+    assert main(["construct", "--target", target_file, "--r", "2", "--m", "64", "--seed", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().startswith("# schema=network@2")
+
+
+def test_kernel_help_names_dump(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["kernel", "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    assert "--dump DUMP" in text
+    assert "--out" not in text
+
+
+@pytest.mark.parametrize("command", ["jackson-rate", "network-rate", "paired-mc"])
+def test_rate_runner_looked_up_on_the_module(target_file, monkeypatch, capsys, command):
+    """A runner replaced on the CLI module, as a tracing wrapper does, is the one called."""
+    argv = [*WRITERS[command][0], "--target", target_file]
+    name = "run_" + command.replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda exp: f"# {name} {exp.mode}\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"# {name} {command}\n"
+
+
+@pytest.mark.parametrize("exponent", ["inf", "-inf", "nan", "1e308"])
+def test_network_rate_rejects_bad_exponent(target_file, capsys, exponent):
+    argv = [*WRITERS["network-rate"][0], "--target", target_file, f"--N-exponent={exponent}"]  # "-inf" reads as a flag
+    with pytest.raises(ValueError, match="bandwidth_exponent"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--samples", "-3", "--cmax", "4"], "--samples must be at least 1, got -3"),
+        (["--samples", "0", "--cmax", "4"], "--samples must be at least 1, got 0"),
+        (["--samples", "3", "--cmax", "nan"], "--cmax must be finite and positive, got nan"),
+        (["--samples", "3", "--cmax", "inf"], "--cmax must be finite and positive, got inf"),
+        (["--samples", "3", "--cmax", "0"], "--cmax must be finite and positive, got 0.0"),
+        (["--samples", "3", "--cmax", "-2"], "--cmax must be finite and positive, got -2.0"),
+    ],
+)
+def test_verify_identity_rejects_bad_sweep(capsys, flags, named):
+    """``--cmax nan`` and ``--samples -3`` used to end in ``# max_residual=0``."""
+    with pytest.raises(ValueError, match=named):
+        main(["verify-identity", *flags])
+    assert capsys.readouterr().out == ""

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ class TestRateExperimentValidation:
                 bandwidth_exponent=0.5,
             )
 
+
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_exponent(self, cos_target, exponent):
+        """inf and nan used to raise an unnamed error from ``math.floor``, and
+        -inf ran with N = 1 at every width."""
+        with pytest.raises(ValueError, match="bandwidth_exponent must be finite"):
+            RateExperiment("network-rate", cos_target, 2, sweep=(8, 16, 32, 64), seeds=(1,),
+                           bandwidth_exponent=exponent)
+
+    def test_overflowing_exponent_named(self, cos_target):
+        """``m**1e308`` used to raise a bare ``OverflowError``."""
+        exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
+                             bandwidth_exponent=1e308)
+        with pytest.raises(ValueError, match=r"bandwidth_exponent=1e\+308 overflows m\*\*exponent at m=16"):
+            run_network_rate(exp)
 
 class TestRunJacksonRate:
     def test_constant_flags_undefined_slope(self):

@@ -443,6 +443,43 @@ class TestLinePath:
         assert _line_path_pays(units, points, lines) is expected
 
 
+@pytest.fixture(scope="module")
+def decay_nets():
+    """decay1 and decay2, by dimension, each with its network at m = 1024, seed 1."""
+    targets = {1: rj.make_decay_target(1, 3.2, 16, seed=11), 2: rj.make_decay_target(2, 4.2, 8, seed=7)}
+    return {d: (target, rj.construct(target, 2, 1024, 1)) for d, target in targets.items()}
+
+
+class TestNonFiniteParameter:
+    """A NaN last weight used to put its unit in none of the line path's
+    rising, falling or flat groups, so the unit was dropped and the network
+    read finite; an infinite one gave the line path other non-finite points
+    than the dense path.  A network with a non-finite parameter now takes
+    the dense path."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["alpha_last", "alpha_first", "bias", "beta"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_dense_path_values(self, decay_nets, d, where, value):
+        target, net = decay_nets[d]
+        alphas, biases, betas = net.units.alphas.copy(), net.units.biases.copy(), net.units.betas.copy()
+        array, index = {"alpha_last": (alphas, (5, -1)), "alpha_first": (alphas, (5, 0)),
+                        "bias": (biases, 5), "beta": (betas, 5)}[where]
+        array[index] = value
+        bad = ShallowNetwork(d, Units(alphas, betas, biases, net.units.origins), net.meta)
+        grid = rj.EvaluationGrid(d, 65, rj.CUBE)
+        pts = grid.points()
+        assert _line_path_pays(bad.unit_count, pts.shape[0], 65 ** (d - 1))
+        got = evaluate(bad, pts)
+        np.testing.assert_array_equal(got, _evaluate_dense(bad.units, pts))
+        error = rj.grid_error(target, grid)(bad)
+        if where == "bias" and value == math.inf:
+            # an infinite shift switches the unit off on the whole cube
+            assert math.isfinite(error)
+        else:
+            assert not math.isfinite(error)
+
+
 class TestBlockPruning:
     """Units left out of a block of lines are those whose breakpoint is in the end bin on every line."""
 

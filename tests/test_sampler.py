@@ -85,6 +85,12 @@ class TestIdentityResidual:
         with pytest.raises(ValueError):
             identity_residual(0.5, 1.0, 1)
 
+    @pytest.mark.parametrize("z, c", [(1.0, math.inf), (math.nan, 1.0), (0.5, math.nan), (-math.inf, math.inf)])
+    def test_rejects_non_finite(self, z, c):
+        """``(1.0, inf)`` used to fail with an unnamed NaN-to-integer error."""
+        with pytest.raises(ValueError, match="identity needs a finite z and c"):
+            identity_residual(z, c, 64)
+
 
 class TestBuildDensity:
     def test_cos_image_masses(self, cos_image):
