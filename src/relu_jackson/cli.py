@@ -15,11 +15,15 @@ applies the defaults, enforces the required flags and rejects unknown keys,
 and since argparse keeps the last occurrence of a flag, explicit flags win.
 Keys name a long flag exactly (``-`` or ``_`` inside a name), because flags
 are never abbreviated.
+
+The parsers are built on the first call of ``main`` and reused by every
+later call in the process; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -103,7 +107,14 @@ def _cmd_verify_identity(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``--config`` pre-parser and the main parser, built on the first call and then reused.
+
+    Not built at import: importing the module stays cheap.  Each subparser
+    holds its handler, and the handlers look up what they call on this module
+    when they run.
+    """
     config = argparse.ArgumentParser(prog="relu-jackson", add_help=False, allow_abbrev=False)
     config.add_argument("--config", help="key = value file; each line is the flag it names, typed flags win")
     parser = argparse.ArgumentParser(
@@ -168,6 +179,11 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
+    return config, parser
+
+
+def main(argv=None) -> int:
+    config, parser = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     path = config.parse_known_args(argv)[0].config
     if path:

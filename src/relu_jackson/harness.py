@@ -91,8 +91,10 @@ class RateExperiment:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.bandwidth is not None and self.bandwidth_exponent is not None:
             raise ValueError("give a fixed bandwidth or an exponent schedule, not both")
-        if self.bandwidth_exponent is not None and not math.isfinite(self.bandwidth_exponent):
-            raise ValueError(f"bandwidth_exponent must be finite, got {self.bandwidth_exponent}")
+        exponent = self.bandwidth_exponent
+        if exponent is not None and not (math.isfinite(exponent) and exponent > 0):
+            # with e <= 0, floor(m**e) <= 1 at every width: a sweep at N = 1 with no rate in it
+            raise ValueError(f"bandwidth_exponent must be finite and positive, got {exponent}")
         if self.mode in ("jackson-rate", "network-rate"):
             if len(self.sweep) < 4:
                 raise ValueError("need at least 4 sweep points for a slope fit")

@@ -115,7 +115,7 @@ def build_levels(
 ) -> SpectralLevels:
     """Level series 0..levels with every per-level quantity: the grid
     sup-norms and Parseval residuals, both read from one evaluation of each
-    series on the grid, the shell sums and both level bounds.
+    series into one reused grid, the shell sums and both level bounds.
 
     ``holder`` is ``holder_norm(target, r, grid)``, the Hoelder norm in the
     sup-norm bound.  The grid must resolve the target, and so every level
@@ -125,8 +125,9 @@ def build_levels(
     d = target.d
     series = tuple(level_series(target, level, r) for level in range(levels + 1))
     sup_norms, residuals = [], []
+    vals = np.empty((grid.points_per_axis,) * d)  # one grid, overwritten by each level
     for s in series:
-        vals = grid_values(s, grid)
+        grid_values(s, grid, vals)
         sup_norms.append(_max_abs(vals))
         residuals.append(_parseval_gap(s, vals))
     constant = level_sup_constant(d, r)

@@ -290,8 +290,16 @@ def evaluate(target: FourierTarget, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
+def _grid_values_raw(
+    d: int, modes: np.ndarray, coeffs: np.ndarray, grid: EvaluationGrid, out: np.ndarray | None = None
+) -> np.ndarray:
     """Real part of the coefficient sum on the full grid, shape (G,)*d.
+
+    The values are written into ``out``, a float64 array of shape (G,)*d,
+    which is returned; with ``out=None`` a fresh array is.  Either way the
+    bytes are the same.  ``holder_norm`` and ``build_levels`` pass one buffer
+    to every transform and reduce each grid before the next overwrites it,
+    which saves a fresh allocation (and its page faults) per grid.
 
     Since ``Re(c e^{i theta}) = Re(conj(c) e^{-i theta})``, for any c,
     Hermitian or not, a mode may move to ``-k`` with the conjugate
@@ -321,8 +329,13 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
     unfolded box to rounding, not to the byte.
     """
     g = grid.points_per_axis
+    if out is None:
+        out = np.empty((g,) * d)
+    elif out.shape != (g,) * d or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {(g,) * d}, not {out.dtype} {out.shape}")
     if modes.shape[0] == 0:
-        return np.zeros((g,) * d)
+        out.fill(0.0)
+        return out
     fold = modes[:, -1] % g > g // 2 if grid.domain == TORUS else modes[:, -1] < 0
     modes = np.where(fold[:, None], -modes, modes)
     coeffs = np.where(fold, coeffs.conj(), coeffs)
@@ -338,7 +351,7 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
         np.add.at(vals, tuple(index.T), twisted)
         for j in reversed(range(d - 1)):
             np.fft.ifft(vals, axis=j, norm="forward", out=vals)
-        return np.fft.irfft(vals, n=g, axis=-1, norm="forward")
+        return np.fft.irfft(vals, n=g, axis=-1, norm="forward", out=out)
     # Cube grids are not commensurate with the period; add.at sums modes that
     # meet in the folded box in row order.
     k_max = int(np.abs(modes).max())
@@ -352,7 +365,6 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
     for _ in range(d - 1):
         vals = np.einsum("i...,ig->...g", vals, basis)
     # vals: (k_max + 1, G, ..., G); the last axis finishes in real arithmetic over blocks of its points
-    out = np.empty((g,) * d)
     step = max(1, _CELL_BLOCK // max(k_max + 1, vals[0].size))
     for g0 in range(0, g, step):
         angle = freqs * axis[g0 : g0 + step]
@@ -362,11 +374,11 @@ def _grid_values_raw(d: int, modes: np.ndarray, coeffs: np.ndarray, grid: Evalua
     return out
 
 
-def grid_values(target: FourierTarget, grid: EvaluationGrid) -> np.ndarray:
-    """Real values of the target on the full grid, shape (G,)*d."""
+def grid_values(target: FourierTarget, grid: EvaluationGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Real values of the target on the full grid, shape (G,)*d, written into ``out`` when given."""
     if grid.d != target.d:
         raise ValueError("grid dimension mismatch")
-    return _grid_values_raw(target.d, target.modes, target.coeffs, grid)
+    return _grid_values_raw(target.d, target.modes, target.coeffs, grid, out)
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -425,12 +437,13 @@ def holder_norm(target: FourierTarget, r: int, grid: EvaluationGrid) -> float:
     _require_resolved(target, grid)
     best = 0.0
     kf = target.modes.astype(float)
+    vals = np.empty((grid.points_per_axis,) * target.d)  # one grid, overwritten by each derivative
     for alpha in multi_indices(target.d, r):
         weights = np.ones(target.mode_count, dtype=np.complex128)
         for j, a in enumerate(alpha):
             if a:
                 weights = weights * (1j * kf[:, j]) ** a
-        vals = _grid_values_raw(target.d, target.modes, target.coeffs * weights, grid)
+        _grid_values_raw(target.d, target.modes, target.coeffs * weights, grid, vals)
         best = max(best, _max_abs(vals))
     return best
 
@@ -508,7 +521,17 @@ def _read_rows(lines: list[str], sep: str | None, what: str, *ends: int) -> list
     for ln, parts in zip(lines, rows):
         if len(parts) != ends[-1]:
             raise ValueError(f"{what}: {ln!r}")
-    return [[p for parts in rows for p in parts[start:stop]] for start, stop in zip((0, *ends), ends)]
+    if not rows:  # with no row, the widths are not bounded by a line
+        return [[] for _ in ends]
+    tokens, width = [p for parts in rows for p in parts], ends[-1]
+    kinds = []
+    for start, stop in zip((0, *ends), ends):
+        # column j of every row is tokens[j::width]; it goes to every (stop - start)-th place of its kind
+        kind = [""] * (len(rows) * (stop - start))
+        for j in range(start, stop):
+            kind[j - start :: stop - start] = tokens[j::width]
+        kinds.append(kind)
+    return kinds
 
 
 def loads_target(text: str) -> FourierTarget:

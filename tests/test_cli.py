@@ -368,3 +368,55 @@ def test_verify_identity_rejects_bad_sweep(capsys, flags, named):
     with pytest.raises(ValueError, match=named):
         main(["verify-identity", *flags])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("exponent", ["-1", "0", "-0.0"])
+def test_network_rate_rejects_non_positive_exponent(target_file, capsys, exponent):
+    """``--N-exponent=-1`` used to write N_selected 1 and one error in every row."""
+    argv = [*WRITERS["network-rate"][0], "--target", target_file, f"--N-exponent={exponent}"]
+    with pytest.raises(ValueError, match=f"bandwidth_exponent must be finite and positive, got {float(exponent)}"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+def test_parsers_built_once_and_handlers_read_the_module(target_file, monkeypatch, capsys):
+    """The first call builds the parsers and later calls reuse them; a runner
+    replaced on the module after that is still the one a handler calls."""
+    assert main(["kernel", "--N", "1", "--r", "1"]) == 0
+    built = cli._parsers()
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_network_rate", lambda exp: f"# replaced {exp.mode}\n")
+    assert main([*WRITERS["network-rate"][0], "--target", target_file]) == 0
+    assert capsys.readouterr().out == "# replaced network-rate\n"
+    assert cli._parsers() is built
+
+
+def test_config_run_leaves_no_default_behind(target_file, tmp_path):
+    """A run whose config sets ``N-exponent``, then the same run without the
+    config in the same process: the second writes what it writes on its own."""
+    base = ["network-rate", "--target", target_file, "--r", "2", "--sweep", "16,32,64,128", "--seed", "1", "--grid", "33"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("N-exponent = 0.75\n")
+    assert main([*base, "--config", str(cfg), "--out", str(tmp_path / "config.csv")]) == 0
+    assert main([*base, "--out", str(tmp_path / "after.csv")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-m", "relu_jackson.cli", *base, "--out", str(tmp_path / "alone.csv")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    alone = (tmp_path / "alone.csv").read_bytes()
+    assert (tmp_path / "after.csv").read_bytes() == alone
+    assert (tmp_path / "config.csv").read_bytes() != alone  # the config did change its own run
+
+
+@pytest.mark.parametrize("bad", [["--bogus", "1"], ["--N", "x"]], ids=["unknown_flag", "bad_value"])
+def test_bad_flag_exits_2_and_the_next_call_runs(capsys, bad):
+    argv = ["kernel", "--N", "2", "--r", "1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as done:
+        main([*argv, *bad])
+    assert done.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want

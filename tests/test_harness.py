@@ -100,6 +100,20 @@ class TestRateExperimentValidation:
             RateExperiment("network-rate", cos_target, 2, sweep=(8, 16, 32, 64), seeds=(1,),
                            bandwidth_exponent=exponent)
 
+    @pytest.mark.parametrize("exponent", [-1, 0, 0.0, -0.0])
+    def test_rejects_non_positive_exponent(self, cos_target, exponent):
+        """With e <= 0 every width ran at N = floor(m**e) clamped to 1: one
+        error repeated down the sweep, a rate fitted to nothing."""
+        with pytest.raises(ValueError, match=f"bandwidth_exponent must be finite and positive, got {exponent}$"):
+            RateExperiment("network-rate", cos_target, 2, sweep=(8, 16, 32, 64), seeds=(1,),
+                           bandwidth_exponent=exponent)
+
+    @pytest.mark.parametrize("exponent", [0.5, 0.75, 1e-3])
+    def test_positive_exponent_runs(self, cos_target, exponent):
+        exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
+                             bandwidth_exponent=exponent)
+        assert run_network_rate(exp).startswith("# schema=network_rate@1")
+
     def test_overflowing_exponent_named(self, cos_target):
         """``m**1e308`` used to raise a bare ``OverflowError``."""
         exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,

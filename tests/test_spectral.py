@@ -190,6 +190,24 @@ def test_build_levels_evaluates_each_series_once(monkeypatch):
     assert decomp.parseval_residuals.tolist() == gaps
 
 
+def test_build_levels_reuses_one_grid(monkeypatch):
+    """Every level is transformed into one buffer, through ``grid_values``;
+    the floats equal the fresh grids' (``test_build_levels_evaluates_each_series_once``)."""
+    t = rj.make_decay_target(2, 4.2, 8, seed=7)
+    grid = rj.default_grid(2, rj.TORUS, 64)
+    buffers = []
+    raw = rj.targets._grid_values_raw
+
+    def recording(*args):
+        buffers.append(args[4])
+        return raw(*args)
+
+    monkeypatch.setattr(rj.targets, "_grid_values_raw", recording)
+    build_levels(t, 2, 3, grid, 1.0)
+    assert len(buffers) == 4
+    assert all(b is buffers[0] for b in buffers) and buffers[0].shape == (64, 64)
+
+
 def test_build_levels_requires_resolving_grid():
     t = rj.make_decay_target(1, 3.2, 8, seed=11)
     with pytest.raises(ValueError, match="does not resolve"):

@@ -412,6 +412,61 @@ def test_torus_grid_bytes_pinned(key):
     assert hashlib.sha256(vals.tobytes()).hexdigest() == TORUS_GRID_SHA256[key]
 
 
+def pinned_torus_case(key):
+    """The dimension, modes, coefficients and points of the grid a ``TORUS_GRID_SHA256`` key names."""
+    if key[0] in CORPUS_ARGS:
+        d, s, k_max, seed = CORPUS_ARGS[key[0]]
+        t = rj.make_decay_target(d, s, k_max, seed=seed)
+        return d, t.modes, t.coeffs, key[1]
+    d, points = key
+    return (d, *random_torus_set(d, points, 10 * d + points), points)
+
+
+class TestGridInto:
+    """With ``out``, the grid values are written into it and it is returned,
+    byte for byte the fresh array, on the torus, the cube and with no modes."""
+
+    def assert_into(self, d, modes, coeffs, grid):
+        fresh = _grid_values_raw(d, modes, coeffs, grid)
+        buf = np.full((grid.points_per_axis,) * d, np.nan)  # no stale value may survive
+        assert _grid_values_raw(d, modes, coeffs, grid, buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        return buf
+
+    @pytest.mark.parametrize("key", TORUS_GRID_SHA256, ids=lambda key: "-".join(map(str, key)))
+    def test_torus_pins(self, key):
+        d, modes, coeffs, points = pinned_torus_case(key)
+        vals = self.assert_into(d, modes, coeffs, EvaluationGrid(d, points))
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == TORUS_GRID_SHA256[key]
+
+    @pytest.mark.parametrize("d, s, k_max, points", [(1, 3.2, 16, 4097), (2, 4.2, 8, 129), (3, 3.2, 6, 17)])
+    def test_cube(self, d, s, k_max, points):
+        t = rj.make_decay_target(d, s, k_max, seed=3)
+        grid = EvaluationGrid(d, points, rj.CUBE)
+        buf = np.full((points,) * d, np.nan)
+        assert rj.grid_values(t, grid, out=buf) is buf
+        assert buf.tobytes() == rj.grid_values(t, grid).tobytes()
+        self.assert_into(d, t.modes, -1j * t.coeffs, grid)  # non-Hermitian
+
+    @pytest.mark.parametrize("domain", [rj.TORUS, rj.CUBE])
+    def test_no_modes_fills_zeros(self, domain):
+        t = rj.make_trig_poly(2, {})
+        buf = np.full((5, 5), np.nan)
+        assert rj.grid_values(t, EvaluationGrid(2, 5, domain), out=buf) is buf
+        assert buf.tobytes() == np.zeros((5, 5)).tobytes()
+
+    @pytest.mark.parametrize("domain", [rj.TORUS, rj.CUBE])
+    @pytest.mark.parametrize("modes", [{}, {(1, 0): 0.5, (-1, 0): 0.5}], ids=["no_modes", "cos"])
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((5, 6), float), ((25,), float), ((5, 5, 1), float), ((5,), float), ((5, 5), np.float32), ((5, 5), complex)],
+    )
+    def test_wrong_buffer_raises(self, domain, modes, shape, dtype):
+        t = rj.make_trig_poly(2, modes)
+        with pytest.raises(ValueError, match=r"out must be a float64 array of shape \(5, 5\)"):
+            rj.grid_values(t, EvaluationGrid(2, 5, domain), out=np.zeros(shape, dtype=dtype))
+
+
 def grid_values_by_cube_exp(d, modes, coeffs, points):
     """Reference: the coefficients in a box over -k_max..k_max on every axis, contracted one axis at
     a time against the direct ``exp(i k x)``; the complex sum, before its real part is taken."""
@@ -529,6 +584,32 @@ class TestHolderNorm:
             best = max(best, float(np.abs(acc.real).max()))
         assert rj.holder_norm(t, 2, grid) == pytest.approx(best, rel=1e-12)
 
+    @pytest.mark.parametrize("d, k_max, points", [(1, 16, 4096), (2, 8, 64), (3, 6, 16)])
+    def test_one_grid_for_every_derivative(self, monkeypatch, d, k_max, points):
+        """Every derivative is transformed into one buffer, and the norm is the
+        float the maximum over fresh grids gives."""
+        t = rj.make_decay_target(d, d + 1.2, k_max, seed=7)
+        grid = rj.default_grid(d, rj.TORUS, points)
+        kf = t.modes.astype(float)
+        want = 0.0
+        for alpha in multi_indices(d, 2):
+            weights = np.ones(t.mode_count, dtype=np.complex128)
+            for j, a in enumerate(alpha):
+                if a:
+                    weights = weights * (1j * kf[:, j]) ** a
+            want = max(want, _max_abs(_grid_values_raw(d, t.modes, t.coeffs * weights, grid)))
+        buffers = []
+        raw = targets._grid_values_raw
+
+        def recording(*args):
+            buffers.append(args[4])
+            return raw(*args)
+
+        monkeypatch.setattr(targets, "_grid_values_raw", recording)
+        assert rj.holder_norm(t, 2, grid) == want
+        assert len(buffers) == len(list(multi_indices(d, 2)))
+        assert all(b is buffers[0] for b in buffers)
+
     def test_rejects_negative_order(self):
         t = rj.make_trig_poly(1, {0: 1.0})
         with pytest.raises(ValueError):
@@ -639,6 +720,14 @@ class TestSerialization:
         # every frequency token is read before the range check, and both before any value token
         with pytest.raises(ValueError, match=message):
             loads_target(f"d=1 r=2\n{body}")
+
+    def test_bad_key_named_before_a_later_bad_value(self):
+        """Frequencies are converted before values, so a bad key is named even
+        when a bad value comes on a later line, and also on an earlier one."""
+        with pytest.raises(ValueError, match="invalid literal for int.*'1x'"):
+            loads_target("d=2 r=2\n0 0 1 0\n1x 0 0.5 0\n-1 0 0.5 y\n")
+        with pytest.raises(ValueError, match="invalid literal for int.*'1x'"):
+            loads_target("d=2 r=2\n0 0 1 y\n1x 0 0.5 0\n")
 
     @pytest.mark.parametrize("frequencies", ["", "0 1 0\n"], ids=["no_frequency_line", "one_frequency_line"])
     def test_rejects_huge_dimension(self, frequencies):
