@@ -29,7 +29,9 @@ import sys
 
 import numpy as np
 
-from .harness import RateExperiment, load_config, run_jackson_rate, run_network_rate, run_paired_mc
+from .harness import (
+    RateExperiment, _refuse_flat_schedule, load_config, run_jackson_rate, run_network_rate, run_paired_mc,
+)
 from .jackson import build_kernel, multiplier_from_kernel
 from .network import save_network
 from .sampler import construct, identity_residual
@@ -86,6 +88,7 @@ def _cmd_rate(args) -> str:
         mode=args.command, target=load_target(args.target), r=args.r, sweep=flag("sweep", ()), seeds=flag("seed", ()),
         grid_points=args.grid, bandwidth=flag("N"), bandwidth_exponent=flag("N_exponent"), m=flag("m"),
     )
+    _refuse_flat_schedule(exp)
     return run[args.command](exp)
 
 

@@ -149,6 +149,31 @@ def _selected_bandwidth(exp: RateExperiment, m: int) -> int | None:
     return exp.bandwidth
 
 
+def _refuse_flat_schedule(exp: RateExperiment) -> None:
+    """Refuse an exponent schedule with ``floor(m**exponent) < 2`` at the largest width.
+
+    Such a schedule runs at N = 1 at every width of a ``network-rate`` sweep
+    (at its one width for ``paired-mc``): zero sampled mass, the same error
+    in every row and a slope of 0, a sweep with no rate in it.  An exponent
+    that overflows there is left to ``_selected_bandwidth``, which names the
+    first width it overflows at.  The command line applies this check;
+    ``RateExperiment`` itself still runs any finite positive exponent.
+    """
+    exponent = exp.bandwidth_exponent
+    if exponent is None or exp.mode == "jackson-rate":
+        return
+    width = exp.m if exp.mode == "paired-mc" else max(exp.sweep)
+    try:
+        flat = math.floor(width**exponent) < 2
+    except OverflowError:
+        return
+    if flat:
+        raise ValueError(
+            f"bandwidth_exponent={exponent} schedules N = floor(m**exponent) = 1 up to the largest width m={width}: "
+            "a sweep with no rate in it"
+        )
+
+
 def run_network_rate(exp: RateExperiment) -> str:
     """CSV rows (m, N_selected, v, median_error, per-seed errors) plus trailer.
 

@@ -8,6 +8,7 @@ arrays, each tagged with its origin (Monte Carlo "sampled" unit or exact
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +28,7 @@ _ORIGINS = (ORIGIN_SAMPLED, ORIGIN_AFFINE)
 _POINT_BLOCK = 4096
 _UNIT_BLOCK = 2048
 _CELL_BLOCK = 32768  # lines x units per block of the line path
+_F8, _C16, _INTP, _BOOL = (np.dtype(t) for t in (np.float64, np.complex128, np.intp, np.bool_))
 
 #: Ceiling on exact affine units: two for the linear part, one for the
 #: constant, as ``affine_units`` builds them.
@@ -144,12 +146,12 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
       ``_sorted_bins`` (a guess as if t were evenly spaced, checked exactly
       against the neighbouring t, and a ``searchsorted`` of only the keys
       whose check fails), and ``beta * a_last`` and ``beta * c`` are summed
-      into the bins by ``bincount``, in that order, into the real and the
-      imaginary parts of one complex array.  A rising unit is active above
-      its breakpoint tau and takes the bin ``#(t <= tau)``; a falling one is
-      active above ``-tau = c / -|a_last|`` on the mirrored line ``t' =
-      -t[::-1]`` and takes the bin ``#(t' <= -tau)`` there; negation is
-      exact, so that bin is ``len(t) - #(t < tau)``.  One forward complex
+      into the bins by ``np.add.at``, from 0.0 in unit order, into the real
+      and the imaginary parts of one complex array.  A rising unit is
+      active above its breakpoint tau and takes the bin ``#(t <= tau)``; a
+      falling one is active above ``-tau = c / -|a_last|`` on the mirrored
+      line ``t' = -t[::-1]`` and takes the bin ``#(t' <= -tau)`` there;
+      negation is exact, so that bin is ``len(t) - #(t < tau)``.  One forward complex
       cumulative sum, whose additions are the two real ones, the mirrored
       bins read back in reverse point order (the terms and order of a sum
       from the end of t), gives each point the sums ``S_a`` and ``S_c``
@@ -179,15 +181,20 @@ def evaluate(net: ShallowNetwork, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _evaluate_points(units: Units, pts: np.ndarray, lines: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Values at pts (n, d), given ``lines = _line_layout(pts)`` (or None): the path ``evaluate`` takes."""
+def _evaluate_points(
+    units: Units, pts: np.ndarray, lines: tuple[np.ndarray, np.ndarray] | None, ws: _LineWorkspace | None = None
+) -> np.ndarray:
+    """Values at pts (n, d), given ``lines = _line_layout(pts)`` (or None): the path ``evaluate`` takes.
+
+    The line path works in ws (see ``_evaluate_lines``); the dense path allocates.
+    """
     # the line path bins finite breakpoints by the sign of a_last, and a unit with a NaN a_last has no sign
     if (
         lines is not None
         and _line_path_pays(len(units), pts.shape[0], lines[0].shape[0])
         and all(np.isfinite(a).all() for a in (units.alphas, units.biases, units.betas))
     ):
-        return _evaluate_lines(units, *lines).ravel()
+        return _evaluate_lines(units, *lines, ws).ravel()
     return _evaluate_dense(units, pts)
 
 
@@ -230,77 +237,126 @@ def _evaluate_dense(units: Units, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_lines(units: Units, x_rest: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Values (lines, len(t)) on the lines through x_rest (lines, d - 1), at the sorted t."""
+class _LineWorkspace:
+    """Reused buffers for the block temporaries of ``_evaluate_lines`` and ``_sorted_bins``.
+
+    Each slot is one flat byte buffer that grows to the largest request and
+    never shrinks; ``take`` views its start as a C-contiguous array of the
+    requested shape, so every temporary keeps the layout of a fresh array.
+    Temporaries whose lifetimes do not overlap share a slot.  A workspace
+    serves one call at a time.
+    """
+
+    __slots__ = ("_slots",)
+
+    def __init__(self):
+        self._slots: dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, shape: tuple[int, ...], dtype: np.dtype = _F8) -> np.ndarray:
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._slots.get(slot)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._slots[slot] = np.empty(nbytes, np.uint8)
+        return np.ndarray(shape, dtype, buf)
+
+
+def _evaluate_lines(
+    units: Units, x_rest: np.ndarray, t: np.ndarray, ws: _LineWorkspace | None = None
+) -> np.ndarray:
+    """Values (lines, len(t)) on the lines through x_rest (lines, d - 1), at the sorted t.
+
+    This is the line path that ``evaluate`` describes.  Every block
+    temporary, and the returned array, is taken from ws, so a caller that
+    passes one workspace for many networks, as ``grid_error``'s closure
+    does, allocates them once; the result is then a view into ws, valid
+    until its next use.  Without ws the call makes its own, and the result
+    is a fresh array.  The bins are zeroed in place and summed by
+    ``np.add.at``, which adds in input order from 0.0 as ``bincount`` does
+    but needs no fresh output.
+    """
+    ws = _LineWorkspace() if ws is None else ws
     a_last = units.alphas[:, -1]
     pos, neg, flat = (np.flatnonzero(m) for m in (a_last > 0.0, a_last < 0.0, a_last == 0.0))
-    # storage order within each group, so bincount adds units in that order
+    # storage order within each group, so the bins add units in that order
     sloped = np.concatenate((pos, neg))
     a_s, b_s, betas_s = units.alphas[sloped].T.copy(), units.biases[sloped], units.betas[sloped]  # a_s[j]: coordinate j
     a_f, b_f, betas_f = units.alphas[flat, :-1].T.copy(), units.biases[flat], units.betas[flat]
-    n_pos, n_sloped = len(pos), len(sloped)
+    n_pos, n_sloped, n_flat = len(pos), len(sloped), len(flat)
     neg_scale, beta_a = -np.abs(a_s[-1]), betas_s * a_s[-1]
     ends = np.full(n_sloped, -t[0])
     ends[:n_pos] = t[-1]
     size, bins = len(t), len(t) + 1
     t_pad = np.concatenate(([-np.inf], t, [np.inf]))
     mirror_pad = -t_pad[::-1]  # the mirrored line t' = -t[::-1], padded the same way
-    out = np.empty((x_rest.shape[0], size))
+    n_lines, n_rest = x_rest.shape
+    out = ws.take("out", (n_lines, size))
     step = max(1, _CELL_BLOCK // max(len(units), 1))
-    for l0 in range(0, x_rest.shape[0], step):
+    line_base = np.arange(min(step, n_lines)) * (2 * bins)  # each line's first bin in the flat bin index
+    for l0 in range(0, n_lines, step):
         xr = x_rest[l0 : l0 + step]
         n = xr.shape[0]
         # a unit left out adds only to end bins, so every kept bin gets the same terms in the same order;
         # in d = 1 (no x_rest column) the mask is skipped, as it costs more than binning those few units
-        keep = _kept_sloped(a_s, b_s, xr, ends) if xr.shape[1] else None
+        keep = _kept_sloped(a_s, b_s, xr, ends) if n_rest else None
         if keep is None or keep.all():  # the units as they are, without gathers
             kp, ks = n_pos, n_sloped  # kept rising units, kept sloped units
             a_k, b_k, neg_scale_k, beta_a_k, betas_k = a_s, b_s, neg_scale, beta_a, betas_s
         else:
             kept = np.flatnonzero(keep)
             kp, ks = np.searchsorted(kept, n_pos), len(kept)
-            a_k = [row[kept] for row in a_s[:-1]]  # a row at a time: cheaper than a_s[:-1, kept]
-            b_k, neg_scale_k, beta_a_k, betas_k = b_s[kept], neg_scale[kept], beta_a[kept], betas_s[kept]
-        c = _line_offsets(xr, a_k, b_k)
+            gathered = ws.take("kept", (n_rest + 4, ks))
+            for row, into in zip((*a_s[:-1], b_s, neg_scale, beta_a, betas_s), gathered):
+                np.take(row, kept, out=into, mode="clip")  # a row at a time: cheaper than a_s[:-1, kept]
+            a_k, (b_k, neg_scale_k, beta_a_k, betas_k) = gathered[:n_rest], gathered[n_rest:]
+        c = _line_offsets(xr, a_k, b_k, ws.take("c", (n, ks)), ws.take("key", (n, ks)))
         # a_last > 0: active for t > -c/|a_last|; a_last < 0: for t' > -c/|a_last| on the mirrored line.
         # Bin k = #(t <= key) on its own line: active at points k.., the last bin dropped; falling bins follow.
-        key = c / neg_scale_k
-        k = np.empty((n, ks), dtype=np.intp)
-        _sorted_bins(t_pad, key[:, :kp], out=k[:, :kp])
-        _sorted_bins(mirror_pad, key[:, kp:], out=k[:, kp:])
+        key = np.divide(c, neg_scale_k, out=ws.take("key", (n, ks)))
+        k = ws.take("k", (n, ks), _INTP)
+        _sorted_bins(t_pad, key[:, :kp], out=k[:, :kp], ws=ws)
+        _sorted_bins(mirror_pad, key[:, kp:], out=k[:, kp:], ws=ws)
         k[:, kp:] += bins
-        k += (np.arange(n) * 2 * bins)[:, None]
+        k += line_base[:n, None]
         k = k.ravel()
         c *= betas_k
+        weights_a = ws.take("key", (n, ks))  # the keys are binned: their slot takes beta * a_last per line
+        weights_a[...] = beta_a_k
         # S_a in the real parts, S_c in the imaginary ones: one complex cumulative sum makes both real ones
-        sums = np.empty((n, 2, bins), dtype=np.complex128)
-        sums.real = np.bincount(k, np.broadcast_to(beta_a_k, (n, ks)).ravel(), n * 2 * bins).reshape(n, 2, bins)
-        sums.imag = np.bincount(k, c.ravel(), n * 2 * bins).reshape(n, 2, bins)
+        sums = ws.take("sums", (n, 2, bins), _C16)
+        sums[...] = 0.0
+        flat_sums = sums.reshape(-1).view(_F8)
+        np.add.at(flat_sums[0::2], k, weights_a.ravel())
+        np.add.at(flat_sums[1::2], k, c.ravel())
         np.cumsum(sums, axis=2, out=sums)
         s_a, s_c = sums.real, sums.imag
-        constant = np.sum(betas_f * np.maximum(_line_offsets(xr, a_f, b_f), 0.0), axis=1)
-        # the falling sums are read back in reverse point order
-        slope = s_a[:, 0, :size] + s_a[:, 1, size - 1 :: -1]
+        # the weights are summed: their slot takes the flat units' products
+        flat_c = _line_offsets(xr, a_f, b_f, ws.take("flat", (n, n_flat)), ws.take("key", (n, n_flat)))
+        np.maximum(flat_c, 0.0, out=flat_c)
+        flat_c *= betas_f
+        constant = np.sum(flat_c, axis=1, out=ws.take("constant", (n,)))
+        # the falling sums are read back in reverse point order; c's slot is free for the slopes
+        slope = np.add(s_a[:, 0, :size], s_a[:, 1, size - 1 :: -1], out=ws.take("c", (n, size)))
         slope *= t
-        offset = s_c[:, 0, :size] + s_c[:, 1, size - 1 :: -1]
+        offset = np.add(s_c[:, 0, :size], s_c[:, 1, size - 1 :: -1], out=out[l0 : l0 + n])
         offset += constant[:, None]
-        np.add(slope, offset, out=out[l0 : l0 + n])
+        offset += slope  # slope + offset: addition commutes exactly
     return out
 
 
-def _line_offsets(x_rest: np.ndarray, a_rest, biases: np.ndarray) -> np.ndarray:
-    """``c = a_rest . x_rest - bias`` (lines, units), summed coordinate by coordinate in index order.
+def _line_offsets(x_rest: np.ndarray, a_rest, biases: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``c = a_rest . x_rest - bias`` (lines, units) into out, summed coordinate by coordinate in index order.
 
     a_rest holds the units' first d - 1 direction coordinates by coordinate
-    (at least d - 1 rows; later rows are not read).
+    (at least d - 1 rows; later rows are not read).  tmp, of out's shape,
+    holds each later coordinate's products before they are added.
     """
     if not x_rest.shape[1]:
-        return np.negative(np.broadcast_to(biases, (x_rest.shape[0], len(biases))))
-    c = x_rest[:, :1] * a_rest[0]
+        return np.negative(biases, out=out)
+    np.multiply(x_rest[:, :1], a_rest[0], out=out)
     for j in range(1, x_rest.shape[1]):
-        c += x_rest[:, j : j + 1] * a_rest[j]
-    c -= biases
-    return c
+        out += np.multiply(x_rest[:, j : j + 1], a_rest[j], out=tmp)
+    out -= biases
+    return out
 
 
 def _kept_sloped(a_t: np.ndarray, biases: np.ndarray, x_rest: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -328,7 +384,7 @@ def _kept_sloped(a_t: np.ndarray, biases: np.ndarray, x_rest: np.ndarray, ends: 
         return ~(-c / np.abs(a_t[-1]) >= ends)
 
 
-def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray, ws: _LineWorkspace | None = None) -> np.ndarray:
     """``np.searchsorted(t, q, side="right")`` for a non-decreasing t, given as ``t_pad = [-inf, *t, inf]``.
 
     Each key's bin k is guessed as if t were evenly spaced from ``t[0]`` to
@@ -339,6 +395,7 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarra
     or leaves ``[0, len(t)]``.  A t too short, flat or wide for an
     arithmetic guess is searched directly.  The bins are written into out
     (an intp array of q's shape, which may be a view), which is returned.
+    The temporaries of q's shape are taken from ws, or made fresh without one.
     """
     t = t_pad[1:-1]
     size = len(t)
@@ -350,16 +407,18 @@ def _sorted_bins(t_pad: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarra
     if not (hi - origin) * inv < size + 1:
         out[...] = np.searchsorted(t, q, side="right")
         return out
-    guess = np.clip(q, lo, hi)
+    ws = _LineWorkspace() if ws is None else ws
+    guess = np.clip(q, lo, hi, out=ws.take("guess", q.shape))
     guess -= origin
     guess *= inv  # its floor is the bin of an evenly spaced t
     # a NaN key casts to any integer; the clipped gathers keep it in range, and it fails the check
     with np.errstate(invalid="ignore"):
         np.copyto(out, guess, casting="unsafe")
-    ok = np.take(t_pad, out, mode="clip") <= q
-    ok &= q < np.take(t_pad[1:], out, mode="clip")
+    edge = guess  # the guesses are cast: their slot takes the t at each bin's edges
+    ok = np.less_equal(np.take(t_pad, out, mode="clip", out=edge), q, out=ws.take("ok", q.shape, _BOOL))
+    ok &= np.less(q, np.take(t_pad[1:], out, mode="clip", out=edge), out=ws.take("below", q.shape, _BOOL))
     if not ok.all():
-        bad = np.flatnonzero(~ok)
+        bad = np.flatnonzero(np.logical_not(ok, out=ok))
         out.flat[bad] = np.searchsorted(t, q.flat[bad], side="right")
     return out
 
@@ -382,7 +441,12 @@ def grid_error(target: FourierTarget, grid: EvaluationGrid) -> Callable[[Shallow
     """``net -> max |target - net|`` over a cube grid of the target's dimension.
 
     The target's grid values, the points and their line layout are computed
-    once, so callers that measure many networks on one grid share them.
+    once, so callers that measure many networks on one grid share them.  The
+    closure also keeps one ``_LineWorkspace``: every network it measures on
+    the line path is evaluated, block by block, in the same buffers, and so
+    is the difference grid, which is reduced to a float before the call
+    returns.  Calls from several threads take turns on the workspace, under
+    a lock, so they return the same floats as serial calls.
     """
     if grid.domain != CUBE:
         raise ValueError("network error is measured on a cube grid")
@@ -390,12 +454,14 @@ def grid_error(target: FourierTarget, grid: EvaluationGrid) -> Callable[[Shallow
         raise ValueError("dimension mismatch")
     tvals, pts = grid_values(target, grid).ravel(), grid.points()
     lines = _line_layout(pts)
+    ws, in_use = _LineWorkspace(), threading.Lock()
 
     def error(net: ShallowNetwork) -> float:
         if net.d != target.d:
             raise ValueError("dimension mismatch")
-        diff = _evaluate_points(net.units, pts, lines)
-        return _max_abs(np.subtract(tvals, diff, out=diff))
+        with in_use:
+            diff = _evaluate_points(net.units, pts, lines, ws)
+            return _max_abs(np.subtract(tvals, diff, out=diff))
 
     return error
 

@@ -379,6 +379,22 @@ def test_network_rate_rejects_non_positive_exponent(target_file, capsys, exponen
     assert capsys.readouterr().out == ""
 
 
+def test_network_rate_rejects_flat_schedule(target_file, capsys):
+    """``--N-exponent=0.1`` on widths 64..512 used to write N_selected 1, v 0 and one error in every row."""
+    argv = ["network-rate", "--r", "2", "--sweep", "64,128,256,512", "--seed", "1", "--grid", "33",
+            "--target", target_file, "--N-exponent=0.1"]
+    with pytest.raises(ValueError, match=r"^bandwidth_exponent=0\.1 .* largest width m=512: .*no rate"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("exponent", ["0.5", "0.75"])
+def test_network_rate_runs_the_benchmark_exponents(target_file, capsys, exponent):
+    assert main([*WRITERS["network-rate"][0], "--target", target_file, f"--N-exponent={exponent}"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:] if not line.startswith("#")]
+    assert [int(row[1]) for row in rows] == [int(m ** float(exponent)) for m in (16, 32, 64, 128)]
+
+
 def test_parsers_built_once_and_handlers_read_the_module(target_file, monkeypatch, capsys):
     """The first call builds the parsers and later calls reuse them; a runner
     replaced on the module after that is still the one a handler calls."""

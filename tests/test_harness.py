@@ -8,6 +8,7 @@ import relu_jackson as rj
 from relu_jackson import sampler
 from relu_jackson.harness import (
     RateExperiment,
+    _refuse_flat_schedule,
     fit_slope,
     load_config,
     run_jackson_rate,
@@ -120,6 +121,51 @@ class TestRateExperimentValidation:
                              bandwidth_exponent=1e308)
         with pytest.raises(ValueError, match=r"bandwidth_exponent=1e\+308 overflows m\*\*exponent at m=16"):
             run_network_rate(exp)
+
+_COS = rj.make_trig_poly(1, {1: 0.5, -1: 0.5})
+
+
+class TestFlatSchedule:
+    """``_refuse_flat_schedule``: the command line's check that an exponent schedule reaches N = 2."""
+
+    @pytest.mark.parametrize(
+        "exp, width",
+        [
+            (RateExperiment("network-rate", _COS, 2, sweep=(64, 128, 256, 512), seeds=(1,), bandwidth_exponent=0.1),
+             512),
+            (RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth_exponent=1e-3),
+             128),
+            (RateExperiment("paired-mc", _COS, 2, seeds=(1,), m=256, bandwidth_exponent=0.1), 256),
+        ],
+        ids=["network-rate", "network-rate-tiny", "paired-mc"],
+    )
+    def test_refuses_n_of_one_at_the_largest_width(self, exp, width):
+        with pytest.raises(ValueError, match=rf"bandwidth_exponent={exp.bandwidth_exponent} .* m={width}: .*no rate"):
+            _refuse_flat_schedule(exp)
+
+    @pytest.mark.parametrize(
+        "exp",
+        [
+            RateExperiment("network-rate", _COS, 2, sweep=(64, 128, 256, 512), seeds=(1,), bandwidth_exponent=0.12),
+            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth_exponent=0.5),
+            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth_exponent=0.75),
+            RateExperiment("paired-mc", _COS, 2, seeds=(1,), m=256, bandwidth_exponent=0.125),
+            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,)),
+            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth=1),
+        ],
+        ids=["0.12-reaches-2", "0.5", "0.75", "paired-mc-0.125", "selection-rule", "fixed-N"],
+    )
+    def test_accepts_a_schedule_that_reaches_two(self, exp):
+        assert _refuse_flat_schedule(exp) is None
+
+    def test_overflow_keeps_its_message(self, cos_target):
+        """The check steps aside, so the run names the first width that overflows, as before."""
+        exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
+                             bandwidth_exponent=1e308)
+        assert _refuse_flat_schedule(exp) is None
+        with pytest.raises(ValueError, match=r"bandwidth_exponent=1e\+308 overflows m\*\*exponent at m=16"):
+            run_network_rate(exp)
+
 
 class TestRunJacksonRate:
     def test_constant_flags_undefined_slope(self):
