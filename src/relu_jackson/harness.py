@@ -15,7 +15,7 @@ import numpy as np
 
 from .jackson import jackson_sup_error
 from .network import grid_error
-from .sampler import prepare, realize
+from .sampler import _validate_seed, prepare, realize
 from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid
 
 #: Errors at or below this level are treated as exactly reproduced and are
@@ -102,11 +102,26 @@ class RateExperiment:
                 raise ValueError("sweep values must be strictly increasing")
         if self.mode in ("network-rate", "paired-mc") and not self.seeds:
             raise ValueError("stochastic modes need at least one seed")
+        for seed in self.seeds:
+            _validate_seed(seed)
         repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
         if repeated:
             raise ValueError(f"seed {repeated[0]} is given more than once")
         if self.mode == "paired-mc" and self.m is None:
             raise ValueError("paired-mc needs a width m")
+        if exponent is not None and self.mode != "jackson-rate":
+            for m in (self.m,) if self.mode == "paired-mc" else self.sweep:
+                try:
+                    n = math.floor(m**exponent)
+                except OverflowError:
+                    raise ValueError(f"bandwidth_exponent={exponent} overflows m**exponent at m={m}") from None
+            if n < 2:
+                # m is the largest width: the sweep runs at N = 1 everywhere, with zero sampled
+                # mass, one error down the sweep and a slope of 0
+                raise ValueError(
+                    f"bandwidth_exponent={exponent} schedules N = floor(m**exponent) = 1 up to the largest width "
+                    f"m={m}: a sweep with no rate in it"
+                )
 
 
 def _fit_or_none(points) -> SlopeFit | None:
@@ -142,36 +157,8 @@ def run_jackson_rate(exp: RateExperiment) -> str:
 def _selected_bandwidth(exp: RateExperiment, m: int) -> int | None:
     """The fixed or scheduled bandwidth; None leaves the selection rule to ``prepare``."""
     if exp.bandwidth_exponent is not None:
-        try:
-            return max(1, math.floor(m**exp.bandwidth_exponent))
-        except OverflowError:
-            raise ValueError(f"bandwidth_exponent={exp.bandwidth_exponent} overflows m**exponent at m={m}") from None
+        return math.floor(m**exp.bandwidth_exponent)  # RateExperiment refused N < 1 and overflow
     return exp.bandwidth
-
-
-def _refuse_flat_schedule(exp: RateExperiment) -> None:
-    """Refuse an exponent schedule with ``floor(m**exponent) < 2`` at the largest width.
-
-    Such a schedule runs at N = 1 at every width of a ``network-rate`` sweep
-    (at its one width for ``paired-mc``): zero sampled mass, the same error
-    in every row and a slope of 0, a sweep with no rate in it.  An exponent
-    that overflows there is left to ``_selected_bandwidth``, which names the
-    first width it overflows at.  The command line applies this check;
-    ``RateExperiment`` itself still runs any finite positive exponent.
-    """
-    exponent = exp.bandwidth_exponent
-    if exponent is None or exp.mode == "jackson-rate":
-        return
-    width = exp.m if exp.mode == "paired-mc" else max(exp.sweep)
-    try:
-        flat = math.floor(width**exponent) < 2
-    except OverflowError:
-        return
-    if flat:
-        raise ValueError(
-            f"bandwidth_exponent={exponent} schedules N = floor(m**exponent) = 1 up to the largest width m={width}: "
-            "a sweep with no rate in it"
-        )
 
 
 def run_network_rate(exp: RateExperiment) -> str:
@@ -240,7 +227,8 @@ def load_config(path) -> dict[str, str]:
     `_` and `-` spell the same key, as they name the same flag, so
     `N_exponent` and `N-exponent` in one file are a repeated key.  A `#`
     that begins a line or follows whitespace starts a comment, so
-    `out = a#b.csv` keeps its `#`.
+    `out = a#b.csv` keeps its `#`.  A `config` key is refused: its line
+    would become a second `--config` flag, and that file would never be read.
     """
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -253,6 +241,8 @@ def load_config(path) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = key.replace("_", "-")
+            if flag == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another ({line!r})")
             if flag in first_line:
                 raise ValueError(f"{path}:{lineno}: key {key!r} repeated (first on line {first_line[flag]})")
             first_line[flag] = lineno

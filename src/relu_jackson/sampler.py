@@ -44,7 +44,7 @@ _PLAIN_STREAM_TAG = 0x9E3779B9
 
 def _validate_seed(seed: int):
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Shared fixtures: the target corpus and standard grids."""
+"""Shared fixtures: the target corpus, standard grids and a fresh Python process."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,3 +55,11 @@ def target_from_dict(d, coeff_map, smoothness):
     modes = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), d)
     coeffs = np.array([c for _, c in items], dtype=np.complex128)
     return FourierTarget(d=d, modes=modes, coeffs=coeffs, smoothness=smoothness)
+
+
+def run_python(*args, **env):
+    """Run ``python *args`` in a fresh process that imports this checkout's
+    package; keyword arguments are environment variables set before it starts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rj.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, check=True)

@@ -1,17 +1,13 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import relu_jackson as rj
+from conftest import run_python
 from relu_jackson import cli
 from relu_jackson.cli import main
 from relu_jackson.jackson import build_kernel, multiplier_from_kernel
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(rj.__file__)))
 
 
 @pytest.fixture()
@@ -282,12 +278,7 @@ def test_module_entry_point_reads_config(tmp_path):
     """``python -m relu_jackson.cli`` parses ``sys.argv`` (``argv=None``)."""
     cfg = tmp_path / "kernel.cfg"
     cfg.write_text("N = 8\nr = 2\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "relu_jackson.cli", "kernel", "--config", str(cfg)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    lines = done.stdout.splitlines()
+    lines = run_python("-m", "relu_jackson.cli", "kernel", "--config", str(cfg)).stdout.splitlines()
     assert lines[0] == "# schema=kernel@1"
     assert len(lines) == 2 + 17
 
@@ -415,11 +406,7 @@ def test_config_run_leaves_no_default_behind(target_file, tmp_path):
     cfg.write_text("N-exponent = 0.75\n")
     assert main([*base, "--config", str(cfg), "--out", str(tmp_path / "config.csv")]) == 0
     assert main([*base, "--out", str(tmp_path / "after.csv")]) == 0
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run(
-        [sys.executable, "-m", "relu_jackson.cli", *base, "--out", str(tmp_path / "alone.csv")],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
+    run_python("-m", "relu_jackson.cli", *base, "--out", str(tmp_path / "alone.csv"))
     alone = (tmp_path / "alone.csv").read_bytes()
     assert (tmp_path / "after.csv").read_bytes() == alone
     assert (tmp_path / "config.csv").read_bytes() != alone  # the config did change its own run

@@ -8,7 +8,6 @@ import relu_jackson as rj
 from relu_jackson import sampler
 from relu_jackson.harness import (
     RateExperiment,
-    _refuse_flat_schedule,
     fit_slope,
     load_config,
     run_jackson_rate,
@@ -109,62 +108,64 @@ class TestRateExperimentValidation:
             RateExperiment("network-rate", cos_target, 2, sweep=(8, 16, 32, 64), seeds=(1,),
                            bandwidth_exponent=exponent)
 
-    @pytest.mark.parametrize("exponent", [0.5, 0.75, 1e-3])
+    @pytest.mark.parametrize("exponent", [0.5, 0.75])
     def test_positive_exponent_runs(self, cos_target, exponent):
         exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
                              bandwidth_exponent=exponent)
         assert run_network_rate(exp).startswith("# schema=network_rate@1")
 
     def test_overflowing_exponent_named(self, cos_target):
-        """``m**1e308`` used to raise a bare ``OverflowError``."""
-        exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
-                             bandwidth_exponent=1e308)
+        """``m**1e308`` used to raise a bare ``OverflowError``; it is now refused at construction."""
         with pytest.raises(ValueError, match=r"bandwidth_exponent=1e\+308 overflows m\*\*exponent at m=16"):
-            run_network_rate(exp)
+            RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
+                           bandwidth_exponent=1e308)
 
-_COS = rj.make_trig_poly(1, {1: 0.5, -1: 0.5})
+    @pytest.mark.parametrize("seeds, named", [((1, -2), "-2"), ((0, 1.5), "1.5"), ((True,), "True")])
+    def test_rejects_bad_seed_by_name(self, cos_target, seeds, named):
+        """``seeds=(1, -2)`` used to prepare the first width and realize seed 1
+        before an error that did not name -2."""
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {named}$"):
+            RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=seeds)
 
 
 class TestFlatSchedule:
-    """``_refuse_flat_schedule``: the command line's check that an exponent schedule reaches N = 2."""
+    """``RateExperiment`` refuses, at construction, an exponent schedule that stays at N = 1 or overflows."""
 
     @pytest.mark.parametrize(
-        "exp, width",
+        "spec, width",
         [
-            (RateExperiment("network-rate", _COS, 2, sweep=(64, 128, 256, 512), seeds=(1,), bandwidth_exponent=0.1),
-             512),
-            (RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth_exponent=1e-3),
-             128),
-            (RateExperiment("paired-mc", _COS, 2, seeds=(1,), m=256, bandwidth_exponent=0.1), 256),
+            (dict(mode="network-rate", sweep=(64, 128, 256, 512), bandwidth_exponent=0.1), 512),
+            (dict(mode="network-rate", sweep=(16, 32, 64, 128), bandwidth_exponent=1e-3), 128),
+            (dict(mode="paired-mc", m=256, bandwidth_exponent=0.1), 256),
         ],
         ids=["network-rate", "network-rate-tiny", "paired-mc"],
     )
-    def test_refuses_n_of_one_at_the_largest_width(self, exp, width):
-        with pytest.raises(ValueError, match=rf"bandwidth_exponent={exp.bandwidth_exponent} .* m={width}: .*no rate"):
-            _refuse_flat_schedule(exp)
+    def test_refuses_n_of_one_at_the_largest_width(self, cos_target, spec, width):
+        exponent = spec["bandwidth_exponent"]
+        with pytest.raises(ValueError, match=rf"bandwidth_exponent={exponent} .* m={width}: .*no rate"):
+            RateExperiment(target=cos_target, r=2, seeds=(1,), **spec)
 
     @pytest.mark.parametrize(
-        "exp",
+        "spec",
         [
-            RateExperiment("network-rate", _COS, 2, sweep=(64, 128, 256, 512), seeds=(1,), bandwidth_exponent=0.12),
-            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth_exponent=0.5),
-            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth_exponent=0.75),
-            RateExperiment("paired-mc", _COS, 2, seeds=(1,), m=256, bandwidth_exponent=0.125),
-            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,)),
-            RateExperiment("network-rate", _COS, 2, sweep=(16, 32, 64, 128), seeds=(1,), bandwidth=1),
+            dict(mode="network-rate", sweep=(64, 128, 256, 512), bandwidth_exponent=0.12),
+            dict(mode="network-rate", sweep=(16, 32, 64, 128), bandwidth_exponent=0.5),
+            dict(mode="network-rate", sweep=(16, 32, 64, 128), bandwidth_exponent=0.75),
+            dict(mode="paired-mc", m=256, bandwidth_exponent=0.125),
+            dict(mode="network-rate", sweep=(16, 32, 64, 128)),
+            dict(mode="network-rate", sweep=(16, 32, 64, 128), bandwidth=1),
         ],
         ids=["0.12-reaches-2", "0.5", "0.75", "paired-mc-0.125", "selection-rule", "fixed-N"],
     )
-    def test_accepts_a_schedule_that_reaches_two(self, exp):
-        assert _refuse_flat_schedule(exp) is None
+    def test_accepts_a_schedule_that_reaches_two(self, cos_target, spec):
+        assert RateExperiment(target=cos_target, r=2, seeds=(1,), **spec).mode == spec["mode"]
 
     def test_overflow_keeps_its_message(self, cos_target):
-        """The check steps aside, so the run names the first width that overflows, as before."""
-        exp = RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=(1,), grid_points=33,
-                             bandwidth_exponent=1e308)
-        assert _refuse_flat_schedule(exp) is None
-        with pytest.raises(ValueError, match=r"bandwidth_exponent=1e\+308 overflows m\*\*exponent at m=16"):
-            run_network_rate(exp)
+        """64**150 is finite, 128**150 is not: the sweep used to prepare m=64 at N = floor(64**150)
+        and end in NumPy's ``Maximum allowed size exceeded``.  It is refused, naming m=128."""
+        with pytest.raises(ValueError, match=r"bandwidth_exponent=150\.0 overflows m\*\*exponent at m=128$"):
+            RateExperiment("network-rate", cos_target, 2, sweep=(64, 128, 256, 512), seeds=(1,),
+                           bandwidth_exponent=150.0)
 
 
 class TestRunJacksonRate:
@@ -349,6 +350,14 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("N_exponent = 0.5\nr = 2\nN-exponent = 0.75\n")
         with pytest.raises(ValueError, match=r"bad\.cfg:3: key 'N-exponent' repeated \(first on line 1\)"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", ["config = b.cfg", "config=b.cfg  # nested"])
+    def test_rejects_a_config_key(self, tmp_path, line):
+        """``config = b.cfg`` used to become a second ``--config`` flag, and ``b.cfg`` was never read."""
+        path = tmp_path / "a.cfg"
+        path.write_text(f"r = 2\n{line}\n")
+        with pytest.raises(ValueError, match=r"a\.cfg:2: a config file cannot name another \('config ?= ?b\.cfg'\)"):
             load_config(path)
 
     def test_comment_needs_line_start_or_whitespace(self, tmp_path):
