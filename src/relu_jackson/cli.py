@@ -128,10 +128,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         p.set_defaults(func=func)
         return p
 
-    def common(p, *, out_required=False):
+    def common(p, *, grid=True, out_required=False):
         p.add_argument("--target", required=True, help="path to a target description file")
         p.add_argument("--r", type=int, required=True, help="smoothing / weight order")
-        p.add_argument("--grid", type=int, help="grid points per axis")
+        if grid:
+            p.add_argument("--grid", type=int, help="grid points per axis")
         p.add_argument("--out", required=out_required, help="output CSV path (default: stdout)")
 
     p = command("kernel", _cmd_kernel, "emit kernel and multiplier coefficients")
@@ -144,7 +145,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--L", type=int, required=True, help="highest dyadic level")
 
     p = command("construct", _cmd_construct, "build one network and write it as CSV")
-    common(p, out_required=True)
+    common(p, grid=False, out_required=True)
     p.add_argument("--m", type=int, required=True, help="requested width")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--N", type=int, help="bandwidth override")

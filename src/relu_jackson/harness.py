@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jackson import jackson_sup_error
-from .network import grid_error
+from .network import MIN_WIDTH, grid_error
 from .sampler import _validate_seed, prepare, realize
 from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid
 
@@ -109,6 +109,18 @@ class RateExperiment:
             raise ValueError(f"seed {repeated[0]} is given more than once")
         if self.mode == "paired-mc" and self.m is None:
             raise ValueError("paired-mc needs a width m")
+        # each width and bandwidth is refused here, by name, before a grid is computed or m**exponent taken
+        if self.mode == "jackson-rate":
+            floors = [("sweep bandwidth", n, 1) for n in self.sweep]
+        elif self.mode == "network-rate":
+            floors = [("sweep width", m, MIN_WIDTH) for m in self.sweep]
+        else:
+            floors = [("m", self.m, MIN_WIDTH)]
+        if self.bandwidth is not None:
+            floors.append(("bandwidth", self.bandwidth, 1))
+        for name, value, least in floors:
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if exponent is not None and self.mode != "jackson-rate":
             for m in (self.m,) if self.mode == "paired-mc" else self.sweep:
                 try:
@@ -180,7 +192,7 @@ def run_network_rate(exp: RateExperiment) -> str:
         errs = [error(realize(prep, seed)) for seed in exp.seeds]
         median = float(np.median(errs))
         points.append((m, median))
-        fields = [str(m), str(prep.bandwidth), _fmt(prep.density.v), _fmt(median)] + [_fmt(e) for e in errs]
+        fields = [str(m), str(prep.meta.bandwidth), _fmt(prep.meta.v), _fmt(median)] + [_fmt(e) for e in errs]
         lines.append(",".join(fields))
     fit = _fit_or_none(points)
     lines.append(f"# slope={_fmt(fit.slope) if fit is not None else 'undefined'}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -227,7 +227,6 @@ class SamplingPlan:
     and the unit origin ``origins``.
     """
 
-    m: int
     m_prime: int
     delta: float
     ptr: np.ndarray
@@ -388,7 +387,6 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     beta = density.v * target_count / (m_prime * count) * stratum_sign
 
     plan = SamplingPlan(
-        m=m,
         m_prime=m_prime,
         delta=delta,
         ptr=ptr,
@@ -536,23 +534,21 @@ def select_bandwidth(m: int, d: int, r: int) -> int:
 class Preparation:
     """The seed-independent stages of a construction, shared by every seed.
 
-    ``plan`` is ``None`` when the density is degenerate (no oscillatory
-    modes); the network is then the exact affine part.  Every array is
-    read-only, so one preparation can be realized at any number of seeds.
+    ``meta`` is the header of every network realized from it, with ``seed``
+    and ``sampled_count`` left ``None``.  ``plan`` is ``None`` when the
+    density is degenerate (no oscillatory modes); the network is then the
+    exact affine part.  Every array is read-only, so one preparation can be
+    realized at any number of seeds.
     """
 
-    d: int
-    r: int
-    m: int
-    bandwidth: int
-    v2: float
+    meta: NetworkMeta
     density: SamplingDensity
     plan: SamplingPlan | None
     affine: Units
 
 
 def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None) -> Preparation:
-    """Smooth the target, then build its density, plan and affine units.
+    """Smooth the target, then build its density, plan, affine units and network header.
 
     Raises ``ValueError`` when the plan's draws and the affine units exceed
     the width m, as they can at the smallest widths (decay2 at m = 8 has 11).
@@ -573,20 +569,20 @@ def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None)
         raise ValueError(
             f"width m={m} cannot hold the plan's {plan.total_count} draws and {len(affine)} affine units"
         )
-    return Preparation(
-        d=target.d,
-        r=r,
-        m=m,
+    meta = NetworkMeta(
+        v=density.v,
         bandwidth=n,
         v2=variation(image, 2),
-        density=density,
-        plan=plan,
-        affine=affine,
+        r=r,
+        m_requested=m,
+        m_prime=_m_prime(m),
+        strata_count=0 if plan is None else plan.strata_count,
     )
+    return Preparation(meta=meta, density=density, plan=plan, affine=affine)
 
 
 def realize(prep: Preparation, seed: int, method: str = "stratified") -> ShallowNetwork:
-    """Draw the sampled units at ``seed`` and assemble the network.
+    """Draw the sampled units at ``seed`` and stamp the seed and their count on the header.
 
     ``method`` selects stratified sampling (default) or the plain Monte Carlo
     baseline with the same unit budget.
@@ -594,25 +590,15 @@ def realize(prep: Preparation, seed: int, method: str = "stratified") -> Shallow
     if method not in ("stratified", "plain"):
         raise ValueError(f"unknown sampling method {method!r}")
     _validate_seed(seed)
-    plan = prep.plan
+    d, plan = prep.density.image.d, prep.plan
     if plan is None:
-        sampled = Units.empty(prep.d)
+        sampled = Units.empty(d)
     elif method == "stratified":
         sampled = stratified_sample(plan, prep.density, seed)
     else:
         sampled = plain_sample(prep.density, plan.total_count, seed)
-    meta = NetworkMeta(
-        v=prep.density.v,
-        bandwidth=prep.bandwidth,
-        v2=prep.v2,
-        r=prep.r,
-        seed=seed,
-        m_requested=prep.m,
-        m_prime=_m_prime(prep.m) if plan is None else plan.m_prime,
-        strata_count=0 if plan is None else plan.strata_count,
-        sampled_count=len(sampled),
-    )
-    return ShallowNetwork(d=prep.d, units=Units.concat([sampled, prep.affine]), meta=meta)
+    meta = replace(prep.meta, seed=seed, sampled_count=len(sampled))
+    return ShallowNetwork(d, Units.concat([sampled, prep.affine]), meta)
 
 
 def construct(

@@ -138,6 +138,21 @@ def test_construct_plain_flag(target_file, tmp_path):
     assert out_s.read_bytes() != out_p.read_bytes()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_construct_refuses_grid(target_file, tmp_path, capsys, via):
+    """``construct`` never reads a grid; ``--grid 3`` or a ``grid = 65`` line used to be ignored."""
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid = 65\n")
+    extra = ["--grid", "3"] if via == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "net.csv"
+    argv = ["construct", "--target", target_file, "--r", "2", "--m", "64", "--seed", "5", "--out", str(out)]
+    with pytest.raises(SystemExit) as done:
+        main([*argv, *extra])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jackson_rate_with_config(target_file, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"target = {target_file}\nr = 2\nsweep = 8,16,32,64\n")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,31 @@ class TestRateExperimentValidation:
         before an error that did not name -2."""
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {named}$"):
             RateExperiment("network-rate", cos_target, 2, sweep=(16, 32, 64, 128), seeds=seeds)
+
+
+class TestWidthsAndBandwidthsNamed:
+    """Each width and bandwidth is refused at construction, by name, before any grid is computed."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (dict(mode="network-rate", sweep=(-16, 32, 64, 128), bandwidth_exponent=0.5),
+             "sweep width must be >= 8, got -16"),
+            (dict(mode="paired-mc", m=-64, bandwidth_exponent=0.5), "m must be >= 8, got -64"),
+            (dict(mode="network-rate", sweep=(4, 32, 64, 128)), "sweep width must be >= 8, got 4"),
+            (dict(mode="paired-mc", m=4), "m must be >= 8, got 4"),
+            (dict(mode="network-rate", sweep=(16, 32, 64, 128), bandwidth=0), "bandwidth must be >= 1, got 0"),
+            (dict(mode="jackson-rate", sweep=(0, 2, 4, 8)), "sweep bandwidth must be >= 1, got 0"),
+        ],
+        ids=["negative-width-scheduled", "negative-m-scheduled", "small-width", "small-m", "zero-bandwidth",
+             "zero-jackson-bandwidth"],
+    )
+    def test_refused_by_name(self, cos_target, spec, message):
+        """The negative widths used to end in a bare ``TypeError`` from
+        ``math.floor(m**e)``; the rest were refused, unnamed, only when the
+        runner reached them."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RateExperiment(target=cos_target, r=2, seeds=(1,), **spec)
 
 
 class TestFlatSchedule:

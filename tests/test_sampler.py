@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
-from relu_jackson.network import SHIFT_LIMIT, ShallowNetwork, dumps_network
+from relu_jackson.network import ORIGIN_SAMPLED, SHIFT_LIMIT, NetworkMeta, ShallowNetwork, dumps_network
 from relu_jackson.network import evaluate as evaluate_network
 from relu_jackson.sampler import (
     _PLAIN_STREAM_TAG,
@@ -822,13 +822,39 @@ class TestPrepareRealize:
             _assert_same_network(construct(t, 2, 256, seed, bandwidth=3), realize(prep, seed))
         assert dumps_network(realize(prep, 0)) != dumps_network(realize(prep, 9))
 
+    @pytest.mark.parametrize(
+        "coeffs, method",
+        [
+            ({1: 0.5, -1: 0.5}, "stratified"),
+            ({1: 0.5, -1: 0.5}, "plain"),
+            ({0: 1.0}, "stratified"),
+            ({0: 1.0}, "plain"),
+        ],
+        ids=["stratified", "plain", "degenerate-stratified", "degenerate-plain"],
+    )
+    def test_preparation_header_is_every_networks_header(self, coeffs, method):
+        prep = prepare(rj.make_trig_poly(1, coeffs), 2, 64)
+        assert prep.meta.seed is None and prep.meta.sampled_count is None
+        for seed in (0, 5):
+            net = realize(prep, seed, method)
+            sampled = int(np.count_nonzero(net.units.origins == ORIGIN_SAMPLED))
+            assert net.meta == dataclasses.replace(prep.meta, seed=seed, sampled_count=sampled)
+            assert rj.audit(net).passed
+
     def test_preparation_fields(self):
         t = rj.make_decay_target(1, 3.2, 16, seed=11)
         prep = prepare(t, 2, 128)
-        assert (prep.d, prep.r, prep.m) == (1, 2, 128)
-        assert prep.bandwidth == select_bandwidth(128, 1, 2)
-        assert prep.plan.m == 128 and len(prep.affine) == 3
-        assert prep.v2 == rj.variation(prep.density.image, 2)
+        assert [f.name for f in dataclasses.fields(prep)] == ["meta", "density", "plan", "affine"]
+        assert prep.density.image.d == 1 and len(prep.affine) == 3
+        assert prep.meta == NetworkMeta(
+            v=prep.density.v,
+            bandwidth=select_bandwidth(128, 1, 2),
+            v2=rj.variation(prep.density.image, 2),
+            r=2,
+            m_requested=128,
+            m_prime=32,
+            strata_count=prep.plan.strata_count,
+        )
 
     def test_width_that_cannot_fit_raises(self, corpus):
         """decay2 at m=8 has 8 draws and 3 affine units; it used to construct
