@@ -73,7 +73,7 @@ class RateExperiment:
 
     mode: "jackson-rate" (sweep over bandwidths), "network-rate" (sweep over
     widths, median over seeds) or "paired-mc" (stratified vs plain at one
-    width, per seed).
+    width, per seed).  A field the mode never reads must be left unset.
     """
 
     mode: str
@@ -89,6 +89,11 @@ class RateExperiment:
     def __post_init__(self):
         if self.mode not in ("jackson-rate", "network-rate", "paired-mc"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        unread = {"jackson-rate": ("seeds", "bandwidth", "bandwidth_exponent", "m"), "network-rate": ("m",),
+                  "paired-mc": ("sweep",)}
+        for name in unread[self.mode]:
+            if getattr(self, name) not in (None, ()):
+                raise ValueError(f"{self.mode} never reads {name}, got {getattr(self, name)!r}")
         if self.bandwidth is not None and self.bandwidth_exponent is not None:
             raise ValueError("give a fixed bandwidth or an exponent schedule, not both")
         exponent = self.bandwidth_exponent

@@ -1,8 +1,9 @@
 """Shallow ReLU network value type: evaluation, sup-norm error, parameter audit.
 
 A network is a flat list of units ``beta * relu(alpha . x - bias)`` stored as
-arrays, each tagged with its origin (Monte Carlo "sampled" unit or exact
-"affine" unit).  Networks are immutable once built.
+arrays: the Monte Carlo ("sampled") units first, then the exact ("affine")
+ones, with the count of sampled units marking the split.  Networks are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -46,52 +47,75 @@ SHIFT_LIMIT = 1.0 / math.pi
 
 @dataclass(frozen=True)
 class Units:
-    """Structure-of-arrays unit list: row i of each array is unit i."""
+    """Structure-of-arrays unit list: row i of each array is unit i, sampled first, then affine.
+
+    The first ``sampled_count`` units are the Monte Carlo units, the rest the exact affine ones.
+    """
 
     alphas: np.ndarray
     betas: np.ndarray
     biases: np.ndarray
-    origins: np.ndarray
+    sampled_count: int
 
     def __post_init__(self):
-        for arr in (self.alphas, self.betas, self.biases, self.origins):
+        if not 0 <= self.sampled_count <= len(self):
+            raise ValueError(f"sampled_count={self.sampled_count} is not in 0..{len(self)}")
+        for arr in (self.alphas, self.betas, self.biases):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.betas.shape[0]
 
+    @property
+    def origins(self) -> np.ndarray:
+        """Each unit's origin, ``sampled`` or ``affine``: the network file's origin column."""
+        return np.repeat(np.array(_ORIGINS), [self.sampled_count, len(self) - self.sampled_count])
+
     @classmethod
     def empty(cls, d: int) -> "Units":
-        return cls(
-            alphas=np.zeros((0, d)),
-            betas=np.zeros(0),
-            biases=np.zeros(0),
-            origins=np.zeros(0, dtype="<U7"),
-        )
+        return cls(alphas=np.zeros((0, d)), betas=np.zeros(0), biases=np.zeros(0), sampled_count=0)
 
     @classmethod
     def build(cls, d: int, rows) -> "Units":
+        """Units from ``(alpha, beta, bias, origin)`` rows, the sampled rows before the affine ones."""
         rows = list(rows)
-        if not rows:
-            return cls.empty(d)
         return cls(
             alphas=np.array([np.asarray(r[0], dtype=float) for r in rows]).reshape(len(rows), d),
             betas=np.array([float(r[1]) for r in rows]),
             biases=np.array([float(r[2]) for r in rows]),
-            origins=np.array([str(r[3]) for r in rows], dtype="<U7"),
+            sampled_count=_sampled_prefix([str(r[3]) for r in rows], lambda i: f"row {i}"),
         )
 
     @classmethod
     def concat(cls, blocks) -> "Units":
+        """The blocks' units in order; no block with sampled units may follow an affine unit."""
         blocks = list(blocks)
         if not blocks:
             raise ValueError("nothing to concatenate")
+        count = total = 0
+        for i, b in enumerate(blocks):
+            if b.sampled_count and count < total:
+                raise ValueError(f"block {i} has sampled units after an affine unit")
+            count += b.sampled_count
+            total += len(b)
         return cls(
             alphas=np.concatenate([b.alphas for b in blocks]),
             betas=np.concatenate([b.betas for b in blocks]),
             biases=np.concatenate([b.biases for b in blocks]),
-            origins=np.concatenate([b.origins for b in blocks]),
+            sampled_count=count,
         )
+
+
+def _sampled_prefix(origins: list[str], where: Callable[[int], str]) -> int:
+    """The count of leading ``sampled`` tags; an unknown tag or a sampled one after an affine one is refused,
+    naming unit i by ``where(i)``."""
+    for i, origin in enumerate(origins):
+        if origin not in _ORIGINS:
+            raise ValueError(f"unknown origin {origin!r} in {where(i)}")
+    count = origins.index(ORIGIN_AFFINE) if ORIGIN_AFFINE in origins else len(origins)
+    if ORIGIN_SAMPLED in origins[count:]:
+        raise ValueError(f"sampled {where(origins.index(ORIGIN_SAMPLED, count))} follows an affine unit")
+    return count
 
 
 @dataclass(frozen=True)
@@ -320,6 +344,9 @@ def _evaluate_lines(
         k = k.ravel()
         c *= betas_k
         weights_a = ws.take("key", (n, ks))  # the keys are binned: their slot takes beta * a_last per line
+        # Both weight arrays stay materialised at k's full shape.  On NumPy 2.4.6, ufunc.at with values
+        # that broadcast reads past them: np.add.at(np.zeros(6), [[0, 1], [2, 3]], [1.0, 2.0]) leaves
+        # 1.58e-322 in slot 2, not 1.0.
         weights_a[...] = beta_a_k
         # S_a in the real parts, S_c in the imaginary ones: one complex cumulative sum makes both real ones
         sums = ws.take("sums", (n, 2, bins), _C16)
@@ -528,7 +555,8 @@ def audit(net: ShallowNetwork) -> AuditReport:
 
     Every check runs on every network, and any failed check fails the
     audit.  The network must have at most ``m_requested`` units (``width``).
-    Sampled units must satisfy |alpha|_1 <= 1, bias in [0, 1/pi]
+    The sampled units are the first ``units.sampled_count``, the affine units
+    the rest.  Sampled units must satisfy |alpha|_1 <= 1, bias in [0, 1/pi]
     (``SHIFT_LIMIT``) and |beta| <= 8 pi v2 / m, and number at most
     m' + #strata; the density mass v <= 2 pi v2, since the |cos| integral
     over [0, 1/pi] is at most 1/pi.  Affine units are exempt from the beta
@@ -548,10 +576,9 @@ def audit(net: ShallowNetwork) -> AuditReport:
     table[2] = u.biases
     np.abs(u.betas, out=table[3])
 
-    def _extremes(origin):
+    def _extremes(columns):
         """Count, largest |alpha|_1, lowest and highest bias and largest
-        |beta| over the units of one origin; 0.0 for an origin without units."""
-        columns = table.compress(u.origins == origin, axis=1)
+        |beta| over the columns of one origin's units; 0.0 with no units."""
         if not columns.size:
             return 0, 0.0, 0.0, 0.0, 0.0
         norm_max, neg_lo, hi, beta_max = columns.max(axis=1).tolist()
@@ -565,7 +592,7 @@ def audit(net: ShallowNetwork) -> AuditReport:
             AuditCheck(f"{origin}_bias_high", hi, ceiling, hi <= ceiling + _BIAS_TOL),
         ]
 
-    n_sampled, norm_max, lo, hi, beta_max = _extremes(ORIGIN_SAMPLED)
+    n_sampled, norm_max, lo, hi, beta_max = _extremes(table[:, : u.sampled_count])
     width = net.unit_count
     checks = [AuditCheck("width", float(width), float(meta.m_requested), width <= meta.m_requested)]
     checks += _geometry(ORIGIN_SAMPLED, norm_max, lo, hi, 0.0, SHIFT_LIMIT)
@@ -588,7 +615,7 @@ def audit(net: ShallowNetwork) -> AuditReport:
     )
     count_limit = meta.m_prime + meta.strata_count
     checks.append(AuditCheck("sampled_count", float(n_sampled), float(count_limit), n_sampled <= count_limit))
-    n_affine, norm_max, lo, hi, _ = _extremes(ORIGIN_AFFINE)
+    n_affine, norm_max, lo, hi, _ = _extremes(table[:, u.sampled_count :])
     checks += _geometry(ORIGIN_AFFINE, norm_max, lo, hi, -1.0, 1.0)
     checks.append(
         AuditCheck("affine_count", float(n_affine), float(MAX_AFFINE_UNITS), n_affine <= MAX_AFFINE_UNITS)
@@ -639,9 +666,10 @@ def dumps_network(net: ShallowNetwork) -> str:
 def loads_network(text: str) -> ShallowNetwork:
     """Parse a network@2 CSV.
 
-    Every number must be finite and every origin ``sampled`` or ``affine``:
-    the audit checks only units with those tags.  Header items follow
-    ``_NETWORK_HEADER``, and ``sampled_count`` must match the sampled rows.
+    Every number must be finite and every origin ``sampled`` or ``affine``,
+    the sampled rows before the affine ones: the audit checks the units on
+    either side of that split.  Header items follow ``_NETWORK_HEADER``, and
+    ``sampled_count`` must match the sampled rows.
     """
     lines = text.splitlines()
     if len(lines) < 3 or lines[0] != "# schema=network@2":
@@ -658,17 +686,15 @@ def loads_network(text: str) -> ShallowNetwork:
         raise ValueError(f"network column line {lines[2]!r} is not {_column_line(d)!r}")
     rows = [ln for ln in lines[3:] if ln.strip()]
     numbers, origins = _read_rows(rows, ",", "bad unit row", d + 2, d + 3)
-    for ln, origin in zip(rows, origins):
-        if origin not in _ORIGINS:
-            raise ValueError(f"unknown origin {origin!r} in unit row: {ln!r}")
+    sampled_count = _sampled_prefix(origins, lambda i: f"unit row: {rows[i]!r}")
     values = np.array(numbers, dtype=float).reshape(len(rows), d + 2)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite value in unit row: {rows[np.argmin(finite)]!r}")
-    units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), np.array(origins, dtype="<U7"))
+    units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), sampled_count)
     if len(units) != m:
         raise ValueError("unit count does not match header")
-    if meta.sampled_count not in (None, origins.count(ORIGIN_SAMPLED)):
+    if meta.sampled_count not in (None, sampled_count):
         raise ValueError(f"network header has sampled_count={meta.sampled_count}, not the sampled row count")
     return ShallowNetwork(d, units, meta)
 

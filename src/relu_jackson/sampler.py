@@ -27,7 +27,6 @@ from .jackson import apply_jackson
 from .network import (
     MIN_WIDTH,
     ORIGIN_AFFINE,
-    ORIGIN_SAMPLED,
     SHIFT_LIMIT,
     NetworkMeta,
     ShallowNetwork,
@@ -223,8 +222,9 @@ class SamplingPlan:
     piece: ``piece_f_lo`` and ``piece_f_hi``, the |cos| primitive at both
     ends.  Per draw, strata in order and each repeated by its count: the
     stratum index ``draw_stratum``, the stratum's last piece ``draw_last``,
-    the unit weight ``draw_beta`` (which carries the stratum's atom sign)
-    and the unit origin ``origins``.
+    and the unit weight ``draw_beta`` (which carries the stratum's atom
+    sign).  Every draw becomes a sampled unit, so a network lists the draws
+    first and its affine units after them.
     """
 
     m_prime: int
@@ -241,7 +241,6 @@ class SamplingPlan:
     draw_stratum: np.ndarray
     draw_last: np.ndarray
     draw_beta: np.ndarray
-    origins: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -401,7 +400,6 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
         draw_stratum=draw_stratum,
         draw_last=ptr[draw_stratum + 1] - 1,
         draw_beta=np.repeat(beta, count),
-        origins=np.full(draw_stratum.shape[0], ORIGIN_SAMPLED, dtype="<U7"),
     )
     # Ceiling rounding adds less than one draw per stratum.
     assert plan.total_count <= plan.m_prime + plan.strata_count
@@ -456,7 +454,7 @@ def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -
         plan.piece_f_hi[pick],
         u[:, 1],
     )
-    return Units(alphas=density.alphas[mode], betas=plan.draw_beta, biases=t, origins=plan.origins)
+    return Units(alphas=density.alphas[mode], betas=plan.draw_beta, biases=t, sampled_count=plan.total_count)
 
 
 def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
@@ -474,12 +472,7 @@ def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
     b = density.phases[mode]
     t = _invert_shift(omega, b, 0.0, SHIFT_LIMIT, density.f_lo[mode], density.f_hi[mode], u[:, 1])
     s = -np.sign(np.cos(omega * t + b))
-    return Units(
-        alphas=density.alphas[mode],
-        betas=density.v / n * s,
-        biases=t,
-        origins=np.full(n, ORIGIN_SAMPLED, dtype="<U7"),
-    )
+    return Units(alphas=density.alphas[mode], betas=density.v / n * s, biases=t, sampled_count=n)
 
 
 # ---------------------------------------------------------------------------

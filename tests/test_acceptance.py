@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import relu_jackson as rj
 from relu_jackson.harness import RateExperiment, run_jackson_rate, run_network_rate, run_paired_mc
@@ -19,6 +20,7 @@ from relu_jackson.sampler import (
     build_density,
     build_strata,
     identity_residual,
+    plain_sample,
     select_bandwidth,
     stratified_sample,
 )
@@ -223,6 +225,54 @@ def test_09_unbiasedness():
         "unbiasedness",
         ok,
         f"(max |dev|/SE {deviations.max():.2f} over {seeds} seeds, {elapsed:.1f}s)",
+    )
+
+
+# The points of the mean check on strata with several pieces, fixed before it was first run: test 9's five
+# points in d = 1, and in d = 2 the pairs (x_i, x_{(i+2) mod 5}) of them.
+MEAN_POINTS = {1: np.array([[-0.9], [-0.45], [0.3], [0.55], [0.8]])}
+MEAN_POINTS[2] = np.hstack([MEAN_POINTS[1], np.roll(MEAN_POINTS[1], -2, axis=0)])
+
+
+@pytest.mark.parametrize("arm", ["stratified", "plain"])
+def test_09_unbiasedness_several_pieces(arm):
+    """Test 9's 4-SE mean check on targets whose strata hold several pieces, for either arm.
+
+    The cos target of test 9 has one piece per stratum, so its check cannot
+    see how a stratum picks a piece; mix1, decay1 and decay2 can.  The plain
+    arm takes the plan's draw count, as ``realize`` gives it.
+    """
+    t0 = time.perf_counter()
+    corpus = dict(CORPUS)
+    seeds = 2000
+    details = []
+    ok = True
+    for name, m in (("mix1", 128), ("decay1", 256), ("decay2", 256)):
+        target = corpus[name]
+        image = rj.apply_jackson(target, select_bandwidth(m, target.d, 2), 2)
+        density = build_density(image)
+        plan = build_strata(density, m)
+        assert np.diff(plan.ptr).max() > 1, name
+        w, c = affine_part(image)
+        xs = MEAN_POINTS[target.d]
+        truth = rj.evaluate(image, xs) - (xs @ w + c)
+        vals = np.zeros((seeds, len(xs)))
+        for seed in range(seeds):
+            if arm == "stratified":
+                units = stratified_sample(plan, density, seed)
+            else:
+                units = plain_sample(density, plan.total_count, seed)
+            vals[seed] = evaluate_network(ShallowNetwork(target.d, units), xs)
+        se = vals.std(axis=0, ddof=1) / math.sqrt(seeds)
+        deviation = float((np.abs(vals.mean(axis=0) - truth) / np.maximum(se, 1e-300)).max())
+        details.append(f"{name} {deviation:.2f}")
+        ok = ok and deviation <= 4.0
+    elapsed = time.perf_counter() - t0
+    _criterion(
+        9,
+        f"unbiasedness-{arm}-several-pieces",
+        ok,
+        f"(max |dev|/SE {', '.join(details)} over {seeds} seeds, {elapsed:.1f}s)",
     )
 
 

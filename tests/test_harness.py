@@ -69,8 +69,27 @@ class TestRateExperimentValidation:
     def test_rejects_repeated_seed(self, cos_target, mode, seeds, named):
         """A repeated seed used to give network-rate two error columns of one
         name and a median that counts it twice, and paired-mc a duplicate row."""
+        given = dict(sweep=(8, 16, 32, 64)) if mode == "network-rate" else dict(m=16)
         with pytest.raises(ValueError, match=f"seed {named} is given more than once"):
-            RateExperiment(mode, cos_target, 2, sweep=(8, 16, 32, 64), seeds=seeds, m=16)
+            RateExperiment(mode, cos_target, 2, seeds=seeds, **given)
+
+    @pytest.mark.parametrize(
+        "mode, given, name, value",
+        [
+            ("jackson-rate", dict(sweep=(2, 4, 8, 16)), "bandwidth_exponent", 0.5),
+            ("jackson-rate", dict(sweep=(2, 4, 8, 16)), "bandwidth", 4),
+            ("jackson-rate", dict(sweep=(2, 4, 8, 16)), "m", 64),
+            ("jackson-rate", dict(sweep=(2, 4, 8, 16)), "seeds", (1,)),
+            ("network-rate", dict(sweep=(16, 32, 64, 128), seeds=(1,)), "m", 64),
+            ("paired-mc", dict(m=64, seeds=(1,)), "sweep", (2, 4, 8, 16)),
+        ],
+        ids=["jackson-exponent", "jackson-bandwidth", "jackson-m", "jackson-seeds", "network-m", "paired-sweep"],
+    )
+    def test_rejects_a_field_the_mode_never_reads(self, cos_target, mode, given, name, value):
+        """``RateExperiment("jackson-rate", t, 2, sweep=(2, 4, 8, 16), bandwidth_exponent=0.5)``
+        used to build and run as if the exponent were not there."""
+        with pytest.raises(ValueError, match=f"^{mode} never reads {name}, got {re.escape(repr(value))}$"):
+            RateExperiment(mode, cos_target, 2, **given, **{name: value})
 
     def test_paired_needs_width(self, cos_target):
         with pytest.raises(ValueError):
@@ -150,8 +169,9 @@ class TestWidthsAndBandwidthsNamed:
         """The negative widths used to end in a bare ``TypeError`` from
         ``math.floor(m**e)``; the rest were refused, unnamed, only when the
         runner reached them."""
+        seeds = () if spec["mode"] == "jackson-rate" else (1,)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RateExperiment(target=cos_target, r=2, seeds=(1,), **spec)
+            RateExperiment(target=cos_target, r=2, seeds=seeds, **spec)
 
 
 class TestFlatSchedule:

@@ -134,7 +134,7 @@ def line_test_net(d, rng, count=120):
     rows.append((np.zeros(d), rng.normal(), -1.0, ORIGIN_AFFINE))
     on_grid = np.full(d, 0.125)
     on_grid[-1] = -0.5
-    rows.append((on_grid, 1.5, float(on_grid @ np.linspace(-1.0, 1.0, 17)[np.arange(d) + 5]), ORIGIN_SAMPLED))
+    rows.append((on_grid, 1.5, float(on_grid @ np.linspace(-1.0, 1.0, 17)[np.arange(d) + 5]), ORIGIN_AFFINE))
     return simple_net(rows, d=d)
 
 
@@ -170,7 +170,7 @@ def pruning_test_net(d, rng, count=600):
 
 
 def keep_units(units, mask):
-    return Units(units.alphas[mask], units.betas[mask], units.biases[mask], units.origins[mask])
+    return Units(units.alphas[mask], units.betas[mask], units.biases[mask], int(mask[: units.sampled_count].sum()))
 
 
 def assert_grid_layout(pts, grid):
@@ -417,14 +417,14 @@ class TestLinePath:
         s = rj.EvaluationGrid(2, 33, rj.CUBE).axis()
         t = s if axis == "even" else np.sign(s) * np.abs(s) ** 3
         kinks = [
-            (np.array([0.0, 0.5]), 1.25, 0.5 * t[5], ORIGIN_SAMPLED),  # kink on t[5]
-            (np.array([0.0, -0.5]), -0.75, -0.5 * t[-6], ORIGIN_SAMPLED),  # kink on t[-6]
+            (np.array([0.0, 0.5]), 1.25, 0.5 * t[5], ORIGIN_AFFINE),  # kink on t[5]
+            (np.array([0.0, -0.5]), -0.75, -0.5 * t[-6], ORIGIN_AFFINE),  # kink on t[-6]
         ]
         units = Units.concat([line_test_net(2, np.random.default_rng(77)).units, Units.build(2, kinks)])
         a_last = units.alphas[:, -1]
         assert (a_last > 0.0).any() and (a_last < 0.0).any() and (a_last == 0.0).any()
         net = ShallowNetwork(2, units)
-        mirrored = ShallowNetwork(2, Units(units.alphas * [1.0, -1.0], units.betas, units.biases, units.origins))
+        mirrored = ShallowNetwork(2, Units(units.alphas * [1.0, -1.0], units.betas, units.biases, units.sampled_count))
         lines = np.stack(np.meshgrid(s, t, indexing="ij"), axis=-1)  # (line, t, coordinate)
         pts, flipped = lines.reshape(-1, 2), (lines[:, ::-1] * [1.0, -1.0]).reshape(-1, 2)
         assert _line_layout(pts) is not None and _line_layout(flipped) is not None
@@ -469,7 +469,7 @@ class TestNonFiniteParameter:
         array, index = {"alpha_last": (alphas, (5, -1)), "alpha_first": (alphas, (5, 0)),
                         "bias": (biases, 5), "beta": (betas, 5)}[where]
         array[index] = value
-        bad = ShallowNetwork(d, Units(alphas, betas, biases, net.units.origins), net.meta)
+        bad = ShallowNetwork(d, Units(alphas, betas, biases, net.units.sampled_count), net.meta)
         grid = rj.EvaluationGrid(d, 65, rj.CUBE)
         pts = grid.points()
         assert _line_path_pays(bad.unit_count, pts.shape[0], 65 ** (d - 1))
@@ -1108,6 +1108,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"unit row: '{row}'"):
             loads_network("\n".join(lines + [row]) + "\n")
 
+    def test_rejects_affine_row_before_sampled_row(self, cos_target):
+        """The units are split into sampled and affine by the count of leading
+        sampled rows, so a sampled row after an affine one is refused, by name."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        schema, header, columns, *rows = dumps_network(net).splitlines()
+        last_sampled = rows.pop(net.meta.sampled_count - 1)
+        with pytest.raises(ValueError, match=f"^sampled unit row: '{last_sampled}' follows an affine unit$"):
+            loads_network("\n".join([schema, header, columns, *rows, last_sampled]) + "\n")
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -1117,11 +1126,14 @@ class TestSerialization:
             (["0.5,1,0.25,bogus", "0.5,1,sampled"], "bad unit row: '0.5,1,sampled'"),
             (["0.5,x,0.25,sampled", "0.5,1,0.25,bogus"], "unknown origin 'bogus'"),
             (["0.5,1,nan,sampled", "0.5,y,0.25,sampled"], "could not convert string to float: 'y'"),
+            (["0.5,1,0.25,affine", "0.5,1,0.25,sampled", "0.5,1,0.25,bogus"], "unknown origin 'bogus'"),
+            (["0.5,x,0.25,affine", "0.5,1,0.25,sampled"], "sampled unit row: '0.5,1,0.25,sampled' follows"),
         ],
-        ids=["values_in_reading_order", "short_row", "long_row", "width_first", "origin_second", "number_third"],
+        ids=["values_in_reading_order", "short_row", "long_row", "width_first", "origin_second", "number_third",
+             "origin_before_order", "order_before_number"],
     )
     def test_names_the_first_bad_row_in_reading_order(self, rows, message):
-        """Each check runs over every row before the next: field count, origin, number, finiteness.
+        """Each check runs over every row before the next: field count, origin, origin order, number, finiteness.
         Within a check the first faulty row or field in reading order is named."""
         text = "\n".join(["# schema=network@2", "# d=1 m=2 v=2 N=3", "alpha_1,beta,bias,origin", *rows]) + "\n"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1239,3 +1251,32 @@ def test_units_iteration_and_build():
     assert units.betas[0] == 1.0 and units.origins[1] == "affine"
     both = Units.concat([units, Units.empty(1)])
     assert len(both) == 2
+
+
+class TestUnitLayout:
+    """Units come sampled first, then affine, and ``sampled_count`` marks the split."""
+
+    def test_build_refuses_unknown_origin(self):
+        """The audit bounds only sampled and affine units: a unit tagged
+        ``Sampled`` escaped both and passed it with beta = 1e6."""
+        with pytest.raises(ValueError, match="^unknown origin 'Sampled' in row 0$"):
+            Units.build(1, [([5.0], 1e6, 7.0, "Sampled")])
+
+    def test_build_refuses_sampled_after_affine(self):
+        rows = [([0.5], 1.0, 0.25, "sampled"), ([0.0], 2.0, -1.0, "affine"), ([0.25], 1.0, 0.1, "sampled")]
+        with pytest.raises(ValueError, match="^sampled row 2 follows an affine unit$"):
+            Units.build(1, rows)
+
+    def test_concat_adds_the_counts(self):
+        sampled = Units.build(1, [([0.5], 1.0, 0.25, "sampled")])
+        affine = Units.build(1, [([0.0], 2.0, -1.0, "affine")])
+        both = Units.concat([sampled, Units.empty(1), sampled, affine, Units.empty(1), affine])
+        assert (len(both), both.sampled_count) == (4, 2)
+        assert both.origins.tolist() == ["sampled", "sampled", "affine", "affine"]
+        with pytest.raises(ValueError, match="^block 1 has sampled units after an affine unit$"):
+            Units.concat([affine, sampled])
+
+    @pytest.mark.parametrize("count", [-1, 2])
+    def test_count_within_the_units(self, count):
+        with pytest.raises(ValueError, match=f"^sampled_count={count} is not in 0..1$"):
+            Units(np.zeros((1, 1)), np.ones(1), np.zeros(1), count)

@@ -12,6 +12,7 @@ import pytest
 
 import relu_jackson as rj
 from relu_jackson import cli
+from relu_jackson.network import ShallowNetwork, Units
 from relu_jackson.sampler import build_density, build_strata, construct
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,3 +41,14 @@ def test_replay_construct_is_construct(workloads, method):
     target = rj.make_decay_target(2, 4.2, 8, seed=7)
     replayed = workloads.replay_construct(workloads.NoTrace(), target, 2, 64, 3, method=method)
     assert workloads.networks_equal(replayed, construct(target, 2, 64, 3, method=method))
+
+
+def test_networks_equal_sees_the_sampled_count(workloads):
+    """``origins`` is derived from the sampled count, so the replay's check still compares that count."""
+    net = construct(rj.make_decay_target(2, 4.2, 8, seed=7), 2, 64, 3)
+    u = net.units
+    assert 0 < u.sampled_count < len(u)
+    assert u.origins.tolist() == ["sampled"] * u.sampled_count + ["affine"] * (len(u) - u.sampled_count)
+    moved = ShallowNetwork(net.d, Units(u.alphas, u.betas, u.biases, u.sampled_count - 1), net.meta)
+    assert workloads.networks_equal(net, net)
+    assert not workloads.networks_equal(net, moved)

@@ -349,7 +349,6 @@ class TestBuildStrata:
         sign = -np.sign(np.cos(omega[first] * mid + b[first]))
         beta = dens.v * target_count / (plan.m_prime * plan.count) * sign
         assert plan.draw_beta.tobytes() == np.repeat(beta, plan.count).tobytes()
-        assert plan.origins.tolist() == ["sampled"] * plan.total_count
         assert plan.total_count == int(plan.count.sum())
 
     def test_arrays_read_only(self, cos_image):
@@ -358,7 +357,7 @@ class TestBuildStrata:
         plan = build_strata(dens, 64)
         draw_constants = (
             (dens, {"cum", "f_lo", "f_hi"}),
-            (plan, {"piece_f_lo", "piece_f_hi", "draw_stratum", "draw_last", "draw_beta", "origins"}),
+            (plan, {"piece_f_lo", "piece_f_hi", "draw_stratum", "draw_last", "draw_beta"}),
         )
         for obj, names in draw_constants:
             arrays = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
