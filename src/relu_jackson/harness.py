@@ -126,8 +126,8 @@ class RateExperiment:
         for name, value, least in floors:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if exponent is not None and self.mode != "jackson-rate":
-            for m in (self.m,) if self.mode == "paired-mc" else self.sweep:
+        if exponent is not None:  # jackson-rate never has one, and paired-mc has no sweep
+            for m in self.sweep or (self.m,):
                 try:
                     n = math.floor(m**exponent)
                 except OverflowError:

@@ -58,6 +58,8 @@ class Units:
     sampled_count: int
 
     def __post_init__(self):
+        if not (self.alphas.ndim == 2 and self.alphas.shape[:1] == self.betas.shape == self.biases.shape):
+            raise ValueError(f"unit arrays of shapes {self.alphas.shape}, {self.betas.shape}, {self.biases.shape}")
         if not 0 <= self.sampled_count <= len(self):
             raise ValueError(f"sampled_count={self.sampled_count} is not in 0..{len(self)}")
         for arr in (self.alphas, self.betas, self.biases):
@@ -135,9 +137,15 @@ class NetworkMeta:
 
 @dataclass(frozen=True)
 class ShallowNetwork:
+    """A network of d inputs; a header's ``sampled_count``, when set, is the units' own."""
+
     d: int
     units: Units
     meta: NetworkMeta | None = None
+
+    def __post_init__(self):
+        if self.meta is not None and self.meta.sampled_count not in (None, self.units.sampled_count):
+            raise ValueError(f"network header has sampled_count={self.meta.sampled_count}, not the sampled row count")
 
     @property
     def unit_count(self) -> int:
@@ -694,8 +702,6 @@ def loads_network(text: str) -> ShallowNetwork:
     units = Units(values[:, :d].copy(), values[:, d].copy(), values[:, d + 1].copy(), sampled_count)
     if len(units) != m:
         raise ValueError("unit count does not match header")
-    if meta.sampled_count not in (None, sampled_count):
-        raise ValueError(f"network header has sampled_count={meta.sampled_count}, not the sampled row count")
     return ShallowNetwork(d, units, meta)
 
 

@@ -1280,3 +1280,19 @@ class TestUnitLayout:
     def test_count_within_the_units(self, count):
         with pytest.raises(ValueError, match=f"^sampled_count={count} is not in 0..1$"):
             Units(np.zeros((1, 1)), np.ones(1), np.zeros(1), count)
+
+    @pytest.mark.parametrize(
+        "shapes", [((3, 1), (2,), (2,)), ((2, 1), (2,), (3,)), ((2,), (2,), (2,)), ((2, 1), (2, 1), (2,))]
+    )
+    def test_arrays_agree_on_the_units(self, shapes):
+        """Row counts that disagree used to build, and evaluation ended in a bare IndexError."""
+        alphas, betas, biases = (np.full(s, 0.5) for s in shapes)
+        with pytest.raises(ValueError, match="^unit arrays of shapes "):
+            Units(alphas, betas, biases, 0)
+
+    def test_header_count_is_the_units_count(self, cos_target):
+        """A header that disagreed with its units used to pass the audit and dump a file that did not reload."""
+        net = rj.construct(cos_target, 2, 64, seed=1)
+        with pytest.raises(ValueError, match=f"^network header has sampled_count={net.units.sampled_count + 1}, "):
+            ShallowNetwork(net.d, net.units, replace(net.meta, sampled_count=net.units.sampled_count + 1))
+        assert ShallowNetwork(net.d, net.units, replace(net.meta, sampled_count=None)).units is net.units
