@@ -34,7 +34,7 @@ from .jackson import build_kernel, multiplier_from_kernel
 from .network import save_network
 from .sampler import construct, identity_residual
 from .spectral import build_levels
-from .targets import TORUS, _fmt, default_grid, holder_norm, load_target
+from .targets import TORUS, _fmt, _require_int, default_grid, holder_norm, load_target
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -90,8 +90,7 @@ def _cmd_rate(args) -> str:
 
 
 def _cmd_verify_identity(args) -> str:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _require_int("--samples", args.samples, 1)
     if not (math.isfinite(args.cmax) and args.cmax > 0):
         raise ValueError(f"--cmax must be finite and positive, got {args.cmax}")
     rng = np.random.default_rng(args.seed)

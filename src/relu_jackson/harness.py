@@ -15,8 +15,8 @@ import numpy as np
 
 from .jackson import jackson_sup_error
 from .network import MIN_WIDTH, grid_error
-from .sampler import _validate_seed, prepare, realize
-from .targets import CUBE, TORUS, FourierTarget, _fmt, default_grid
+from .sampler import prepare, realize
+from .targets import CUBE, TORUS, FourierTarget, _fmt, _require_int, default_grid
 
 #: Errors at or below this level are treated as exactly reproduced and are
 #: excluded from slope fits (they are rounding noise, not signal).
@@ -108,24 +108,26 @@ class RateExperiment:
         if self.mode in ("network-rate", "paired-mc") and not self.seeds:
             raise ValueError("stochastic modes need at least one seed")
         for seed in self.seeds:
-            _validate_seed(seed)
+            _require_int("seed", seed, 0)
         repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
         if repeated:
             raise ValueError(f"seed {repeated[0]} is given more than once")
         if self.mode == "paired-mc" and self.m is None:
             raise ValueError("paired-mc needs a width m")
-        # each width and bandwidth is refused here, by name, before a grid is computed or m**exponent taken
+        # each count is refused here, by name, before a grid is computed or m**exponent taken
         if self.mode == "jackson-rate":
             floors = [("sweep bandwidth", n, 1) for n in self.sweep]
         elif self.mode == "network-rate":
             floors = [("sweep width", m, MIN_WIDTH) for m in self.sweep]
         else:
             floors = [("m", self.m, MIN_WIDTH)]
+        floors.append(("r", self.r, 1))
+        if self.grid_points is not None:
+            floors.append(("grid_points", self.grid_points, 2))
         if self.bandwidth is not None:
             floors.append(("bandwidth", self.bandwidth, 1))
         for name, value, least in floors:
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            _require_int(name, value, least)
         if exponent is not None:  # jackson-rate never has one, and paired-mc has no sweep
             for m in self.sweep or (self.m,):
                 try:

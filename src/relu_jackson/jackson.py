@@ -13,6 +13,7 @@ from .targets import (
     EvaluationGrid,
     FourierTarget,
     _grid_values_raw,
+    _require_int,
     _require_resolved,
     difference,
     sup_norm,
@@ -23,8 +24,7 @@ TWO_PI = 2.0 * math.pi
 
 def fejer_coefficients(m: int) -> np.ndarray:
     """Triangular cosine coefficients of the order-m Fejer window: 1/2, then 1 - j/m."""
-    if m < 1:
-        raise ValueError("order must be >= 1")
+    _require_int("Fejer order m", m, 1)
     b = 1.0 - np.arange(m) / m
     b[0] = 0.5
     return b
@@ -61,7 +61,7 @@ class JacksonKernel1D:
         return _grid_values_raw(1, ks[:, None], self.a_tilde, EvaluationGrid(1, points))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def build_kernel(N: int, r: int) -> JacksonKernel1D:
     """Kernel of degree parameter N and order r (the 2r-th power construction).
 
@@ -70,8 +70,8 @@ def build_kernel(N: int, r: int) -> JacksonKernel1D:
     so the central coefficient equals 1/(2*pi).  That forced normalization is
     equivalent to a unit integral over the torus, so no quadrature enters.
     """
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be >= 1")
+    _require_int("N", N, 1)
+    _require_int("order r", r, 1)
     m = N // r + 1
     b = fejer_coefficients(m)
     c = np.zeros(2 * m - 1)

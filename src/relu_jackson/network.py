@@ -19,7 +19,7 @@ import numpy as np
 from .spectral import variation
 from .targets import (
     CUBE, MAX_DIMENSION, EvaluationGrid, FourierTarget, _as_points, _fmt, _max_abs, _read_header, _read_rows,
-    grid_values,
+    _require_int, grid_values,
 )
 
 ORIGIN_SAMPLED = "sampled"
@@ -60,7 +60,8 @@ class Units:
     def __post_init__(self):
         if not (self.alphas.ndim == 2 and self.alphas.shape[:1] == self.betas.shape == self.biases.shape):
             raise ValueError(f"unit arrays of shapes {self.alphas.shape}, {self.betas.shape}, {self.biases.shape}")
-        if not 0 <= self.sampled_count <= len(self):
+        _require_int("sampled_count", self.sampled_count, 0)
+        if self.sampled_count > len(self):
             raise ValueError(f"sampled_count={self.sampled_count} is not in 0..{len(self)}")
         for arr in (self.alphas, self.betas, self.biases):
             arr.setflags(write=False)

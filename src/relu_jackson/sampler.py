@@ -33,17 +33,12 @@ from .network import (
     Units,
 )
 from .spectral import variation
-from .targets import FourierTarget, _distinct_rows
+from .targets import FourierTarget, _distinct_rows, _require_int
 
 # Stream tag of the unstratified sampler: its PCG64 stream is keyed by
 # (seed, tag), apart from the stratified sampler's Philox stream, which is
 # keyed by the seed alone and split between strata by counter offset.
 _PLAIN_STREAM_TAG = 0x9E3779B9
-
-
-def _validate_seed(seed: int):
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +65,7 @@ def identity_residual(z: float, c: float, panels: int) -> float:
     integrand is smooth except for a kink at ``u = |z|``, so the range is
     split there and each piece gets a share of ``panels`` Simpson panels.
     """
-    if panels < 2:
-        raise ValueError("panels must be >= 2")
+    _require_int("panels", panels, 2)
     if not (math.isfinite(z) and math.isfinite(c)):
         raise ValueError(f"identity needs a finite z and c, got z={z}, c={c}")
     if abs(z) > c:
@@ -224,9 +218,11 @@ class SamplingPlan:
     stratum index ``draw_stratum``, the stratum's last piece ``draw_last``,
     and the unit weight ``draw_beta`` (which carries the stratum's atom
     sign).  Every draw becomes a sampled unit, so a network lists the draws
-    first and its affine units after them.
+    first and its affine units after them.  ``density`` is the density the
+    plan was built from, the only one its draws may read.
     """
 
+    density: SamplingDensity
     m_prime: int
     delta: float
     ptr: np.ndarray
@@ -309,8 +305,7 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     """
     if density.is_degenerate:
         raise ValueError("empty density: the image has no oscillatory modes")
-    if m < MIN_WIDTH:
-        raise ValueError(f"width must be >= {MIN_WIDTH}")
+    _require_int("width m", m, MIN_WIDTH)
     m_prime = _m_prime(m)
     _, delta = allocation_width(m, density.image.d)
     edges = np.minimum(delta * np.arange(math.ceil(SHIFT_LIMIT / delta) + 1), SHIFT_LIMIT)
@@ -386,6 +381,7 @@ def build_strata(density: SamplingDensity, m: int) -> SamplingPlan:
     beta = density.v * target_count / (m_prime * count) * stratum_sign
 
     plan = SamplingPlan(
+        density=density,
         m_prime=m_prime,
         delta=delta,
         ptr=ptr,
@@ -437,9 +433,12 @@ def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -
     its own by advancing the stream to that row's counter, without drawing
     the strata before it.  Each atom (t, k) becomes the unit
     ``beta * relu(alpha_k . x - t)`` with ``beta = v * m_i / (m' * n_i) * s``.
-    Everything that does not depend on the seed is read from the plan.
+    Everything that does not depend on the seed is read from the plan, so
+    ``density`` must be the plan's own.
     """
-    _validate_seed(seed)
+    if density is not plan.density:
+        raise ValueError("density is not the one the plan was built from")
+    _require_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     u = rng.random((plan.total_count, 2))
     pick = np.searchsorted(plan.cum, plan.draw_stratum + u[:, 0], side="right")
@@ -459,11 +458,10 @@ def stratified_sample(plan: SamplingPlan, density: SamplingDensity, seed: int) -
 
 def plain_sample(density: SamplingDensity, n: int, seed: int) -> Units:
     """Unstratified baseline: n i.i.d. atoms with weights +-v/n."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
+    _require_int("sample count n", n, 1)
     if density.is_degenerate:
         raise ValueError("empty density: the image has no oscillatory modes")
-    _validate_seed(seed)
+    _require_int("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _PLAIN_STREAM_TAG)))
     u = rng.random((n, 2))
     cum = density.cum
@@ -517,8 +515,9 @@ def select_bandwidth(m: int, d: int, r: int) -> int:
     The exponent balances the smoothing error against the sampling error;
     the result is clamped to at least 1 so small widths stay usable.
     """
-    if m < 1 or d < 1 or r < 1:
-        raise ValueError("m, d, r must be >= 1")
+    _require_int("width m", m, 1)
+    _require_int("dimension d", d, 1)
+    _require_int("order r", r, 1)
     expo = (d + 2.0) / (d * max(2 * r, d + 4))
     return max(1, math.floor(m**expo))
 
@@ -546,13 +545,10 @@ def prepare(target: FourierTarget, r: int, m: int, bandwidth: int | None = None)
     Raises ``ValueError`` when the plan's draws and the affine units exceed
     the width m, as they can at the smallest widths (decay2 at m = 8 has 11).
     """
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    if m < MIN_WIDTH:
-        raise ValueError(f"width must be >= {MIN_WIDTH}")
+    _require_int("order r", r, 1)
+    _require_int("width m", m, MIN_WIDTH)
     n = bandwidth if bandwidth is not None else select_bandwidth(m, target.d, r)
-    if n < 1:
-        raise ValueError("bandwidth must be >= 1")
+    _require_int("bandwidth", n, 1)
     image = apply_jackson(target, n, r)
     density = build_density(image)
     plan = None if density.is_degenerate else build_strata(density, m)
@@ -582,7 +578,7 @@ def realize(prep: Preparation, seed: int, method: str = "stratified") -> Shallow
     """
     if method not in ("stratified", "plain"):
         raise ValueError(f"unknown sampling method {method!r}")
-    _validate_seed(seed)
+    _require_int("seed", seed, 0)
     d, plan = prep.density.image.d, prep.plan
     if plan is None:
         sampled = Units.empty(d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import EvaluationGrid, FourierTarget, _max_abs, _require_resolved, grid_values
+from .targets import EvaluationGrid, FourierTarget, _max_abs, _require_int, _require_resolved, grid_values
 
 
 def level_series(target: FourierTarget, level: int, r: int) -> FourierTarget:
@@ -24,10 +24,8 @@ def level_series(target: FourierTarget, level: int, r: int) -> FourierTarget:
     The frequency-zero term carries weight zero and is dropped; the weight is
     even in k, so the result stays real-valued.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if r < 0:
-        raise ValueError("weight order must be >= 0")
+    _require_int("level", level, 0)
+    _require_int("weight order r", r, 0)
     l1 = np.abs(target.modes).sum(axis=1)
     keep = (l1 > 0) & (np.abs(target.modes).max(axis=1) <= 2**level)
     coeffs = target.coeffs[keep] * l1[keep].astype(float) ** r
@@ -68,8 +66,7 @@ def shell_sums(target: FourierTarget, r: int, levels: int) -> np.ndarray:
     Shell 0 holds the frequencies with ``|k|_inf == 1``.  The sums partition
     the total weighted mass over ``1 <= |k|_inf <= 2^levels`` exactly.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
+    _require_int("levels", levels, 0)
     sums = []
     sup = np.abs(target.modes).max(axis=1)
     l1 = np.abs(target.modes).sum(axis=1).astype(float)

@@ -34,6 +34,14 @@ _HERMITIAN_TOL = 1e-12
 _CELL_BLOCK = 8192  # frequencies x points per block of the cube's last axis
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """Refuse a count that is a bool, not an ``int``/``np.integer``, or below ``least``, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class EvaluationGrid:
     """Uniform axis-aligned grid on the torus [-pi, pi]^d or the cube [-1, 1]^d."""
@@ -43,10 +51,8 @@ class EvaluationGrid:
     domain: str = TORUS
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.points_per_axis < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        _require_int("dimension d", self.d, 1)
+        _require_int("points_per_axis", self.points_per_axis, 2)
         if self.domain not in (TORUS, CUBE):
             raise ValueError(f"unknown domain {self.domain!r}")
 
@@ -203,8 +209,7 @@ def make_trig_poly(d: int, coeffs) -> FourierTarget:
     The map must be Hermitian-symmetric (real-valued function).  In d = 1 a
     frequency may be a bare integer.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _require_int("dimension d", d, 1)
     keys = [_key((k,) if np.isscalar(k) else k) for k in coeffs]
     if any(len(key) != d for key in keys):
         raise ValueError(f"frequency {next(k for k in keys if len(k) != d)} does not have dimension {d}")
@@ -232,8 +237,7 @@ def make_decay_target(d: int, s: float, k_max: int, seed: int) -> FourierTarget:
     """
     if s <= d:
         raise ValueError("decay exponent must exceed the dimension")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _require_int("k_max", k_max, 1)
     axis = np.arange(-k_max, k_max + 1, dtype=np.int64)
     box = np.stack([a.ravel() for a in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1)
     # The box is in lexicographic order with 0 at its centre; the rows after
@@ -432,8 +436,7 @@ def holder_norm(target: FourierTarget, r: int, grid: EvaluationGrid) -> float:
     the value is exact for trigonometric polynomials up to grid resolution.
     Requires a torus grid with more than ``2 * k_max`` points per axis.
     """
-    if r < 0:
-        raise ValueError("derivative order must be >= 0")
+    _require_int("derivative order r", r, 0)
     _require_resolved(target, grid)
     best = 0.0
     kf = target.modes.astype(float)

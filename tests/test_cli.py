@@ -361,8 +361,8 @@ def test_network_rate_rejects_bad_exponent(target_file, capsys, exponent):
 @pytest.mark.parametrize(
     "flags, named",
     [
-        (["--samples", "-3", "--cmax", "4"], "--samples must be at least 1, got -3"),
-        (["--samples", "0", "--cmax", "4"], "--samples must be at least 1, got 0"),
+        (["--samples", "-3", "--cmax", "4"], "--samples must be >= 1, got -3"),
+        (["--samples", "0", "--cmax", "4"], "--samples must be >= 1, got 0"),
         (["--samples", "3", "--cmax", "nan"], "--cmax must be finite and positive, got nan"),
         (["--samples", "3", "--cmax", "inf"], "--cmax must be finite and positive, got inf"),
         (["--samples", "3", "--cmax", "0"], "--cmax must be finite and positive, got 0.0"),

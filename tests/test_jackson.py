@@ -196,7 +196,7 @@ class TestMatchesScalarReference:
             assert float(np.abs(got - want).max()) <= tol, points
 
     def test_kernel_grid_needs_two_points(self):
-        with pytest.raises(ValueError, match="at least 2 points"):
+        with pytest.raises(ValueError, match="points_per_axis must be >= 2, got 1"):
             build_kernel(1, 2).grid_values(1)
 
 

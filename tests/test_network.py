@@ -1278,7 +1278,8 @@ class TestUnitLayout:
 
     @pytest.mark.parametrize("count", [-1, 2])
     def test_count_within_the_units(self, count):
-        with pytest.raises(ValueError, match=f"^sampled_count={count} is not in 0..1$"):
+        message = "sampled_count must be >= 0, got -1" if count < 0 else f"sampled_count={count} is not in 0..1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Units(np.zeros((1, 1)), np.ones(1), np.zeros(1), count)
 
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import relu_jackson as rj
-from relu_jackson.network import ORIGIN_SAMPLED, SHIFT_LIMIT, NetworkMeta, ShallowNetwork, dumps_network
+from relu_jackson.network import ORIGIN_SAMPLED, SHIFT_LIMIT, NetworkMeta, ShallowNetwork, dumps_network, loads_network
 from relu_jackson.network import evaluate as evaluate_network
 from relu_jackson.sampler import (
     _PLAIN_STREAM_TAG,
@@ -864,6 +864,26 @@ class TestPrepareRealize:
         net = construct(decay2, 2, 16, 1)
         assert net.unit_count <= 16 and rj.audit(net).passed
 
+    @pytest.mark.parametrize("method", ["stratified", "plain"])
+    def test_every_constructed_network_reloads(self, corpus, method):
+        """NumPy counts give networks whose files read back to the same bytes; ``m=64.0`` used to build
+        a network whose ``m_requested=64.0`` header ``load_network`` refused."""
+        for name in ("decay1", "decay2"):
+            net = construct(dict(corpus)[name], 2, np.int64(256), np.int64(3), bandwidth=np.int64(4), method=method)
+            text = dumps_network(net)
+            assert dumps_network(loads_network(text)) == text
+        with pytest.raises(ValueError, match=r"^width m must be an integer, got 64\.0$"):
+            construct(dict(corpus)["decay2"], 2, 64.0, 1, method=method)
+
+    def test_density_must_be_the_plans(self, corpus):
+        """decay1's plan drawn with decay2's density used to return 85 units with 2-D directions, and
+        decay2's plan with decay1's density ended in a bare IndexError."""
+        decay1, decay2 = (prepare(dict(corpus)[name], 2, 256) for name in ("decay1", "decay2"))
+        for plan, density in ((decay1.plan, decay2.density), (decay2.plan, decay1.density)):
+            with pytest.raises(ValueError, match="^density is not the one the plan was built from$"):
+                stratified_sample(plan, density, 1)
+        assert decay1.plan.density is decay1.density
+
     def test_rejects(self, cos_target):
         with pytest.raises(ValueError, match="order"):
             prepare(cos_target, 0, 64)
@@ -896,3 +916,73 @@ def test_unbiasedness_moderate(cos_target):
     mean = vals.mean(axis=0)
     se = vals.std(axis=0, ddof=1) / math.sqrt(n_seeds)
     assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
+
+
+def _ramp_cos_integral(z, lo, hi, omega, b):
+    """Closed form of the integral of relu(z - t) cos(omega t + b) over t in [lo, hi], elementwise."""
+    u = np.clip(z, lo, hi)
+    by_parts = ((z - u) * np.sin(omega * u + b) - (z - lo) * np.sin(omega * lo + b)) / omega
+    return by_parts - (np.cos(omega * u + b) - np.cos(omega * lo + b)) / omega**2
+
+
+def stratified_mean(plan, xs):
+    """E[sampled part](x) of ``stratified_sample``, from the plan's arrays alone.
+
+    A stratum's draws pick piece p with the rise of ``cum`` at p and then t
+    with density proportional to |cos(w t + b)| on the piece, where cos keeps
+    one sign; the stratum's draws together weigh the sum of their betas.
+    """
+    density = plan.density
+    mode = plan.piece_mode
+    omega, b = density.omegas[mode][:, None], density.phases[mode][:, None]
+    lo, hi = plan.piece_lo[:, None], plan.piece_hi[:, None]
+    sign = np.sign(np.cos(omega * (0.5 * (lo + hi)) + b))
+    z = density.alphas[mode] @ xs.T
+    shift_mass = (plan.piece_f_hi - plan.piece_f_lo)[:, None] / omega
+    ramp = sign * _ramp_cos_integral(z, lo, hi, omega, b) / shift_mass
+    stratum_beta = np.bincount(plan.draw_stratum, weights=plan.draw_beta, minlength=plan.strata_count)
+    piece_stratum = np.repeat(np.arange(plan.strata_count), np.diff(plan.ptr))
+    return (stratum_beta[piece_stratum] * np.diff(plan.cum, prepend=0.0)) @ ramp
+
+
+def plain_mean(density, scale, xs):
+    """E[sampled part](x) of ``plain_sample`` whose n weights are +-scale/n.
+
+    A draw picks frequency k with the rise of ``density.cum`` at k and t with
+    density proportional to |cos(w t + b)| on [0, SHIFT_LIMIT]; its sign
+    -sgn cos turns |cos| into -cos.
+    """
+    omega, b = density.omegas[:, None], density.phases[:, None]
+    z = density.alphas @ xs.T
+    shift_mass = (density.f_hi - density.f_lo)[:, None] / omega
+    ramp = -_ramp_cos_integral(z, 0.0, SHIFT_LIMIT, omega, b) / shift_mass
+    return scale * (np.diff(density.cum, prepend=0.0) / density.cum[-1]) @ ramp
+
+
+class TestSeedFreeMean:
+    """Both arms' exact means, built from what their draws read, equal ``f_N - A``.
+
+    The gap stays within ``MEAN_ULPS * eps * sum|c|`` of the smoothed image:
+    it reads 38 on decay3 at m = 4096 (15,559 pieces) and at most 6 on the
+    other nine cases, at 128 fixed points.  A wrong unit weight
+    moves the mean by far more, in either arm; a wrong piece pick or shift
+    draw changes the draw, not the plan, and is not seen here.
+    """
+
+    MEAN_ULPS = 128
+
+    @pytest.mark.parametrize("m", [256, 4096])
+    @pytest.mark.parametrize("name", ["cos", "mix1", "decay1", "decay2", "decay3"])
+    def test_both_arms_match_the_image(self, corpus, name, m):
+        target = rj.make_decay_target(3, 3.2, 6, seed=5) if name == "decay3" else dict(corpus)[name]
+        prep = prepare(target, 2, m)
+        image = prep.density.image
+        xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(128, target.d))
+        w, c = affine_part(image)
+        truth = rj.evaluate(image, xs) - (xs @ w + c)
+        tol = self.MEAN_ULPS * np.finfo(float).eps * rj.variation(image, 0)
+        assert np.abs(stratified_mean(prep.plan, xs) - truth).max() <= tol
+        n = prep.plan.total_count
+        weights = np.abs(plain_sample(prep.density, n, 1).betas)
+        assert np.all(weights == weights[0])
+        assert np.abs(plain_mean(prep.density, n * weights[0], xs) - truth).max() <= tol
